@@ -1,10 +1,15 @@
 """Buchberger's algorithm with provenance-tracked membership certificates.
 
-The basis computation keeps, for every basis element, its expression as a
-polynomial combination of the original generators.  A membership certificate
-for a target polynomial is then the combination obtained by composing
-division quotients with those expressions; verification re-expands the
-combination and checks the identity exactly.
+With provenance on, the basis computation appends one node per new element
+to a linear ``ProvenanceTrace``: the element's primitive-normalisation scalar
+and its parents, each a (multiplier, earlier node) pair.  An S-pair reduction
+has the parents ``u``, ``-v`` and ``-q_m``; an inter-reduction step has ``1``
+and ``-q``.  The generators are the trace's leaves.  A membership certificate
+for a target reduces it against the basis, seeds each final node with its
+quotient, and contracts the trace backward once to reach the cofactors at the
+leaves; verification re-expands the combination and checks the identity
+exactly.  The forward rows (each element over the generators) are built from
+the trace only when read.
 """
 
 from __future__ import annotations
@@ -59,12 +64,112 @@ class IdealPresentation:
                 raise ValueError("zero generator")
 
 
+class ProvenanceTrace:
+    """Linear record of how polynomials arose from a fixed list of generators.
+
+    Nodes ``0 .. n_generators - 1`` are the generators.  Each later node
+    stands for ``scalar * sum(m * value(p) for m, p in parents)``, and every
+    parent precedes its child, so the list is in topological order.
+    """
+
+    def __init__(self, vars: VariableSet, n_generators: int):
+        self.vars = vars
+        self.n_generators = n_generators
+        self.nodes: list[tuple[Fraction, list[tuple[Polynomial, int]]]] = (
+            [(Fraction(1), [])] * n_generators)
+
+    @classmethod
+    def from_rows(cls, vars: VariableSet, n_generators: int,
+                  rows: list[list[Polynomial]]) -> tuple["ProvenanceTrace", list[int]]:
+        """A one-level trace whose node k is sum(rows[k][i] * generator_i)."""
+        trace = cls(vars, n_generators)
+        nodes = [trace.add(Fraction(1), [(c, i) for i, c in enumerate(row) if not c.is_zero()])
+                 for row in rows]
+        return trace, nodes
+
+    def add(self, scalar: Fraction, parents: list[tuple[Polynomial, int]]) -> int:
+        self.nodes.append((scalar, parents))
+        return len(self.nodes) - 1
+
+    def contract(self, seeds: list[tuple[int, Polynomial]]) -> list[Polynomial]:
+        """Cofactors K with sum(K_i * generator_i) == sum(q * value(node)) over seeds.
+
+        One reverse sweep: each node's adjoint, times its scalar and each
+        parent multiplier, is added into that parent's adjoint.  Adjoints
+        accumulate as raw term dicts; only the cofactors become Polynomials.
+        """
+        one = {(0,) * len(self.vars): Fraction(1)}
+        adjoint: dict[int, dict] = {}
+        for node, q in seeds:
+            _add_product(adjoint.setdefault(node, {}), q.terms, one)
+        for k in range(len(self.nodes) - 1, self.n_generators - 1, -1):
+            a = adjoint.pop(k, None)
+            if not a:
+                continue
+            scalar, parents = self.nodes[k]
+            for m, p in parents:
+                _add_product(adjoint.setdefault(p, {}), a,
+                             {e: c * scalar for e, c in m.terms.items()})
+        return [Polynomial(self.vars, adjoint.get(i, {})) for i in range(self.n_generators)]
+
+    def rows(self, nodes: list[int]) -> list[list[Polynomial]]:
+        """Each node's value as a row of cofactors over the generators."""
+        needed = set(nodes)
+        for k in range(max(nodes, default=-1), self.n_generators - 1, -1):
+            if k in needed:
+                needed.update(p for _, p in self.nodes[k][1])
+        one = {(0,) * len(self.vars): Fraction(1)}
+        built: dict[int, list[dict]] = {}
+        for k in sorted(needed):
+            if k < self.n_generators:
+                built[k] = [one if i == k else {} for i in range(self.n_generators)]
+                continue
+            scalar, parents = self.nodes[k]
+            row: list[dict] = [{} for _ in range(self.n_generators)]
+            for m, p in parents:
+                scaled = {e: c * scalar for e, c in m.terms.items()}
+                for acc, src in zip(row, built[p]):
+                    _add_product(acc, scaled, src)
+            built[k] = row
+        return [[Polynomial(self.vars, terms) for terms in built[k]] for k in nodes]
+
+
+def _add_product(acc: dict, f: dict, g: dict) -> None:
+    """acc += f * g on raw term dicts, dropping terms that cancel."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            k = monomial_mul(e1, e2)
+            if k in acc:
+                total = acc[k] + c1 * c2
+                if total:
+                    acc[k] = total
+                else:
+                    del acc[k]
+            else:
+                acc[k] = c1 * c2
+
+
 @dataclass
 class GroebnerBasis:
+    """A reduced basis, with its provenance when it was tracked.
+
+    ``trace`` is None without provenance; otherwise element k equals the
+    value of trace node ``nodes[k]``, and ``provenance`` builds each
+    element's row of cofactors over the presentation's generators from the
+    trace when read.
+    """
+
     presentation: IdealPresentation
     elements: list[Polynomial]
-    provenance: list[list[Polynomial]] | None
+    trace: ProvenanceTrace | None
+    nodes: list[int] | None
     stats: dict = field(default_factory=dict)
+
+    @property
+    def provenance(self) -> list[list[Polynomial]] | None:
+        if self.trace is None:
+            return None
+        return self.trace.rows(self.nodes)
 
     @property
     def order(self) -> MonomialOrder:
@@ -172,7 +277,8 @@ def _pair_sort_key(order: MonomialOrder, lcm, i: int, j: int):
 
 
 def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
-               max_pairs: int | None = None) -> GroebnerBasis:
+               max_pairs: int | None = None, *, trace: ProvenanceTrace | None = None,
+               leaves: list[int] | None = None) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with the normal pair strategy.
 
     Pairs are processed by smallest lcm under the graded refinement of the
@@ -180,6 +286,11 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     Every intermediate result is primitive-normalized.  The returned basis
     is reduced (monic-primitive, mutually irreducible) and sorted descending
     by leading monomial, so it is unique for the ideal and order.
+
+    With provenance, every new element appends a node to ``trace``.  By
+    default a fresh trace is started whose leaves are the generators; a
+    caller continuing an earlier trace passes it with ``leaves``, the node
+    of each generator in it.
     """
     if max_pairs is None:
         env = os.environ.get(_ENV_MAX_PAIRS)
@@ -187,14 +298,17 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     vars = presentation.vars
     order = presentation.order
     n_gens = len(presentation.generators)
-
-    def unit_row(i: int) -> list[Polynomial]:
-        return [Polynomial.zero(vars) if j != i else Polynomial.constant(vars, 1)
-                for j in range(n_gens)]
+    if not track_provenance:
+        trace = None
+    elif trace is None:
+        trace, leaves = ProvenanceTrace(vars, n_gens), list(range(n_gens))
+    elif leaves is None or len(leaves) != n_gens:
+        raise ValueError("a continued trace needs one leaf node per generator")
+    one = Polynomial.constant(vars, 1)
 
     basis: list[Polynomial] = []
     heads: list[tuple[tuple[int, ...], Fraction]] = []
-    prov: list[list[Polynomial]] = []
+    nodes: list[int] = []
 
     def append_element(p: Polynomial) -> None:
         basis.append(p)
@@ -203,8 +317,8 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     for i, g in enumerate(presentation.generators):
         norm, scalar = primitive_normalize(g, order)
         append_element(norm)
-        if track_provenance:
-            prov.append([p * scalar for p in unit_row(i)])
+        if trace is not None:
+            nodes.append(trace.add(scalar, [(one, leaves[i])]))
 
     pending: dict[tuple[int, int], tuple[int, ...]] = {}
     pair_heap: list[tuple] = []
@@ -251,32 +365,36 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
             continue
         spoly = s_polynomial(basis[i], basis[j], order)
         nf_terms, quotient_terms = _reduce_terms(spoly.terms, basis, heads, order,
-                                                 track_provenance)
+                                                 trace is not None)
         if not nf_terms:
             continue
         normal_form = Polynomial(vars, nf_terms)
         normalized, scalar = primitive_normalize(normal_form, order)
-        if track_provenance:
-            u = Polynomial(vars, {monomial_div(lcm, lm_i): lc_j})
-            v = Polynomial(vars, {monomial_div(lcm, lm_j): lc_i})
-            row = [u * a - v * b for a, b in zip(prov[i], prov[j])]
-            for q_terms, src in zip(quotient_terms, prov):
-                if q_terms:
-                    q = Polynomial(vars, q_terms)
-                    row = [r - q * s for r, s in zip(row, src)]
-            prov.append([r * scalar for r in row])
+        if trace is not None:
+            parents = [(Polynomial(vars, {monomial_div(lcm, lm_i): lc_j}), nodes[i]),
+                       (Polynomial(vars, {monomial_div(lcm, lm_j): -lc_i}), nodes[j])]
+            parents += _negated_quotients(vars, quotient_terms, nodes)
+            nodes.append(trace.add(scalar, parents))
         append_element(normalized)
         stats["pairs_reduced"] += 1
         stats["basis_additions"] += 1
         push_pairs(len(basis) - 1)
 
-    elements, rows = _reduce_basis(basis, prov if track_provenance else None, order, vars)
-    return GroebnerBasis(presentation, elements, rows, stats)
+    elements, final_nodes = _reduce_basis(basis, nodes if trace is not None else None,
+                                          trace, order, vars)
+    return GroebnerBasis(presentation, elements, trace, final_nodes, stats)
 
 
-def _reduce_basis(basis: list[Polynomial], prov: list[list[Polynomial]] | None,
-                  order: MonomialOrder, vars: VariableSet):
-    """Minimalize then interreduce; keeps provenance rows in step."""
+def _negated_quotients(vars: VariableSet, quotient_terms: list[dict],
+                       nodes: list[int]) -> list[tuple[Polynomial, int]]:
+    """Trace parents (-q, node) for the nonzero division quotients."""
+    return [(Polynomial(vars, {e: -c for e, c in q.items()}), node)
+            for q, node in zip(quotient_terms, nodes) if q]
+
+
+def _reduce_basis(basis: list[Polynomial], nodes: list[int] | None,
+                  trace: ProvenanceTrace | None, order: MonomialOrder, vars: VariableSet):
+    """Minimalize then interreduce; appends a trace node per rewritten element."""
     lms = [g.leading_monomial(order) for g in basis]
     indices = sorted(range(len(basis)), key=lambda i: order.key(lms[i]))
     kept: list[int] = []
@@ -285,7 +403,9 @@ def _reduce_basis(basis: list[Polynomial], prov: list[list[Polynomial]] | None,
             continue
         kept.append(i)
     elements = [basis[i] for i in kept]
-    rows = [list(prov[i]) for i in kept] if prov is not None else None
+    if nodes is not None:
+        nodes = [nodes[i] for i in kept]
+    one = Polynomial.constant(vars, 1)
 
     changed = True
     while changed:
@@ -294,27 +414,23 @@ def _reduce_basis(basis: list[Polynomial], prov: list[list[Polynomial]] | None,
             others = elements[:pos] + elements[pos + 1:]
             heads = [(b.leading_monomial(order), b.leading_coefficient(order)) for b in others]
             nf_terms, quotient_terms = _reduce_terms(elements[pos].terms, others, heads, order,
-                                                     rows is not None)
+                                                     nodes is not None)
             if not nf_terms:
                 raise AssertionError("minimalized basis element reduced to zero")
             normalized, scalar = primitive_normalize(Polynomial(vars, nf_terms), order)
             if normalized != elements[pos]:
                 changed = True
-                if rows is not None:
-                    row = list(rows[pos])
-                    other_rows = rows[:pos] + rows[pos + 1:]
-                    for q_terms, src in zip(quotient_terms, other_rows):
-                        if q_terms:
-                            q = Polynomial(vars, q_terms)
-                            row = [r - q * s for r, s in zip(row, src)]
-                    rows[pos] = [r * scalar for r in row]
+                if nodes is not None:
+                    parents = [(one, nodes[pos])] + _negated_quotients(
+                        vars, quotient_terms, nodes[:pos] + nodes[pos + 1:])
+                    nodes[pos] = trace.add(scalar, parents)
                 elements[pos] = normalized
     ordering = sorted(range(len(elements)),
                       key=lambda i: order.key(elements[i].leading_monomial(order)), reverse=True)
     elements = [elements[i] for i in ordering]
-    if rows is not None:
-        rows = [rows[i] for i in ordering]
-    return elements, rows
+    if nodes is not None:
+        nodes = [nodes[i] for i in ordering]
+    return elements, nodes
 
 
 def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = True,
@@ -327,9 +443,10 @@ def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = 
     graded pass keeps intermediate coefficients small, and re-running from
     an already-closed generating set makes the second pass cheap.  Because
     the reduced basis is unique for the ideal and order, the result is
-    identical to a direct computation; only the cost differs.  Provenance
-    rows are composed across the stages, so the returned rows express each
-    element over the original generators.
+    identical to a direct computation; only the cost differs.  Both stages
+    share one provenance trace: stage 2 starts from stage 1's final nodes as
+    its leaves, so the returned basis's trace reaches the original generators
+    and no rows are composed.
     """
     if presentation.order.kind == helper_order.kind:
         return buchberger(presentation, track_provenance, max_pairs)
@@ -338,40 +455,25 @@ def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = 
         track_provenance, max_pairs)
     stage2 = buchberger(
         IdealPresentation(presentation.vars, presentation.order, tuple(stage1.elements)),
-        track_provenance, max_pairs)
-    rows = None
-    if track_provenance:
-        assert stage1.provenance is not None and stage2.provenance is not None
-        n_gens = len(presentation.generators)
-        rows = []
-        for w_row in stage2.provenance:
-            composed = [Polynomial.zero(presentation.vars) for _ in range(n_gens)]
-            for w, v_row in zip(w_row, stage1.provenance):
-                if w.is_zero():
-                    continue
-                for idx in range(n_gens):
-                    if not v_row[idx].is_zero():
-                        composed[idx] = composed[idx] + w * v_row[idx]
-            rows.append(composed)
+        track_provenance, max_pairs, trace=stage1.trace, leaves=stage1.nodes)
     stats = {"stage1": stage1.stats, "stage2": stage2.stats}
     for key in ("pairs_considered", "pairs_reduced", "skipped_coprime",
                 "skipped_chain", "basis_additions"):
         stats[key] = stage1.stats[key] + stage2.stats[key]
-    return GroebnerBasis(presentation, stage2.elements, rows, stats)
+    return GroebnerBasis(presentation, stage2.elements, stage2.trace, stage2.nodes, stats)
 
 
 def _certify_with_basis(target: Polynomial, gb: GroebnerBasis) -> MembershipCertificate:
-    """Certificate from a provenance-tracked basis: reduce, then compose rows."""
-    if gb.provenance is None:
+    """Certificate from a provenance-tracked basis.
+
+    Reduce the target, seed each element's trace node with its quotient and
+    contract the trace backward to the generators.
+    """
+    if gb.trace is None:
         raise ValueError("basis was computed without provenance tracking")
     normal_form, quotients = reduce(target, gb.elements, gb.order)
-    n_gens = len(gb.presentation.generators)
-    cofactors = [Polynomial.zero(target.vars) for _ in range(n_gens)]
-    for q, row in zip(quotients, gb.provenance):
-        if q.is_zero():
-            continue
-        for idx in range(n_gens):
-            cofactors[idx] = cofactors[idx] + q * row[idx]
+    cofactors = gb.trace.contract([(node, q) for node, q in zip(gb.nodes, quotients)
+                                   if not q.is_zero()])
     certificate = MembershipCertificate(
         target=target,
         generators=gb.presentation.generators,
@@ -520,8 +622,9 @@ def basis_to_document(gb: GroebnerBasis) -> dict:
         "basis": [format_polynomial(g, gb.order) for g in gb.elements],
         "stats": dict(gb.stats),
     }
-    if gb.provenance is not None:
-        doc["provenance"] = [[format_polynomial(p, gb.order) for p in row] for row in gb.provenance]
+    rows = gb.provenance
+    if rows is not None:
+        doc["provenance"] = [[format_polynomial(p, gb.order) for p in row] for row in rows]
     return doc
 
 
@@ -533,10 +636,11 @@ def basis_from_document(doc: dict) -> GroebnerBasis:
     order = MonomialOrder(doc["order"])
     generators = tuple(parse_polynomial(t, vars) for t in doc["generators"])
     elements = [parse_polynomial(t, vars) for t in doc["basis"]]
-    provenance = None
+    trace = nodes = None
     if "provenance" in doc:
-        provenance = [[parse_polynomial(t, vars) for t in row] for row in doc["provenance"]]
-    return GroebnerBasis(IdealPresentation(vars, order, generators), elements, provenance,
+        rows = [[parse_polynomial(t, vars) for t in row] for row in doc["provenance"]]
+        trace, nodes = ProvenanceTrace.from_rows(vars, len(generators), rows)
+    return GroebnerBasis(IdealPresentation(vars, order, generators), elements, trace, nodes,
                          dict(doc.get("stats", {})))
 
 

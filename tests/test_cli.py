@@ -4,10 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from birot4.cli import main
+import birot4
+from birot4.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Payload digest of `birot4 certify` (the lex basis and the p*t^4 certificate).
+# A deliberate change of the certification route that changes the payload must
+# update this pin and say so in CHANGES.md.
+CERTIFY_PAYLOAD_DIGEST = (
+    "sha256:f79f1ae56cd5b89258c7124e4b8681ce301c53a40b8bdf2071d48cba7cb8ab78")
 
 
 def _canonical(payload) -> str:
@@ -171,6 +185,7 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     assert payload["basis"]["order"] == "lex"
     assert payload["certificate"]["format"] == "birot4/membership-certificate@1"
     assert payload["certificate"]["is_member"] is True
+    assert certify_artifact["manifest"]["payload_digest"] == CERTIFY_PAYLOAD_DIGEST
     # the stored artifact re-verifies through the verify-only path
     assert main(["certify", "--verify-only", str(certify_artifact_path)]) == 0
     assert "re-verified" in capsys.readouterr().out
@@ -183,3 +198,38 @@ def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsy
     path.write_text(json.dumps(tampered))
     assert main(["certify", "--verify-only", str(path)]) == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every `birot4 ...` line of the README's command-line usage block."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("birot4 ")]
+
+
+def test_readme_usage_parses():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"derive", "certify", "check-cases", "simulate"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def _run_cli(tmp_path, name: str, hash_seed: str, *argv: str) -> str:
+    """Run the CLI in a fresh interpreter; return the artifact's payload digest."""
+    out = tmp_path / f"{name}.json"
+    src = str(Path(birot4.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "birot4.cli", *argv, "--output", str(out)],
+                   env=env, cwd=tmp_path, check=True, capture_output=True)
+    return _load(out)["manifest"]["payload_digest"]
+
+
+def test_payloads_do_not_depend_on_the_hash_seed(tmp_path, certify_artifact):
+    derive = [_run_cli(tmp_path, f"derive{seed}", seed, "derive", "--case", "VII")
+              for seed in ("0", "1")]
+    assert derive[0] == derive[1]
+    certify = _run_cli(tmp_path, "certify", "1", "certify")
+    assert certify == certify_artifact["manifest"]["payload_digest"]

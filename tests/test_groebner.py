@@ -165,6 +165,52 @@ def test_staged_buchberger_equals_direct_lex():
         assert acc == element
 
 
+def test_backward_contraction_matches_forward_rows():
+    """The certificate contracts the provenance trace backward from the
+    target's quotients; it must equal the same quotients applied to the
+    forward rows, sum_k Q_k * provenance[k]."""
+    rng = random.Random(606)
+    nonzero_quotients = 0
+    for _ in range(20):
+        vars, gens = random_small_ideal(rng)
+        presentation = IdealPresentation(vars, LEX, gens)
+        target = Polynomial.zero(vars)
+        while target.is_zero():
+            for g in gens:
+                target = target + random_polynomial(rng, vars, 1) * g
+        gb = staged_buchberger(presentation)
+        cert = certify_membership(presentation, target, basis=gb)
+        assert cert.is_member and cert.verify()
+        normal, quotients = reduce(target, gb.elements, LEX)
+        assert normal.is_zero()
+        expected = [Polynomial.zero(vars) for _ in gens]
+        for q, row in zip(quotients, gb.provenance):
+            nonzero_quotients += not q.is_zero()
+            expected = [e + q * r for e, r in zip(expected, row)]
+        assert cert.cofactors == expected
+        # a basis read back from its document carries the same provenance
+        stored = basis_from_document(basis_to_document(gb))
+        assert certify_membership(presentation, target, basis=stored).cofactors == expected
+    assert nonzero_quotients >= 20
+
+
+def test_pivot_route_members_and_non_members():
+    """Generators linear in the lead variable take the elimination route,
+    also when nothing is left after the pivot or the target is outside."""
+    x, y = _xy()
+    single = IdealPresentation(XY, LEX, (x,))
+    square = certify_membership(single, x * x)
+    assert square.is_member and square.verify()
+    assert square.cofactors == [x]
+    outside = certify_membership(single, y)
+    assert not outside.is_member and outside.verify()
+    pair = IdealPresentation(XY, LEX, (x + y, x * y))
+    member = certify_membership(pair, y * y)  # x*y - y*(x+y) = -y^2
+    assert member.is_member and member.verify()
+    unit = certify_membership(pair, Polynomial.constant(XY, 1))
+    assert not unit.is_member and unit.verify()
+
+
 def test_certify_membership_member_and_non_member():
     x, y = _xy()
     gens = (x * x + y * y - 1, x * y - 1)
