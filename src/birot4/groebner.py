@@ -10,6 +10,23 @@ quotient, and contracts the trace backward once to reach the cofactors at the
 leaves; verification re-expands the combination and checks the identity
 exactly.  The forward rows (each element over the generators) are built from
 the trace only when read.
+
+The hot loops (division, S-polynomials, the pair criteria, the backward
+contraction and the re-expansion in ``MembershipCertificate.verify``) run on
+a kernel form instead of ``Fraction`` coefficients and exponent tuples:
+
+* Monomials are packed into one int (``_Packing``), one guarded bit field
+  per variable, so a product is an addition and divisibility one masked
+  subtraction.  The field width comes from the input's largest exponent;
+  an exponent that outgrows it raises ``_Overflow`` and the computation
+  starts over with fields twice as wide, so no exponent ever wraps.
+* Coefficients are integer numerators over one common denominator.  The
+  division (``_reduce_terms``) scales the remainder by lc/gcd(a, lc) where
+  a step needs it and then divides out the remainder's content.
+
+Polynomials are packed on the way in and unpacked on the way out, so every
+public function takes and returns ``Polynomial`` values as before, with the
+same results.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import (
     GREVLEX,
@@ -29,9 +47,7 @@ from .poly import (
     eliminate_linear,
     exact_divide,
     format_polynomial,
-    monomial_degree,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
     parse_polynomial,
@@ -62,6 +78,216 @@ class IdealPresentation:
                 raise ValueError("generator variable set differs from presentation")
             if g.is_zero():
                 raise ValueError("zero generator")
+
+
+# -- the integer, packed-monomial kernel -------------------------------
+
+class _Overflow(Exception):
+    """A packed exponent outgrew its field; the caller widens and retries."""
+
+
+_MIN_WIDTH = 8  # bits per field at least, so small inputs rarely restart
+
+
+class _Packing:
+    """Exponent tuples packed into one int, laid out for a monomial order.
+
+    Each variable owns a field of ``width`` bits.  Packed inputs and every
+    factor of a product have exponents below ``2**(width - 2)`` (``fits``),
+    so a product's fields stay below the field's top bit, its guard:
+    multiplying monomials is adding ints, and ``a`` divides ``b`` iff
+    ``(b - a) & guard == 0``, because a field of ``b`` smaller than ``a``'s
+    borrows into its own guard bit.  An exponent that would break the bound
+    raises ``_Overflow``; the caller then doubles the width and starts over,
+    so nothing ever wraps.
+
+    Under lex the first variable takes the top field and packed ints compare
+    as the monomials do.  Under grevlex the fields run from the last variable
+    (highest) down to the first, below an unbounded field holding the total
+    degree; the sort key is the degree part minus the variable part.
+
+    The kernel keys terms by their *handle*, the negated sort key: heapq pops
+    the smallest handle first, which is the leading term, and the key is
+    additive, so the handle of a product is the sum of the two handles.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        self.order, self.n, self.width = order, n, width
+        graded = order.kind == "grevlex"
+        self.offsets = [(i if graded else n - 1 - i) * width for i in range(n)]
+        self.split = n * width if graded else 0  # the degree field starts here
+        self.degree_unit = 1 << self.split if graded else 0
+        self.variables = (1 << n * width) - 1
+        self.guard = sum(1 << off + width - 1 for off in self.offsets)
+        self.field = (1 << width - 1) - 1
+
+    @classmethod
+    def fitting(cls, order: MonomialOrder, n: int, polys) -> "_Packing":
+        top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
+        return cls(order, n, max(_MIN_WIDTH, top.bit_length() + 2))
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.order, self.n, 2 * self.width)
+
+    def pack(self, exps) -> int:
+        if max(exps, default=0) >> self.width - 2:
+            raise _Overflow
+        return sum(e << off for e, off in zip(exps, self.offsets)) + sum(exps) * self.degree_unit
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> off & self.field for off in self.offsets)
+
+    def fits(self, m: int) -> bool:
+        """True when m may be a factor of a product: no field at half range."""
+        return not m & self.guard >> 1
+
+    def handle(self, m: int) -> int:
+        low = m & (1 << self.split) - 1
+        return 2 * low - m
+
+    def monomial(self, h: int) -> int:
+        return h - (h >> self.split << self.split + 1)
+
+    def degree(self, m: int) -> int:
+        return m >> self.split if self.degree_unit else sum(self.exponents(m))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum; a field of (a | guard) - b keeps its guard iff a >= b."""
+        a, b = a & self.variables, b & self.variables
+        a_wins = ((a | self.guard) - b & self.guard) >> self.width - 1
+        mask = a_wins * self.field
+        v = a & mask | b & ~mask
+        return v + sum(self.exponents(v)) * self.degree_unit
+
+
+def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
+    """Integer numerators keyed by handle over one common denominator."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = lcm(den, c.denominator)
+    return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in polys], den
+
+
+def _with_room(pk: _Packing, attempt):
+    """attempt(pk), widened until no packed exponent overflows."""
+    while True:
+        try:
+            return attempt(pk)
+        except _Overflow:
+            pk = pk.wider()
+
+
+class _Reducer:
+    """A divisor in kernel form: (lc * x^lead + tail) / scale.
+
+    ``terms`` maps handles to integer numerators; ``lc > 0``, and ``tail``
+    lists the other (handle, numerator) pairs.  ``lead`` is the packed
+    leading monomial, ``handle`` its handle.
+    """
+
+    __slots__ = ("terms", "handle", "lead", "lc", "tail", "scale")
+
+    def __init__(self, pk: _Packing, terms: dict[int, int], scale: int = 1):
+        self.handle = min(terms)
+        if terms[self.handle] < 0:
+            terms, scale = {h: -c for h, c in terms.items()}, -scale
+        if not all(pk.fits(pk.monomial(h)) for h in terms):
+            raise _Overflow
+        self.terms, self.scale = terms, scale
+        self.lead, self.lc = pk.monomial(self.handle), terms[self.handle]
+        self.tail = [(h, c) for h, c in terms.items() if h != self.handle]
+
+    @classmethod
+    def of(cls, pk: _Packing, p: Polynomial) -> "_Reducer":
+        (terms,), den = _scaled(pk, [p])
+        return cls(pk, terms, den)
+
+
+def _reduce_terms(pk: _Packing, work: dict[int, int], den: int, reducers: list[_Reducer],
+                  want_quotients: bool):
+    """Divide work/den by the reducers; see ``reduce`` for the contract.
+
+    The remainder stays integer numerators over the one denominator ``den``.
+    A step takes the leading term a/den and the first reducer whose lead
+    divides it, with g = gcd(a, lc): it scales the remainder and den by
+    lc/g, which makes the cancelling multiple integral, and subtracts (a/g)
+    times the shifted tail.  A step that scaled then divides the remainder
+    and den by their common content, which keeps the numbers near the size
+    of the reduced fractions.  A lazy min-heap of handles drives the scan; a
+    handle popped after its term cancelled is skipped.
+
+    Returns (normal form numerators, their common denominator, quotients
+    keyed by handle, or None).
+    """
+    guard, split, split1 = pk.guard, pk.split, pk.split + 1
+    leads = [r.lead for r in reducers]
+    heap = list(work)
+    heapq.heapify(heap)
+    normal: list[tuple[int, int, int]] = []
+    quotients: list[dict[int, Fraction]] | None = (
+        [{} for _ in reducers] if want_quotients else None)
+    while heap:
+        h = heapq.heappop(heap)
+        a = work.pop(h, None)
+        if a is None:
+            continue  # stale entry
+        m = h - (h >> split << split1)
+        for idx, lead in enumerate(leads):
+            q = m - lead
+            if q & guard:
+                continue
+            if not pk.fits(q):
+                raise _Overflow
+            r = reducers[idx]
+            hq = h - r.handle
+            if quotients is not None:
+                quotients[idx][hq] = Fraction(a * r.scale, den * r.lc)
+            g = gcd(a, r.lc)
+            scale = r.lc // g
+            if scale != 1:
+                work = {k: v * scale for k, v in work.items()}
+                den *= scale
+            a //= g
+            for e, c in r.tail:
+                k = hq + e
+                v = work.get(k)
+                if v is None:
+                    work[k] = -a * c
+                    heapq.heappush(heap, k)
+                else:
+                    v -= a * c
+                    if v:
+                        work[k] = v
+                    else:
+                        del work[k]
+            if scale != 1 and work:
+                content = gcd(den, *work.values())
+                if content != 1:
+                    work = {k: v // content for k, v in work.items()}
+                    den //= content
+            break
+        else:
+            normal.append((h, a, den))
+    den = lcm(1, *(d for _, _, d in normal))
+    return {h: a * (den // d) for h, a, d in normal}, den, quotients
+
+
+def _primitive(terms: dict[int, int], den: int) -> tuple[dict[int, int], Fraction]:
+    """(primitive numerators with a positive lead, s) where the first is s * terms/den."""
+    g = gcd(*terms.values())
+    if terms[min(terms)] < 0:
+        g = -g
+    return {h: a // g for h, a in terms.items()}, Fraction(den, g)
+
+
+def _unpacked(pk: _Packing, vars: VariableSet, terms: dict) -> Polynomial:
+    """The Polynomial of coefficients keyed by handle."""
+    return Polynomial(vars, {pk.exponents(pk.monomial(h)): c for h, c in terms.items()})
+
+
+# -- provenance, bases and certificates ---------------------------------
 
 
 class ProvenanceTrace:
@@ -96,21 +322,41 @@ class ProvenanceTrace:
 
         One reverse sweep: each node's adjoint, times its scalar and each
         parent multiplier, is added into that parent's adjoint.  Adjoints
-        accumulate as raw term dicts; only the cofactors become Polynomials.
+        are integer numerators over one denominator each, on packed
+        monomials as in the division kernel; only the cofactors become
+        Polynomials.  ``rows`` computes the same map forward on plain terms.
         """
-        one = {(0,) * len(self.vars): Fraction(1)}
-        adjoint: dict[int, dict] = {}
-        for node, q in seeds:
-            _add_product(adjoint.setdefault(node, {}), q.terms, one)
-        for k in range(len(self.nodes) - 1, self.n_generators - 1, -1):
-            a = adjoint.pop(k, None)
-            if not a:
-                continue
-            scalar, parents = self.nodes[k]
-            for m, p in parents:
-                _add_product(adjoint.setdefault(p, {}), a,
-                             {e: c * scalar for e, c in m.terms.items()})
-        return [Polynomial(self.vars, adjoint.get(i, {})) for i in range(self.n_generators)]
+        multipliers = [m for _, parents in self.nodes for m, _ in parents]
+
+        def attempt(pk: _Packing) -> list[Polynomial]:
+            adjoint: dict[int, tuple[dict[int, int], int]] = {}
+            for node, q in seeds:
+                (terms,), den = _scaled(pk, [q])
+                _accumulate(adjoint, node, terms, {0: 1}, den)  # {0: 1} is the constant 1
+            for k in range(len(self.nodes) - 1, self.n_generators - 1, -1):
+                terms, den = adjoint.pop(k, ({}, 1))
+                if not terms:
+                    continue
+                if not all(pk.fits(pk.monomial(h)) for h in terms):
+                    raise _Overflow
+                content = gcd(den, *terms.values())
+                if content != 1:
+                    terms, den = {h: c // content for h, c in terms.items()}, den // content
+                scalar, parents = self.nodes[k]
+                for m, p in parents:
+                    (factor,), m_den = _scaled(pk, [m])
+                    _accumulate(adjoint, p, terms,
+                                {h: c * scalar.numerator for h, c in factor.items()},
+                                den * m_den * scalar.denominator)
+            cofactors = []
+            for i in range(self.n_generators):
+                terms, den = adjoint.get(i, ({}, 1))
+                cofactors.append(_unpacked(pk, self.vars,
+                                           {h: Fraction(c, den) for h, c in terms.items()}))
+            return cofactors
+
+        return _with_room(_Packing.fitting(LEX, len(self.vars), [q for _, q in seeds] + multipliers),
+                          attempt)
 
     def rows(self, nodes: list[int]) -> list[list[Polynomial]]:
         """Each node's value as a row of cofactors over the generators."""
@@ -147,6 +393,31 @@ def _add_product(acc: dict, f: dict, g: dict) -> None:
                     del acc[k]
             else:
                 acc[k] = c1 * c2
+
+
+def _accumulate(adjoint: dict, node: int, f: dict[int, int], g: dict[int, int], den: int) -> None:
+    """adjoint[node] += f * g / den, on (numerators by handle, denominator) pairs.
+
+    The product is formed before it is brought to the common denominator,
+    so the rescaling costs one multiplication per product term, not one per
+    pair of factor terms.
+    """
+    product: dict[int, int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    acc, acc_den = adjoint.get(node, ({}, den))
+    common = lcm(acc_den, den)
+    if common != acc_den:
+        acc = {h: c * (common // acc_den) for h, c in acc.items()}
+    scale = common // den
+    for k, v in product.items():
+        v = acc.get(k, 0) + v * scale
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    adjoint[node] = (acc, common)
 
 
 @dataclass
@@ -193,54 +464,34 @@ class MembershipCertificate:
         return self.remainder.is_zero()
 
     def verify(self) -> bool:
-        acc = Polynomial.zero(self.target.vars)
-        for cof, gen in zip(self.cofactors, self.generators):
-            acc = acc + cof * gen
-        return acc + self.remainder == self.target
+        """True iff sum(cofactors[i] * generators[i]) + remainder == target.
 
-
-def _reduce_terms(terms: dict, basis: list[Polynomial], heads: list, order: MonomialOrder,
-                  want_quotients: bool):
-    """Division core on raw term dicts; see ``reduce`` for the contract.
-
-    A lazy max-heap drives the scan: monomial sort keys are computed once per
-    insertion, and stale heap entries are skipped when popped.
-    """
-    key = order.key
-    work = dict(terms)
-    heap = [tuple(-x for x in key(m)) + (m,) for m in work]
-    heapq.heapify(heap)
-    normal: dict[tuple[int, ...], Fraction] = {}
-    quotients: list[dict[tuple[int, ...], Fraction]] | None = (
-        [{} for _ in basis] if want_quotients else None)
-    while heap:
-        mono = heapq.heappop(heap)[-1]
-        if mono not in work:
-            continue  # stale entry
-        coeff = work.pop(mono)
-        for idx, (lm, lc) in enumerate(heads):
-            if monomial_divides(lm, mono):
-                q_mono = monomial_div(mono, lm)
-                q_coeff = coeff / lc
-                if quotients is not None:
-                    quotients[idx][q_mono] = quotients[idx].get(q_mono, Fraction(0)) + q_coeff
-                for e, c in basis[idx].terms.items():
-                    if e == lm:
-                        continue
-                    k = monomial_mul(q_mono, e)
-                    if k in work:
-                        acc = work[k] - q_coeff * c
-                        if acc:
-                            work[k] = acc
-                        else:
-                            del work[k]
-                    else:
-                        work[k] = -q_coeff * c
-                        heapq.heappush(heap, tuple(-x for x in key(k)) + (k,))
-                break
-        else:
-            normal[mono] = coeff
-    return normal, quotients
+        This re-expansion is the trusted check: nothing that found the
+        certificate is trusted.  It runs in plain integers.  Each group is
+        written over its common denominator: the cofactors as K_i/k, the
+        generators as G_i/g, the remainder and the target as R/t and T/t.
+        The identity holds iff t * sum(K_i * G_i) == k * g * (T - R), term
+        by term.  Monomials are packed with fields wide enough for every
+        product (``_Packing.fitting``), so the packing is one-to-one and
+        multiplying two monomials is adding two ints.
+        """
+        vars = self.target.vars
+        polys = [*self.cofactors, *self.generators, self.remainder]
+        if any(p.vars != vars for p in polys):
+            raise ValueError("certificate polynomials use different variable sets")
+        pk = _Packing.fitting(LEX, len(vars), polys + [self.target])
+        cofactors, k = _scaled(pk, self.cofactors)
+        generators, g = _scaled(pk, self.generators)
+        (remainder, target), t = _scaled(pk, [self.remainder, self.target])
+        acc: dict[int, int] = {}
+        for cof, gen in zip(cofactors, generators):
+            for e1, c1 in cof.items():
+                for e2, c2 in gen.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        lhs = {e: c * t for e, c in acc.items() if c}
+        rhs = {e: (target.get(e, 0) - remainder.get(e, 0)) * k * g
+               for e in target.keys() | remainder.keys()}
+        return lhs == {e: c for e, c in rhs.items() if c}
 
 
 def reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, list[Polynomial]]:
@@ -250,14 +501,23 @@ def reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> tupl
     basis element whose leading term divides it; irreducible terms drop into
     the normal form.  f == sum(q_i*basis_i) + normal form holds exactly, and
     no term of the normal form is divisible by any basis leading term.
+
+    The division runs in integers over one common denominator on packed
+    monomials (``_reduce_terms``, ``_Packing``); the results are unpacked
+    back to exponent tuples and rationals.
     """
-    heads = []
     for b in basis:
         if b.is_zero():
             raise ValueError("zero divisor polynomial in basis")
-        heads.append((b.leading_monomial(order), b.leading_coefficient(order)))
-    normal, quotients = _reduce_terms(f.terms, basis, heads, order, True)
-    return Polynomial(f.vars, normal), [Polynomial(f.vars, q) for q in quotients]
+
+    def attempt(pk: _Packing):
+        (work,), den = _scaled(pk, [f])
+        normal, den, quotients = _reduce_terms(pk, work, den, [_Reducer.of(pk, b) for b in basis],
+                                               True)
+        return (_unpacked(pk, f.vars, {h: Fraction(a, den) for h, a in normal.items()}),
+                [_unpacked(pk, f.vars, q) for q in quotients])
+
+    return _with_room(_Packing.fitting(order, len(f.vars), [f, *basis]), attempt)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -272,8 +532,20 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return u * f - v * g
 
 
-def _pair_sort_key(order: MonomialOrder, lcm, i: int, j: int):
-    return (monomial_degree(lcm), order.key(lcm), i, j)
+def _s_terms(pk: _Packing, ri: _Reducer, ui: int, rj: _Reducer, uj: int) -> dict[int, int]:
+    """lc_j * x^ui * f_i - lc_i * x^uj * f_j, leads cancelled, for reducers of scale 1."""
+    if not (pk.fits(ui) and pk.fits(uj)):
+        raise _Overflow
+    hi, hj = pk.handle(ui), pk.handle(uj)
+    out = {hi + h: rj.lc * c for h, c in ri.tail}
+    for h, c in rj.tail:
+        k = hj + h
+        v = out.get(k, 0) - ri.lc * c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
@@ -287,6 +559,11 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     is reduced (monic-primitive, mutually irreducible) and sorted descending
     by leading monomial, so it is unique for the ideal and order.
 
+    Elements live in kernel form (``_Reducer``) while the search runs: the
+    S-polynomials, the pair lcms and both criteria work on packed monomials
+    and integer coefficients.  If an exponent outgrows the packing, the
+    search starts over with wider fields.
+
     With provenance, every new element appends a node to ``trace``.  By
     default a fresh trace is started whose leaves are the generators; a
     caller continuing an earlier trace passes it with ``leaves``, the node
@@ -295,46 +572,52 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     if max_pairs is None:
         env = os.environ.get(_ENV_MAX_PAIRS)
         max_pairs = int(env) if env else None
-    vars = presentation.vars
-    order = presentation.order
     n_gens = len(presentation.generators)
     if not track_provenance:
         trace = None
     elif trace is None:
-        trace, leaves = ProvenanceTrace(vars, n_gens), list(range(n_gens))
+        trace, leaves = ProvenanceTrace(presentation.vars, n_gens), list(range(n_gens))
     elif leaves is None or len(leaves) != n_gens:
         raise ValueError("a continued trace needs one leaf node per generator")
+    size = len(trace.nodes) if trace is not None else 0
+
+    def attempt(pk: _Packing) -> GroebnerBasis:
+        if trace is not None:
+            del trace.nodes[size:]  # what an overflowed attempt appended
+        return _buchberger(presentation, pk, max_pairs, trace, leaves)
+
+    pk = _Packing.fitting(presentation.order, len(presentation.vars), presentation.generators)
+    return _with_room(pk, attempt)
+
+
+def _buchberger(presentation: IdealPresentation, pk: _Packing, max_pairs: int | None,
+                trace: ProvenanceTrace | None, leaves: list[int] | None) -> GroebnerBasis:
+    vars = presentation.vars
     one = Polynomial.constant(vars, 1)
-
-    basis: list[Polynomial] = []
-    heads: list[tuple[tuple[int, ...], Fraction]] = []
+    reducers: list[_Reducer] = []
     nodes: list[int] = []
-
-    def append_element(p: Polynomial) -> None:
-        basis.append(p)
-        heads.append((p.leading_monomial(order), p.leading_coefficient(order)))
-
     for i, g in enumerate(presentation.generators):
-        norm, scalar = primitive_normalize(g, order)
-        append_element(norm)
+        norm, scalar = primitive_normalize(g, presentation.order)
+        reducers.append(_Reducer.of(pk, norm))
         if trace is not None:
             nodes.append(trace.add(scalar, [(one, leaves[i])]))
 
-    pending: dict[tuple[int, int], tuple[int, ...]] = {}
+    pending: dict[tuple[int, int], int] = {}
     pair_heap: list[tuple] = []
 
     def push_pairs(new_index: int) -> None:
-        lm_new = heads[new_index][0]
+        lead = reducers[new_index].lead
         for i in range(new_index):
-            lcm = monomial_lcm(heads[i][0], lm_new)
+            lcm = pk.lcm(reducers[i].lead, lead)
             pending[(i, new_index)] = lcm
-            heapq.heappush(pair_heap, _pair_sort_key(order, lcm, i, new_index))
+            heapq.heappush(pair_heap, (pk.degree(lcm), -pk.handle(lcm), i, new_index))
 
-    for idx in range(1, len(basis)):
+    for idx in range(1, len(reducers)):
         push_pairs(idx)
 
     stats = {"pairs_considered": 0, "pairs_reduced": 0,
              "skipped_coprime": 0, "skipped_chain": 0, "basis_additions": 0}
+    guard = pk.guard
 
     while pair_heap:
         _, _, i, j = heapq.heappop(pair_heap)
@@ -344,65 +627,58 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
         stats["pairs_considered"] += 1
         if max_pairs is not None and stats["pairs_considered"] > max_pairs:
             raise ResourceCapExceeded(f"more than {max_pairs} S-pairs")
-        lm_i, lc_i = heads[i]
-        lm_j, lc_j = heads[j]
-        if lcm == monomial_mul(lm_i, lm_j):
+        ri, rj = reducers[i], reducers[j]
+        if lcm == ri.lead + rj.lead:
             stats["skipped_coprime"] += 1
             continue
         chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, rk in enumerate(reducers):
+            if k == i or k == j or (lcm - rk.lead) & guard:
                 continue
-            if not monomial_divides(heads[k][0], lcm):
-                continue
-            pair_ik = (min(i, k), max(i, k))
-            pair_jk = (min(j, k), max(j, k))
-            if pair_ik not in pending and pair_jk not in pending:
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 chain = True
                 break
         if chain:
             stats["skipped_chain"] += 1
             continue
-        spoly = s_polynomial(basis[i], basis[j], order)
-        nf_terms, quotient_terms = _reduce_terms(spoly.terms, basis, heads, order,
-                                                 trace is not None)
-        if not nf_terms:
+        ui, uj = lcm - ri.lead, lcm - rj.lead
+        normal, den, quotients = _reduce_terms(pk, _s_terms(pk, ri, ui, rj, uj), 1, reducers,
+                                               trace is not None)
+        if not normal:
             continue
-        normal_form = Polynomial(vars, nf_terms)
-        normalized, scalar = primitive_normalize(normal_form, order)
+        normalized, scalar = _primitive(normal, den)
         if trace is not None:
-            parents = [(Polynomial(vars, {monomial_div(lcm, lm_i): lc_j}), nodes[i]),
-                       (Polynomial(vars, {monomial_div(lcm, lm_j): -lc_i}), nodes[j])]
-            parents += _negated_quotients(vars, quotient_terms, nodes)
+            parents = [(Polynomial(vars, {pk.exponents(ui): Fraction(rj.lc)}), nodes[i]),
+                       (Polynomial(vars, {pk.exponents(uj): Fraction(-ri.lc)}), nodes[j])]
+            parents += _negated_quotients(pk, vars, quotients, nodes)
             nodes.append(trace.add(scalar, parents))
-        append_element(normalized)
+        reducers.append(_Reducer(pk, normalized))
         stats["pairs_reduced"] += 1
         stats["basis_additions"] += 1
-        push_pairs(len(basis) - 1)
+        push_pairs(len(reducers) - 1)
 
-    elements, final_nodes = _reduce_basis(basis, nodes if trace is not None else None,
-                                          trace, order, vars)
+    elements, final_nodes = _reduce_basis(pk, reducers, nodes if trace is not None else None,
+                                          trace, vars)
     return GroebnerBasis(presentation, elements, trace, final_nodes, stats)
 
 
-def _negated_quotients(vars: VariableSet, quotient_terms: list[dict],
+def _negated_quotients(pk: _Packing, vars: VariableSet, quotients: list[dict],
                        nodes: list[int]) -> list[tuple[Polynomial, int]]:
     """Trace parents (-q, node) for the nonzero division quotients."""
-    return [(Polynomial(vars, {e: -c for e, c in q.items()}), node)
-            for q, node in zip(quotient_terms, nodes) if q]
+    return [(_unpacked(pk, vars, {h: -c for h, c in q.items()}), node)
+            for q, node in zip(quotients, nodes) if q]
 
 
-def _reduce_basis(basis: list[Polynomial], nodes: list[int] | None,
-                  trace: ProvenanceTrace | None, order: MonomialOrder, vars: VariableSet):
+def _reduce_basis(pk: _Packing, reducers: list[_Reducer], nodes: list[int] | None,
+                  trace: ProvenanceTrace | None, vars: VariableSet):
     """Minimalize then interreduce; appends a trace node per rewritten element."""
-    lms = [g.leading_monomial(order) for g in basis]
-    indices = sorted(range(len(basis)), key=lambda i: order.key(lms[i]))
+    indices = sorted(range(len(reducers)), key=lambda i: -reducers[i].handle)
     kept: list[int] = []
     for i in indices:
-        if any(monomial_divides(lms[k], lms[i]) for k in kept):
+        if any(not (reducers[i].lead - reducers[k].lead) & pk.guard for k in kept):
             continue
         kept.append(i)
-    elements = [basis[i] for i in kept]
+    elements = [reducers[i] for i in kept]
     if nodes is not None:
         nodes = [nodes[i] for i in kept]
     one = Polynomial.constant(vars, 1)
@@ -411,26 +687,23 @@ def _reduce_basis(basis: list[Polynomial], nodes: list[int] | None,
     while changed:
         changed = False
         for pos in range(len(elements)):
-            others = elements[:pos] + elements[pos + 1:]
-            heads = [(b.leading_monomial(order), b.leading_coefficient(order)) for b in others]
-            nf_terms, quotient_terms = _reduce_terms(elements[pos].terms, others, heads, order,
-                                                     nodes is not None)
-            if not nf_terms:
+            normal, den, quotients = _reduce_terms(pk, dict(elements[pos].terms), 1,
+                                                   elements[:pos] + elements[pos + 1:],
+                                                   nodes is not None)
+            if not normal:
                 raise AssertionError("minimalized basis element reduced to zero")
-            normalized, scalar = primitive_normalize(Polynomial(vars, nf_terms), order)
-            if normalized != elements[pos]:
+            normalized, scalar = _primitive(normal, den)
+            if normalized != elements[pos].terms:
                 changed = True
                 if nodes is not None:
                     parents = [(one, nodes[pos])] + _negated_quotients(
-                        vars, quotient_terms, nodes[:pos] + nodes[pos + 1:])
+                        pk, vars, quotients, nodes[:pos] + nodes[pos + 1:])
                     nodes[pos] = trace.add(scalar, parents)
-                elements[pos] = normalized
-    ordering = sorted(range(len(elements)),
-                      key=lambda i: order.key(elements[i].leading_monomial(order)), reverse=True)
-    elements = [elements[i] for i in ordering]
+                elements[pos] = _Reducer(pk, normalized)
+    ordering = sorted(range(len(elements)), key=lambda i: elements[i].handle)
     if nodes is not None:
         nodes = [nodes[i] for i in ordering]
-    return elements, nodes
+    return [_unpacked(pk, vars, elements[i].terms) for i in ordering], nodes
 
 
 def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = True,

@@ -145,6 +145,18 @@ class Polynomial:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _clean(cls, vars: VariableSet, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are already valid: fitting tuples, nonzero Fractions.
+
+        The ring operations build such dicts themselves, so they skip the
+        checks and the re-summing that ``__init__`` does.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -218,17 +230,17 @@ class Polynomial:
         self._check_same_vars(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
+            acc = out[exps] + coeff if exps in out else coeff
             if acc:
                 out[exps] = acc
             else:
-                out.pop(exps, None)
-        return Polynomial(self.vars, out)
+                del out[exps]
+        return Polynomial._clean(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -244,7 +256,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.vars)
-            return Polynomial(self.vars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._clean(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_vars(other)
@@ -252,12 +264,12 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = monomial_mul(e1, e2)
-                acc = out.get(key, Fraction(0)) + c1 * c2
+                acc = out[key] + c1 * c2 if key in out else c1 * c2
                 if acc:
                     out[key] = acc
                 else:
-                    out.pop(key, None)
-        return Polynomial(self.vars, out)
+                    del out[key]
+        return Polynomial._clean(self.vars, out)
 
     __rmul__ = __mul__
 

@@ -22,8 +22,12 @@ from birot4.cases import (
     report_to_document,
     summarize_report,
 )
+from birot4.constraints import NORMALIZED_VARS, extract_system
+from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
 from birot4.groebner import MembershipCertificate
 from birot4.poly import Polynomial, parse_polynomial, variables
+from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
+from birot4.univariate import resultant_univariate
 
 XY = variables("x", "y")
 X = Polynomial.variable(XY, "x")
@@ -247,3 +251,30 @@ def test_interval_enclosure_is_sound():
     assert free.lo is None and free.hi is None
     pinned = interval_of(2 * X + ONE, Region({"x": VariableCondition.point(3)}))
     assert pinned.lo == pinned.hi == Fraction(7)
+
+
+def test_elimination_routes_agree_on_exact_resultants():
+    """The case VI and VII eliminations, with exact scalars: eliminating A
+    from case VI's u = 0 pair gives -3*t*cubic, and in case VII's p = 0,
+    u = 0 subbranch the B-linear combination E5' - 5*(t + 1)*E3' meets E3'
+    in 4*t^2*quartic, the same quartic that Res_B(E3', E5') = 12*t^2*quartic
+    carries."""
+    nv = NORMALIZED_VARS
+    av, bv, tv = (Polynomial.variable(nv, n) for n in ("A", "B", "t"))
+    cubic = parse_polynomial(CUBIC_T_TEXT, nv)
+    quartic = parse_polynomial(QUARTIC_T_TEXT, nv)
+    k = Polynomial.variable(INITIAL_DATA_VARS, "k")
+    case_vi = extract_system(solve_profile_ivp(ProfileIVP(beta=0, k=k)), "VI")
+    e3 = case_vi.equation("E3").substitute({"u": 0})
+    e5 = case_vi.equation("E5").substitute({"u": 0})
+    assert e3 == 3 * av + tv * (2 * tv * tv + 7 * tv + 4)
+    assert resultant_univariate(e3, e5, "A") == -3 * tv * cubic
+
+    case_vii = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+    shifted = bv + tv + tv * tv
+    eq1, eq2 = (case_vii.equation(label).substitute({"p": 0, "u": 0, "A": shifted * shifted})
+                for label in ("E3", "E5"))
+    lin = eq2 - 5 * (tv + 1) * eq1
+    assert lin.degree_in("B") == 1
+    assert resultant_univariate(eq1, eq2, "B") == 12 * tv * tv * quartic
+    assert resultant_univariate(lin, eq1, "B") == 4 * tv * tv * quartic

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_is_member, random_polynomial, random_small_ideal
+from birot4.constraints import NORMALIZED_VARS
 from birot4.groebner import (
     GroebnerBasis,
     IdealPresentation,
@@ -27,7 +28,10 @@ from birot4.poly import (
     GREVLEX,
     LEX,
     Polynomial,
+    monomial_div,
     monomial_divides,
+    monomial_mul,
+    primitive_normalize,
     variables,
 )
 
@@ -70,6 +74,76 @@ def test_reduce_rejects_zero_divisor():
     x, y = _xy()
     with pytest.raises(ValueError):
         reduce(x, [Polynomial.zero(XY)], LEX)
+
+
+def _reference_reduce(f, basis, order):
+    """Plain Fraction division on exponent tuples under the rule ``reduce``
+    documents: the highest remaining term goes to the first basis element
+    whose leading monomial divides it, else into the normal form."""
+    heads = [(b.leading_monomial(order), b.leading_coefficient(order)) for b in basis]
+    work = dict(f.terms)
+    normal = {}
+    quotients = [{} for _ in basis]
+    while work:
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        for idx, (lm, lc) in enumerate(heads):
+            if monomial_divides(lm, mono):
+                q_mono, q = monomial_div(mono, lm), coeff / lc
+                quotients[idx][q_mono] = quotients[idx].get(q_mono, 0) + q
+                for e, c in basis[idx].terms.items():
+                    if e != lm:
+                        k = monomial_mul(q_mono, e)
+                        work[k] = work.get(k, 0) - q * c
+                        if not work[k]:
+                            del work[k]
+                break
+        else:
+            normal[mono] = coeff
+    return Polynomial(f.vars, normal), [Polynomial(f.vars, q) for q in quotients]
+
+
+def _rationalized(rng, p):
+    """p with every coefficient scaled by its own random non-integer rational."""
+    return Polynomial(p.vars, {e: c * Fraction(rng.choice((-7, -3, 2, 5, 11)), rng.choice((2, 3, 9, 10)))
+                               for e, c in p.terms.items()})
+
+
+def test_reduce_matches_fraction_reference():
+    """Normal forms and quotients are identical to a plain Fraction division,
+    under both orders, with integer and with rational coefficients."""
+    rng = random.Random(707)
+    rational_cases = 0
+    for trial in range(40):
+        vars, gens = random_small_ideal(rng)
+        order = LEX if trial % 2 else GREVLEX
+        basis = list(gens)
+        f = random_polynomial(rng, vars, 3)
+        if trial % 4 >= 2:
+            basis = [_rationalized(rng, b) for b in basis]
+            f = _rationalized(rng, f)
+            rational_cases += 1
+        assert reduce(f, basis, order) == _reference_reduce(f, basis, order)
+        gb = buchberger(IdealPresentation(vars, order, gens), track_provenance=False)
+        assert reduce(f, gb.elements, order) == _reference_reduce(f, gb.elements, order)
+    assert rational_cases == 20
+
+
+def test_reduce_beyond_the_packing_width():
+    """Exponents past any small packed field, given or grown during the
+    division, come out exact instead of wrapping."""
+    x, y = _xy()
+    big = reduce(x ** 70000, [x ** 40000 - y], LEX)
+    assert big == _reference_reduce(x ** 70000, [x ** 40000 - y], LEX)
+    assert big[0] == x ** 30000 * y
+    # in lex, y's exponent grows from 200 to 600 while x is divided out
+    grown = reduce(x ** 3, [x - y ** 200], LEX)
+    assert grown == _reference_reduce(x ** 3, [x - y ** 200], LEX)
+    assert grown[0] == y ** 600
+    gb = buchberger(IdealPresentation(XY, LEX, (x - y ** 50, x ** 3)))
+    assert gb.elements == [x - y ** 50, y ** 150]
+    for element, row in zip(gb.elements, gb.provenance):
+        assert row[0] * (x - y ** 50) + row[1] * x ** 3 == element
 
 
 def test_textbook_basis_circle_and_hyperbola():
@@ -238,6 +312,30 @@ def test_certificate_verify_detects_tampering():
                                cert.remainder)
     assert not bad.verify()
 
+    # rational cofactors, rational generators and a nonzero remainder
+    gens = (Fraction(1, 2) * x + Fraction(2, 3) * y, y * y - Fraction(3, 5))
+    cofactors = [Fraction(1, 3) * x + Fraction(5, 7), Fraction(-2, 9) * y + Fraction(1, 4)]
+    remainder = Fraction(4, 11) * y + Fraction(1, 6)
+    target = cofactors[0] * gens[0] + cofactors[1] * gens[1] + remainder
+    assert MembershipCertificate(target, gens, cofactors, remainder).verify()
+    found = certify_membership(IdealPresentation(XY, LEX, gens), target)
+    assert found.verify() and not found.is_member
+    assert any(c.denominator != 1 for k in found.cofactors for c in k.terms.values())
+
+    def changed(p, mono, delta):
+        return p + Polynomial(XY, {mono: delta})
+
+    tampered = [
+        MembershipCertificate(target, gens, [changed(cofactors[0], (1, 0), Fraction(1, 1000)),
+                                             cofactors[1]], remainder),
+        MembershipCertificate(target, (gens[0], changed(gens[1], (0, 0), Fraction(1, 5))),
+                              cofactors, remainder),
+        MembershipCertificate(target, gens, cofactors, remainder + x * y),
+        MembershipCertificate(target * 2, gens, cofactors, remainder),
+    ]
+    for bad in tampered:
+        assert not bad.verify()
+
 
 def test_unit_pivot_path_matches_basis_path():
     """A generator linear in the lead variable routes through elimination;
@@ -305,3 +403,40 @@ def test_ideal_containing_a_unit_collapses():
     gb = buchberger(IdealPresentation(XY, LEX, gens), track_provenance=False)
     assert gb.elements == [Polynomial.constant(XY, 1)]
     assert reduce(x + Fraction(5, 3), gb.elements, LEX)[0].is_zero()
+
+
+def _sympy_lex_basis(vars, generators):
+    """sympy's reduced lex basis, primitive-normalized like ours."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(vars.names)
+    exprs = [sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                         * sympy.Mul(*[s ** e for s, e in zip(symbols, mono)])
+                         for mono, c in g.terms.items()]) for g in generators]
+    basis = sympy.groebner(exprs, *symbols, order="lex")
+    out = []
+    for expr in basis.exprs:
+        terms = sympy.Poly(expr, *symbols).terms()
+        p = Polynomial(vars, {mono: Fraction(int(c.p), int(c.q)) for mono, c in terms})
+        out.append(primitive_normalize(p, LEX)[0])
+    return sorted(out, key=lambda p: LEX.key(p.leading_monomial(LEX)), reverse=True)
+
+
+def test_lex_basis_matches_sympy_on_small_ideals():
+    """An independent implementation gives the same reduced lex basis."""
+    pytest.importorskip("sympy")
+    rng = random.Random(808)
+    for _ in range(10):
+        vars, gens = random_small_ideal(rng)
+        ours = staged_buchberger(IdealPresentation(vars, LEX, gens), track_provenance=False)
+        assert ours.elements == _sympy_lex_basis(vars, gens)
+
+
+@pytest.mark.slow
+def test_flagship_lex_basis_matches_sympy(system_vii):
+    """The full-rotation system's reduced lex basis, against sympy (about a
+    minute in sympy)."""
+    pytest.importorskip("sympy")
+    gens = tuple(system_vii.polynomials())
+    ours = staged_buchberger(IdealPresentation(NORMALIZED_VARS, LEX, gens),
+                             track_provenance=False)
+    assert ours.elements == _sympy_lex_basis(NORMALIZED_VARS, gens)

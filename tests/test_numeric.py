@@ -188,6 +188,24 @@ def test_integrator_error_scales_like_fourth_order():
     assert 12.0 < ratio < 20.0
 
 
+def test_two_sided_exponential_curvature():
+    """Free curvature obeys c'' = c, so c = c+ e^tau + c- e^-tau; the
+    trajectory tracks it and its biharmonic residual stays at integrator
+    noise, and the second-derivative stencil is as sharp on such samples."""
+    state = ProfileState(tau=0.0, x=0.0, x_dot=1.0, y=0.0, y_dot=0.0,
+                         r=1.0, r_dot=0.0, c=0.3, c_dot=-0.1)
+    trajectory = integrate_profile(state, IntegrationParams(), 2.0)
+    c_plus, c_minus = (0.3 - 0.1) / 2, (0.3 + 0.1) / 2
+    for sample in trajectory.states[::100]:
+        exact = c_plus * math.exp(sample.tau) + c_minus * math.exp(-sample.tau)
+        assert abs(sample.c - exact) < 1e-12
+    assert biharmonic_residual(trajectory).biharmonic < 1e-8
+    h = 1e-2
+    samples = [0.2 * math.exp(i * h) + 0.5 * math.exp(-i * h) for i in range(201)]
+    second = stencil_second_derivative(samples, h)
+    assert max(abs(d - v) for d, v in zip(second, samples[2:-2])) < 1e-8
+
+
 def test_residual_profile_shape(catenoid_forward):
     taus, joint = residual_profile(catenoid_forward)
     assert len(taus) == len(joint) > 0

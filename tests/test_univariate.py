@@ -196,6 +196,29 @@ def test_resultant_matches_sylvester_determinant():
         assert resultant_univariate(f, g, "t") == _sylvester_resultant(f, g, "t")
 
 
+def test_resultant_matches_sylvester_with_rational_coefficients():
+    """Non-integer rational coefficients, sparse in the second variable,
+    and leading coefficients that are polynomials in it."""
+    vs = variables("v", "s")
+    rng = random.Random(7)
+
+    def random_in_v():
+        top = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            mono = (rng.randint(0, top), rng.randint(0, 2) if rng.random() < 0.5 else 0)
+            terms[mono] = terms.get(mono, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return Polynomial(vs, terms)
+
+    checked = 0
+    while checked < 150:
+        f, g = random_in_v(), random_in_v()
+        if f.degree_in("v") < 1 or g.degree_in("v") < 1:
+            continue
+        assert resultant_univariate(f, g, "v") == _sylvester_resultant(f, g, "v")
+        checked += 1
+
+
 def test_resultant_vanishes_iff_common_factor():
     a = Polynomial.variable(ST, "a")
     t = Polynomial.variable(ST, "t")
