@@ -247,15 +247,15 @@ def cmd_certify(args) -> int:
     target = parse_polynomial(args.target, NORMALIZED_VARS)
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
-    basis = staged_buchberger(presentation, track_provenance=False)
-    certificate = certify_membership(presentation, target)
+    basis = staged_buchberger(presentation)
+    certificate = certify_membership(presentation, target, basis=basis)
     verified = certificate.verify()
     remainder_zero = certificate.remainder.is_zero()
     payload = {
         "format": "birot4/certification@1",
         "mode": "compute",
         "target": format_polynomial(target),
-        "basis": basis_to_document(basis),
+        "basis": basis_to_document(dataclasses.replace(basis, trace=None, nodes=None)),
         "certificate": certificate_to_document(certificate),
         "identity_holds": verified,
         "remainder_zero": remainder_zero,

@@ -11,6 +11,13 @@ leaves; verification re-expands the combination and checks the identity
 exactly.  The forward rows (each element over the generators) are built from
 the trace only when read.
 
+``staged_buchberger`` is the one basis search behind ``certify_membership``
+and ``birot4 certify``.  Under lex it first eliminates a unit pivot ``c*v +
+d`` (v the top variable): the other generators' remainders modulo the pivot
+get trace nodes, their basis is searched (grevlex, then lex), and the
+pivot's normal form against that basis completes the reduced lex basis.
+The basis ``stats`` are the counters of the search that ran.
+
 The hot loops (division, S-polynomials, the pair criteria, the backward
 contraction and the re-expansion in ``MembershipCertificate.verify``) run on
 a kernel form instead of ``Fraction`` coefficients and exponent tuples:
@@ -44,8 +51,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     VariableSet,
-    eliminate_linear,
-    exact_divide,
     format_polynomial,
     monomial_div,
     monomial_lcm,
@@ -446,9 +451,6 @@ class GroebnerBasis:
     def order(self) -> MonomialOrder:
         return self.presentation.order
 
-    def leading_monomials(self) -> list[tuple[int, ...]]:
-        return [g.leading_monomial(self.order) for g in self.elements]
-
 
 @dataclass
 class MembershipCertificate:
@@ -707,63 +709,88 @@ def _reduce_basis(pk: _Packing, reducers: list[_Reducer], nodes: list[int] | Non
 
 
 def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = True,
-                      max_pairs: int | None = None,
-                      helper_order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced basis for the requested order, routed through a helper order.
+                      max_pairs: int | None = None) -> GroebnerBasis:
+    """Reduced basis for the presentation's order, by the cheapest route known.
 
-    A basis under the helper order (degree-graded by default) is computed
-    first and then used as the generating set for the requested order.  The
-    graded pass keeps intermediate coefficients small, and re-running from
-    an already-closed generating set makes the second pass cheap.  Because
-    the reduced basis is unique for the ideal and order, the result is
-    identical to a direct computation; only the cost differs.  Both stages
-    share one provenance trace: stage 2 starts from stage 1's final nodes as
-    its leaves, so the returned basis's trace reaches the original generators
-    and no rows are composed.
+    Under lex, a generator ``c*v + d`` with a constant c and v the highest
+    variable that occurs (``_find_unit_pivot``) is eliminated first: the
+    nonzero remainders of the other generators modulo the pivot are v-free
+    and generate the elimination ideal.  Their basis is found the same way,
+    so nested pivots chain, and the pivot's primitive normal form against
+    it, left out when zero (the unit ideal), completes the reduced lex
+    basis.  Without a pivot, a grevlex basis is computed first and used as
+    the generating set for lex: the graded pass keeps intermediate
+    coefficients small, and the second pass starts from a closed set.
+
+    The reduced basis is unique for the ideal and order, so the result
+    equals a direct ``buchberger``; only the cost differs.  ``stats`` are
+    the counters of the search that ran (after a pivot, the remainders'
+    search): ``stage1`` (grevlex), ``stage2`` (lex) and their sums.  All
+    steps extend one provenance trace whose leaves are the generators.
     """
-    if presentation.order.kind == helper_order.kind:
-        return buchberger(presentation, track_provenance, max_pairs)
+    n_gens = len(presentation.generators)
+    trace = ProvenanceTrace(presentation.vars, n_gens) if track_provenance else None
+    return _staged(presentation, max_pairs, trace, list(range(n_gens)))
+
+
+def _staged(presentation: IdealPresentation, max_pairs: int | None,
+            trace: ProvenanceTrace | None, leaves: list[int]) -> GroebnerBasis:
+    """``staged_buchberger`` continuing ``trace``, whose node leaves[i] is generator i."""
+    if presentation.order.kind == GREVLEX.kind:
+        return buchberger(presentation, trace is not None, max_pairs, trace=trace, leaves=leaves)
+    pivot_idx = _find_unit_pivot(presentation)
+    if pivot_idx is not None:
+        return _eliminate_pivot(presentation, pivot_idx, max_pairs, trace, leaves)
     stage1 = buchberger(
-        IdealPresentation(presentation.vars, helper_order, presentation.generators),
-        track_provenance, max_pairs)
+        IdealPresentation(presentation.vars, GREVLEX, presentation.generators),
+        trace is not None, max_pairs, trace=trace, leaves=leaves)
     stage2 = buchberger(
         IdealPresentation(presentation.vars, presentation.order, tuple(stage1.elements)),
-        track_provenance, max_pairs, trace=stage1.trace, leaves=stage1.nodes)
+        trace is not None, max_pairs, trace=trace, leaves=stage1.nodes)
     stats = {"stage1": stage1.stats, "stage2": stage2.stats}
     for key in ("pairs_considered", "pairs_reduced", "skipped_coprime",
                 "skipped_chain", "basis_additions"):
         stats[key] = stage1.stats[key] + stage2.stats[key]
-    return GroebnerBasis(presentation, stage2.elements, stage2.trace, stage2.nodes, stats)
+    return GroebnerBasis(presentation, stage2.elements, trace, stage2.nodes, stats)
 
 
-def _certify_with_basis(target: Polynomial, gb: GroebnerBasis) -> MembershipCertificate:
-    """Certificate from a provenance-tracked basis.
+def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int, max_pairs: int | None,
+                     trace: ProvenanceTrace | None, leaves: list[int]) -> GroebnerBasis:
+    """Lex basis via the unit pivot generators[pivot_idx]; see ``staged_buchberger``."""
+    vars, order = presentation.vars, presentation.order
+    one = Polynomial.constant(vars, 1)
+    pivot = presentation.generators[pivot_idx]
+    remainders, nodes = [], []
+    for i, g in enumerate(presentation.generators):
+        if i == pivot_idx:
+            continue
+        remainder, (q,) = reduce(g, [pivot], order)
+        if remainder.is_zero():
+            continue
+        remainders.append(remainder)
+        if trace is not None:  # a generator free of v is its own remainder
+            nodes.append(leaves[i] if q.is_zero() else
+                         trace.add(Fraction(1), [(one, leaves[i]), (-q, leaves[pivot_idx])]))
+    inner = _staged(IdealPresentation(vars, order, tuple(remainders)), max_pairs, trace, nodes)
+    normal, quotients = reduce(pivot, inner.elements, order)
+    if normal.is_zero():
+        return GroebnerBasis(presentation, inner.elements, trace, inner.nodes, inner.stats)
+    normalized, scalar = primitive_normalize(normal, order)
+    final_nodes = None
+    if trace is not None:
+        parents = [(one, leaves[pivot_idx])] + [(-q, node) for q, node in
+                                                zip(quotients, inner.nodes) if not q.is_zero()]
+        final_nodes = [trace.add(scalar, parents)] + inner.nodes
+    return GroebnerBasis(presentation, [normalized] + inner.elements, trace, final_nodes,
+                         inner.stats)
 
-    Reduce the target, seed each element's trace node with its quotient and
-    contract the trace backward to the generators.
-    """
-    if gb.trace is None:
-        raise ValueError("basis was computed without provenance tracking")
-    normal_form, quotients = reduce(target, gb.elements, gb.order)
-    cofactors = gb.trace.contract([(node, q) for node, q in zip(gb.nodes, quotients)
-                                   if not q.is_zero()])
-    certificate = MembershipCertificate(
-        target=target,
-        generators=gb.presentation.generators,
-        cofactors=cofactors,
-        remainder=normal_form,
-    )
-    if not certificate.verify():
-        raise AssertionError("certificate failed re-expansion; provenance bug")
-    return certificate
 
-
-def _find_unit_pivot(presentation: IdealPresentation) -> tuple[int, str] | None:
+def _find_unit_pivot(presentation: IdealPresentation) -> int | None:
     """Locate a generator of the form c*v + d, c a nonzero constant.
 
     v must be the highest-precedence variable occurring anywhere in the
     generators (so that under lex the pivot's leading monomial is v itself),
-    and d must be free of v.  Returns (generator index, variable name).
+    and d must be free of v.  Returns the generator's index.
     """
     occurring = set()
     for g in presentation.generators:
@@ -781,25 +808,8 @@ def _find_unit_pivot(presentation: IdealPresentation) -> tuple[int, str] | None:
         coeff_terms = {m[:lead_pos] + m[lead_pos + 1:]: c
                        for m, c in g.terms.items() if m[lead_pos] == 1}
         if len(coeff_terms) == 1 and not any(next(iter(coeff_terms))):
-            return idx, v
+            return idx
     return None
-
-
-def _pivot_image(f: Polynomial, v: str, c: Fraction, d: Polynomial,
-                 pivot: Polynomial) -> tuple[Polynomial, Polynomial, int]:
-    """Clear v from f via the pivot relation c*v + d = 0.
-
-    Returns (image, w, k) with the exact identity c^k * f = w * pivot + image,
-    where k is the degree of f in v and the image is v-free.
-    """
-    k = f.degree_in(v)
-    c_poly = Polynomial.constant(f.vars, c)
-    image = eliminate_linear(f, v, c_poly, d)
-    if k == 0:
-        return image, Polynomial.zero(f.vars), 0
-    scaled = Polynomial.constant(f.vars, c ** k) * f
-    w = exact_divide(scaled - image, pivot)
-    return image, w, k
 
 
 def certify_membership(presentation: IdealPresentation, target: Polynomial,
@@ -807,63 +817,29 @@ def certify_membership(presentation: IdealPresentation, target: Polynomial,
                        max_pairs: int | None = None) -> MembershipCertificate:
     """Certificate expressing the target over the presentation's generators.
 
-    The identity target = sum(K_i * g_i) + remainder holds exactly and the
-    remainder vanishes iff the target lies in the ideal.  When a generator is
-    linear in the leading variable with a constant coefficient, that variable
-    is eliminated first by exact combinations and the certificate for the
-    smaller system is lifted back; this keeps cofactor growth manageable.
-    The remainder is a membership witness, not necessarily the canonical
-    normal form under the presentation's order.
+    The identity target = sum(K_i * g_i) + remainder holds exactly, and the
+    remainder, the target's normal form against the reduced basis, vanishes
+    iff the target lies in the ideal.  ``basis`` is a provenance-tracked
+    basis of the presentation; without one, ``staged_buchberger`` computes
+    it.  The target is reduced against the basis, each element's trace node
+    is seeded with its quotient, and the trace is contracted backward to
+    the generators.
     """
-    if basis is not None:
-        return _certify_with_basis(target, basis)
-    if presentation.order.kind == "lex":
-        found = _find_unit_pivot(presentation)
-    else:
-        found = None
-    if found is None:
-        gb = staged_buchberger(presentation, track_provenance=True, max_pairs=max_pairs)
-        return _certify_with_basis(target, gb)
-
-    pivot_idx, v = found
-    pivot = presentation.generators[pivot_idx]
-    lead_pos = presentation.vars.names.index(v)
-    c = next(co for m, co in pivot.terms.items() if m[lead_pos] == 1)
-    d = Polynomial(presentation.vars,
-                   {m: co for m, co in pivot.terms.items() if m[lead_pos] == 0})
-
-    rest = [g for i, g in enumerate(presentation.generators) if i != pivot_idx]
-    images, ws, ks = [], [], []
-    for h in rest:
-        image, w, k = _pivot_image(h, v, c, d, pivot)
-        images.append(image)
-        ws.append(w)
-        ks.append(k)
-    t_image, t_w, t_k = _pivot_image(target, v, c, d, pivot)
-
-    inner = certify_membership(
-        IdealPresentation(presentation.vars, presentation.order, tuple(images)),
-        t_image, max_pairs=max_pairs)
-
-    scale = Fraction(1) / c ** t_k
-    pivot_cof = t_w * scale
-    rest_cofs = []
-    for q, w, k in zip(inner.cofactors, ws, ks):
-        rest_cofs.append(q * (c ** k * scale))
-        if not q.is_zero():
-            pivot_cof = pivot_cof - q * w * scale
-    cofactors: list[Polynomial] = []
-    it = iter(rest_cofs)
-    for i in range(len(presentation.generators)):
-        cofactors.append(pivot_cof if i == pivot_idx else next(it))
+    if basis is None:
+        basis = staged_buchberger(presentation, True, max_pairs)
+    if basis.trace is None:
+        raise ValueError("basis was computed without provenance tracking")
+    normal_form, quotients = reduce(target, basis.elements, basis.order)
+    cofactors = basis.trace.contract([(node, q) for node, q in zip(basis.nodes, quotients)
+                                      if not q.is_zero()])
     certificate = MembershipCertificate(
         target=target,
-        generators=presentation.generators,
+        generators=basis.presentation.generators,
         cofactors=cofactors,
-        remainder=inner.remainder * scale,
+        remainder=normal_form,
     )
     if not certificate.verify():
-        raise AssertionError("certificate failed re-expansion; pivot composition bug")
+        raise AssertionError("certificate failed re-expansion; provenance bug")
     return certificate
 
 

@@ -21,7 +21,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # A deliberate change of the certification route that changes the payload must
 # update this pin and say so in CHANGES.md.
 CERTIFY_PAYLOAD_DIGEST = (
-    "sha256:f79f1ae56cd5b89258c7124e4b8681ce301c53a40b8bdf2071d48cba7cb8ab78")
+    "sha256:823feac78654a51bb4a00a73096cdb8dc37357bbdfa6dda6fdee1dff427ccfec")
+# The certificate document and the reduced lex basis are fixed by the ideal and
+# the division rule, not by the search route, so a route change must not move
+# these two; only the basis `stats` may change with the route.
+CERTIFICATE_DIGEST = (
+    "sha256:11d2160df9f609cbca91f593a79e24d33512db24c06a4376d4b9e1b4231bd03c")
+BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench gates it
 
 
 def _canonical(payload) -> str:
@@ -183,9 +189,14 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     assert payload["remainder_zero"] is True
     assert payload["basis"]["format"] == "birot4/groebner-basis@1"
     assert payload["basis"]["order"] == "lex"
+    assert "provenance" not in payload["basis"]
     assert payload["certificate"]["format"] == "birot4/membership-certificate@1"
     assert payload["certificate"]["is_member"] is True
     assert certify_artifact["manifest"]["payload_digest"] == CERTIFY_PAYLOAD_DIGEST
+    certificate = hashlib.sha256(_canonical(payload["certificate"]).encode()).hexdigest()
+    assert f"sha256:{certificate}" == CERTIFICATE_DIGEST
+    basis = hashlib.sha256("\n".join(payload["basis"]["basis"]).encode()).hexdigest()
+    assert basis[:16] == BASIS_DIGEST
     # the stored artifact re-verifies through the verify-only path
     assert main(["certify", "--verify-only", str(certify_artifact_path)]) == 0
     assert "re-verified" in capsys.readouterr().out

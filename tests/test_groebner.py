@@ -14,6 +14,7 @@ from birot4.groebner import (
     IdealPresentation,
     MembershipCertificate,
     ResourceCapExceeded,
+    _find_unit_pivot,
     basis_from_document,
     basis_to_document,
     buchberger,
@@ -268,21 +269,56 @@ def test_backward_contraction_matches_forward_rows():
     assert nonzero_quotients >= 20
 
 
+def _check_pivot_route(presentation, targets):
+    """The unit-pivot route gives the direct lex basis; every provenance row
+    re-expands to its element; each target's certificate from that basis
+    verifies, with the normal form against the basis as its remainder.
+    Returns the certificates."""
+    assert _find_unit_pivot(presentation) is not None
+    gb = staged_buchberger(presentation)
+    assert gb.elements == buchberger(presentation, track_provenance=False).elements
+    assert staged_buchberger(presentation, track_provenance=False).elements == gb.elements
+    zero = Polynomial.zero(presentation.vars)
+    for element, row in zip(gb.elements, gb.provenance, strict=True):
+        assert sum((k * g for k, g in zip(row, presentation.generators, strict=True)),
+                   zero) == element
+    certificates = []
+    for target in targets:
+        cert = certify_membership(presentation, target, basis=gb)
+        assert cert.verify()
+        assert cert.remainder == reduce(target, gb.elements, LEX)[0]
+        certificates.append(cert)
+    return certificates
+
+
 def test_pivot_route_members_and_non_members():
     """Generators linear in the lead variable take the elimination route,
-    also when nothing is left after the pivot or the target is outside."""
+    also when nothing is left after the pivot, when a generator is a multiple
+    of the pivot, when the ideal is the unit ideal, or the target is outside."""
     x, y = _xy()
+    one = Polynomial.constant(XY, 1)
     single = IdealPresentation(XY, LEX, (x,))
-    square = certify_membership(single, x * x)
-    assert square.is_member and square.verify()
-    assert square.cofactors == [x]
-    outside = certify_membership(single, y)
-    assert not outside.is_member and outside.verify()
+    square, outside = _check_pivot_route(single, [x * x, y])
+    assert square.is_member and square.cofactors == [x]
+    assert not outside.is_member
+    assert certify_membership(single, x * x).cofactors == [x]
     pair = IdealPresentation(XY, LEX, (x + y, x * y))
-    member = certify_membership(pair, y * y)  # x*y - y*(x+y) = -y^2
-    assert member.is_member and member.verify()
-    unit = certify_membership(pair, Polynomial.constant(XY, 1))
-    assert not unit.is_member and unit.verify()
+    member, unit = _check_pivot_route(pair, [y * y, one])  # x*y - y*(x+y) = -y^2
+    assert member.is_member and not unit.is_member
+    # the pivot alone, with a tail the search leaves as it is
+    pivot_only = IdealPresentation(XY, LEX, (2 * x + y * y - 1,))
+    member, outside = _check_pivot_route(pivot_only, [(x + y) * (2 * x + y * y - 1), x])
+    assert member.is_member and not outside.is_member
+    # a multiple of the pivot leaves a zero remainder, which is dropped
+    multiple = IdealPresentation(XY, LEX, (x + y, (x + y) * (y - 3), y * y - 2))
+    member, outside = _check_pivot_route(multiple, [x * x - 2, x])
+    assert member.is_member and not outside.is_member
+    assert staged_buchberger(multiple).elements == [x + y, y * y - 2]
+    # the unit ideal: the pivot's normal form against the basis [1] is zero
+    unit_ideal = IdealPresentation(XY, LEX, (x + y, x + y + 1, y * y))
+    (member,) = _check_pivot_route(unit_ideal, [x * y + 7])
+    assert member.is_member
+    assert staged_buchberger(unit_ideal).elements == [one]
 
 
 def test_certify_membership_member_and_non_member():
@@ -338,20 +374,18 @@ def test_certificate_verify_detects_tampering():
 
 
 def test_unit_pivot_path_matches_basis_path():
-    """A generator linear in the lead variable routes through elimination;
-    the certificate must still be a valid identity over the original
-    generators."""
+    """Nested unit pivots: x is eliminated by the first generator, then y by
+    the remainder z^2 - y; the basis, its provenance and the certificates
+    must match a direct lex computation over the original generators."""
     x, y, z = (Polynomial.variable(XYZ, n) for n in ("x", "y", "z"))
     gens = (2 * x + y * z - 1, y * y + z - 3, z * z - y)
     presentation = IdealPresentation(XYZ, LEX, gens)
     target = (y + 1) * gens[0] + z * gens[1] + gens[2]
-    cert = certify_membership(presentation, target)
-    assert cert.is_member
-    assert cert.verify()
-    gb = staged_buchberger(presentation, track_provenance=True)
-    via_basis = certify_membership(presentation, target, basis=gb)
-    assert via_basis.is_member
-    assert via_basis.verify()
+    inner = IdealPresentation(XYZ, LEX, (y * y + z - 3, z * z - y))
+    assert _find_unit_pivot(inner) == 1
+    cert, outside = _check_pivot_route(presentation, [target, x * z])
+    assert cert.is_member and not outside.is_member
+    assert certify_membership(presentation, target).cofactors == cert.cofactors
 
 
 def test_resource_cap_raises():
