@@ -1,26 +1,27 @@
-"""Buchberger's algorithm with provenance-tracked membership certificates.
-
-With provenance on, the basis computation appends one node per new element
-to a linear ``ProvenanceTrace``: the element's primitive-normalisation scalar
-and its parents, each a (multiplier, earlier node) pair.  An S-pair reduction
-has the parents ``u``, ``-v`` and ``-q_m``; an inter-reduction step has ``1``
-and ``-q``.  The generators are the trace's leaves.  A membership certificate
-for a target reduces it against the basis, seeds each final node with its
-quotient, and contracts the trace backward once to reach the cofactors at the
-leaves; verification re-expands the combination and checks the identity
-exactly.  The forward rows (each element over the generators) are built from
-the trace only when read.
+"""Reduced Groebner bases and low-degree membership certificates.
 
 ``staged_buchberger`` is the one basis search behind ``certify_membership``
 and ``birot4 certify``.  Under lex it first eliminates a unit pivot ``c*v +
 d`` (v the top variable): the other generators' remainders modulo the pivot
-get trace nodes, their basis is searched (grevlex, then lex), and the
-pivot's normal form against that basis completes the reduced lex basis.
-The basis ``stats`` are the counters of the search that ran.
+are searched (grevlex, then lex), and the pivot's normal form against that
+basis completes the reduced lex basis.  The basis ``stats`` are the
+counters of the search that ran.
 
-The hot loops (division, S-polynomials, the pair criteria, the backward
-contraction and the re-expansion in ``MembershipCertificate.verify``) run on
-a kernel form instead of ``Fraction`` coefficients and exponent tuples:
+A membership certificate target = sum(K_i * g_i) + remainder takes the
+remainder from the basis (the target's normal form) and the cofactors from
+linear algebra, not from the search history: the rows mu * g_i up to a
+degree D, D rising from deg(target - remainder), are eliminated modulo a
+fixed prime until target - remainder lies in their span (Lazard; Faugère's
+F4), and the solution on the rows it uses is lifted to exact rationals by
+Dixon's p-adic iteration and rational reconstruction.  Nothing in that
+search is trusted: ``MembershipCertificate.verify`` re-expands the identity
+exactly and decides.  With provenance on, the basis search also appends one
+node per new element to a linear ``ProvenanceTrace``; its ``rows`` give
+each basis element over the generators.
+
+The hot loops (division, S-polynomials, the pair criteria, the Macaulay
+rows and the re-expansion in ``verify``) run on a kernel form instead of
+``Fraction`` coefficients and exponent tuples:
 
 * Monomials are packed into one int (``_Packing``), one guarded bit field
   per variable, so a product is an addition and divisibility one masked
@@ -32,8 +33,7 @@ a kernel form instead of ``Fraction`` coefficients and exponent tuples:
   a step needs it and then divides out the remainder's content.
 
 Polynomials are packed on the way in and unpacked on the way out, so every
-public function takes and returns ``Polynomial`` values as before, with the
-same results.
+public function takes and returns ``Polynomial`` values.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations_with_replacement
+from math import gcd, isqrt, lcm
+from operator import lshift
 
 from .poly import (
     GREVLEX,
@@ -83,6 +85,14 @@ class IdealPresentation:
                 raise ValueError("generator variable set differs from presentation")
             if g.is_zero():
                 raise ValueError("zero generator")
+
+
+def _pair_cap(max_pairs: int | None) -> int | None:
+    """The given cap, else ``BIROT4_MAX_PAIRS``, else None (no cap)."""
+    if max_pairs is None:
+        env = os.environ.get(_ENV_MAX_PAIRS)
+        max_pairs = int(env) if env else None
+    return max_pairs
 
 
 # -- the integer, packed-monomial kernel -------------------------------
@@ -137,7 +147,7 @@ class _Packing:
     def pack(self, exps) -> int:
         if max(exps, default=0) >> self.width - 2:
             raise _Overflow
-        return sum(e << off for e, off in zip(exps, self.offsets)) + sum(exps) * self.degree_unit
+        return sum(map(lshift, exps, self.offsets)) + sum(exps) * self.degree_unit
 
     def exponents(self, m: int) -> tuple[int, ...]:
         return tuple(m >> off & self.field for off in self.offsets)
@@ -322,47 +332,6 @@ class ProvenanceTrace:
         self.nodes.append((scalar, parents))
         return len(self.nodes) - 1
 
-    def contract(self, seeds: list[tuple[int, Polynomial]]) -> list[Polynomial]:
-        """Cofactors K with sum(K_i * generator_i) == sum(q * value(node)) over seeds.
-
-        One reverse sweep: each node's adjoint, times its scalar and each
-        parent multiplier, is added into that parent's adjoint.  Adjoints
-        are integer numerators over one denominator each, on packed
-        monomials as in the division kernel; only the cofactors become
-        Polynomials.  ``rows`` computes the same map forward on plain terms.
-        """
-        multipliers = [m for _, parents in self.nodes for m, _ in parents]
-
-        def attempt(pk: _Packing) -> list[Polynomial]:
-            adjoint: dict[int, tuple[dict[int, int], int]] = {}
-            for node, q in seeds:
-                (terms,), den = _scaled(pk, [q])
-                _accumulate(adjoint, node, terms, {0: 1}, den)  # {0: 1} is the constant 1
-            for k in range(len(self.nodes) - 1, self.n_generators - 1, -1):
-                terms, den = adjoint.pop(k, ({}, 1))
-                if not terms:
-                    continue
-                if not all(pk.fits(pk.monomial(h)) for h in terms):
-                    raise _Overflow
-                content = gcd(den, *terms.values())
-                if content != 1:
-                    terms, den = {h: c // content for h, c in terms.items()}, den // content
-                scalar, parents = self.nodes[k]
-                for m, p in parents:
-                    (factor,), m_den = _scaled(pk, [m])
-                    _accumulate(adjoint, p, terms,
-                                {h: c * scalar.numerator for h, c in factor.items()},
-                                den * m_den * scalar.denominator)
-            cofactors = []
-            for i in range(self.n_generators):
-                terms, den = adjoint.get(i, ({}, 1))
-                cofactors.append(_unpacked(pk, self.vars,
-                                           {h: Fraction(c, den) for h, c in terms.items()}))
-            return cofactors
-
-        return _with_room(_Packing.fitting(LEX, len(self.vars), [q for _, q in seeds] + multipliers),
-                          attempt)
-
     def rows(self, nodes: list[int]) -> list[list[Polynomial]]:
         """Each node's value as a row of cofactors over the generators."""
         needed = set(nodes)
@@ -398,31 +367,6 @@ def _add_product(acc: dict, f: dict, g: dict) -> None:
                     del acc[k]
             else:
                 acc[k] = c1 * c2
-
-
-def _accumulate(adjoint: dict, node: int, f: dict[int, int], g: dict[int, int], den: int) -> None:
-    """adjoint[node] += f * g / den, on (numerators by handle, denominator) pairs.
-
-    The product is formed before it is brought to the common denominator,
-    so the rescaling costs one multiplication per product term, not one per
-    pair of factor terms.
-    """
-    product: dict[int, int] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
-    acc, acc_den = adjoint.get(node, ({}, den))
-    common = lcm(acc_den, den)
-    if common != acc_den:
-        acc = {h: c * (common // acc_den) for h, c in acc.items()}
-    scale = common // den
-    for k, v in product.items():
-        v = acc.get(k, 0) + v * scale
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-    adjoint[node] = (acc, common)
 
 
 @dataclass
@@ -508,6 +452,12 @@ def reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> tupl
     monomials (``_reduce_terms``, ``_Packing``); the results are unpacked
     back to exponent tuples and rationals.
     """
+    return _divide(f, basis, order, True)
+
+
+def _divide(f: Polynomial, basis: list[Polynomial], order: MonomialOrder,
+            want_quotients: bool) -> tuple[Polynomial, list[Polynomial] | None]:
+    """``reduce``; the quotients are None unless wanted."""
     for b in basis:
         if b.is_zero():
             raise ValueError("zero divisor polynomial in basis")
@@ -515,9 +465,9 @@ def reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> tupl
     def attempt(pk: _Packing):
         (work,), den = _scaled(pk, [f])
         normal, den, quotients = _reduce_terms(pk, work, den, [_Reducer.of(pk, b) for b in basis],
-                                               True)
+                                               want_quotients)
         return (_unpacked(pk, f.vars, {h: Fraction(a, den) for h, a in normal.items()}),
-                [_unpacked(pk, f.vars, q) for q in quotients])
+                quotients and [_unpacked(pk, f.vars, q) for q in quotients])
 
     return _with_room(_Packing.fitting(order, len(f.vars), [f, *basis]), attempt)
 
@@ -571,9 +521,7 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     caller continuing an earlier trace passes it with ``leaves``, the node
     of each generator in it.
     """
-    if max_pairs is None:
-        env = os.environ.get(_ENV_MAX_PAIRS)
-        max_pairs = int(env) if env else None
+    max_pairs = _pair_cap(max_pairs)
     n_gens = len(presentation.generators)
     if not track_provenance:
         trace = None
@@ -819,28 +767,265 @@ def certify_membership(presentation: IdealPresentation, target: Polynomial,
 
     The identity target = sum(K_i * g_i) + remainder holds exactly, and the
     remainder, the target's normal form against the reduced basis, vanishes
-    iff the target lies in the ideal.  ``basis`` is a provenance-tracked
-    basis of the presentation; without one, ``staged_buchberger`` computes
-    it.  The target is reduced against the basis, each element's trace node
-    is seeded with its quotient, and the trace is contracted backward to
-    the generators.
+    iff the target lies in the ideal.  ``basis`` is a reduced basis of the
+    presentation (provenance is not needed); without one,
+    ``staged_buchberger`` computes it.
+
+    The cofactors of target - remainder come from Macaulay rows, not from
+    the basis search (``_macaulay_certificate``), so their degree is about
+    the least any certificate needs.  ``max_pairs`` (or ``BIROT4_MAX_PAIRS``)
+    caps the S-pairs of the basis search and, separately, the number of
+    Macaulay rows.
     """
     if basis is None:
-        basis = staged_buchberger(presentation, True, max_pairs)
-    if basis.trace is None:
-        raise ValueError("basis was computed without provenance tracking")
-    normal_form, quotients = reduce(target, basis.elements, basis.order)
-    cofactors = basis.trace.contract([(node, q) for node, q in zip(basis.nodes, quotients)
-                                      if not q.is_zero()])
-    certificate = MembershipCertificate(
-        target=target,
-        generators=basis.presentation.generators,
-        cofactors=cofactors,
-        remainder=normal_form,
-    )
-    if not certificate.verify():
-        raise AssertionError("certificate failed re-expansion; provenance bug")
-    return certificate
+        basis = staged_buchberger(presentation, False, max_pairs)
+    normal_form, _ = _divide(target, basis.elements, basis.order, False)
+    return _macaulay_certificate(target, basis.presentation.generators, normal_form,
+                                 _pair_cap(max_pairs))
+
+
+# -- low-degree certificates from Macaulay rows --------------------------
+
+# Primes below 2**30, so residues stay single-digit CPython ints.  The list is
+# fixed: the certificate found depends on nothing but the input.
+_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717)
+
+
+class _Echelon:
+    """Rows modulo a prime in semi-echelon form, each pivot with its history.
+
+    Rows are dicts handle -> int whose leading term is the smallest handle,
+    as in the division kernel, numbered in the order they are added.
+    ``add`` top-reduces a row by the pivots; a row left with a new lead
+    becomes a monic pivot, a row that vanishes is dependent and dropped.  Each pivot records the multiples of earlier
+    pivots subtracted from its input row, so ``solve`` maps a vector of the
+    span back to input rows with one backward sweep.  Values being reduced
+    are taken modulo the prime only when they lead.
+    """
+
+    def __init__(self, prime: int):
+        self.prime = prime
+        self.added = 0
+        self.pivot_at: dict[int, int] = {}  # lead handle -> pivot
+        self.tails: list[list[tuple[int, int]]] = []
+        self.rows: list[int] = []  # pivot -> its input row
+        self.scales: list[int] = []  # pivot -> inverse of its reduced lead
+        self.steps: list[list[tuple[int, int]]] = []  # pivot -> (earlier pivot, multiple)
+
+    def _reduce(self, work: dict[int, int]):
+        """Cancel leads of work by pivots; returns (steps, first lead without a pivot, its value)."""
+        prime, pivot_at, tails = self.prime, self.pivot_at, self.tails
+        heap = list(work)
+        heapq.heapify(heap)
+        steps = []
+        while heap:
+            h = heapq.heappop(heap)
+            a = work.pop(h, 0) % prime
+            if not a:
+                continue
+            k = pivot_at.get(h)
+            if k is None:
+                return steps, h, a
+            steps.append((k, a))
+            for e, c in tails[k]:
+                v = work.get(e)
+                if v is None:
+                    work[e] = -a * c
+                    heapq.heappush(heap, e)
+                else:
+                    work[e] = v - a * c
+        return steps, None, 0
+
+    def add(self, work: dict[int, int]) -> bool:
+        """Add the next input row; False when it lies in the span of the pivots."""
+        self.added += 1
+        steps, lead, a = self._reduce(work)
+        if lead is None:
+            return False
+        prime = self.prime
+        scale = pow(a, -1, prime)
+        self.pivot_at[lead] = len(self.rows)
+        self.tails.append([(e, c) for e, v in work.items() if (c := v * scale % prime)])
+        self.rows.append(self.added - 1)
+        self.scales.append(scale)
+        self.steps.append(steps)
+        return True
+
+    def solve(self, work: dict[int, int]) -> dict[int, int] | None:
+        """Input-row coefficients whose combination is work mod the prime, or None.
+
+        Only pivot rows get coefficients, so the solution is the unique one
+        with every dependent row's unknown zero.
+        """
+        steps, lead, _ = self._reduce(work)
+        if lead is not None:
+            return None
+        prime = self.prime
+        weight = [0] * len(self.rows)
+        for k, a in steps:
+            weight[k] += a
+        combination = {}
+        for k in range(len(self.rows) - 1, -1, -1):
+            c = weight[k] % prime
+            if c:
+                c = c * self.scales[k] % prime
+                combination[self.rows[k]] = c
+                for earlier, a in self.steps[k]:
+                    weight[earlier] -= c * a
+        return combination
+
+
+def _monomials_of_degree(pk: _Packing, degree: int) -> list[int]:
+    """Handles of all monomials of exactly ``degree`` (handles add like exponents)."""
+    if degree >> pk.width - 2:
+        raise _Overflow
+    units = [pk.handle((1 << off) + pk.degree_unit) for off in pk.offsets]
+    return [sum(combo) for combo in combinations_with_replacement(units, degree)]
+
+
+def _reconstruct(values: list[int], modulus: int) -> list[Fraction] | None:
+    """Rationals n/d with |n|, d <= sqrt(modulus/2) congruent to values, or None.
+
+    Each value is first multiplied by the product of the denominators found
+    so far, which usually leaves an integer and skips the Euclid steps.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    out = []
+    for v in values:
+        r0, r1, s0, s1 = modulus, v * den % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        den *= s1
+        if den > bound or gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, den))
+    return out
+
+
+def _dixon(rows: list[dict[int, int]], target: dict[int, int], prime: int):
+    """Candidate rational y with sum(y_j * rows[j]) == target, by p-adic lifting.
+
+    Each step solves for the current residual modulo the prime and divides
+    what is left by the prime, so the running solution is exact modulo
+    prime**steps.  A candidate is yielded whenever every entry reconstructs
+    as a rational; the caller checks it.  The steps stop at a Hadamard bound past which
+    the true solution would have reconstructed, or when a residual leaves
+    the span modulo the prime (the prime or the row set was unlucky).
+    """
+    echelon = _Echelon(prime)
+    for row in rows:
+        echelon.add({h: c % prime for h, c in row.items()})
+    # |numerators|, denominators <= |target| * prod |row_j| (Cramer, Hadamard)
+    bits = (sum(sum(c * c for c in row.values()).bit_length() for row in rows)
+            + sum(c * c for c in target.values()).bit_length() + 2)
+    residual = dict(target)
+    solution = [0] * len(rows)
+    modulus = 1
+    while modulus.bit_length() <= bits + prime.bit_length():
+        step = echelon.solve({h: v % prime for h, v in residual.items()})
+        if step is None:
+            return
+        for j, c in step.items():
+            solution[j] += c * modulus
+            for h, v in rows[j].items():
+                residual[h] = residual.get(h, 0) - c * v
+        carried = {}
+        for h, v in residual.items():
+            if v:
+                q, r = divmod(v, prime)
+                if r:
+                    return
+                carried[h] = q
+        residual = carried
+        modulus *= prime
+        if not residual:
+            yield [Fraction(s) for s in solution]
+            return
+        candidate = _reconstruct(solution, modulus)
+        if candidate is not None:
+            yield candidate
+
+
+def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...],
+                          remainder: Polynomial, max_rows: int | None) -> MembershipCertificate:
+    """A verified certificate target = sum(K_i * g_i) + remainder, K_i of low degree.
+
+    target - remainder must lie in the ideal.  For D = its degree, D + 1,
+    ... the rows mu * g_i with deg(mu * g_i) <= D are eliminated modulo a
+    prime (``_Echelon``), until the difference lies in their span.  Each
+    degree adds only its block of new rows, in ascending grevlex order of
+    their leading monomials, ties by generator; smaller rows first gives
+    smaller certificates than the reverse order.  The solution modulo the
+    prime, with the unknowns of dependent rows zero, picks its support rows,
+    and Dixon lifting on them gives the exact cofactors.  A candidate is
+    returned only once ``verify()`` accepts it; an unlucky prime makes the
+    search start over with the next one.  The row count is capped by
+    ``max_rows``.
+    """
+    vars = target.vars
+
+    def certificate(cofactors):
+        return MembershipCertificate(target, generators, cofactors, remainder)
+
+    difference = target - remainder
+    if difference.is_zero():
+        return certificate([Polynomial.zero(vars)] * len(generators))
+    start = difference.total_degree()
+
+    def attempt(pk: _Packing) -> MembershipCertificate:
+        (goal,), goal_den = _scaled(pk, [difference])
+        scaled = [_scaled(pk, [g]) for g in generators]  # g_i = gens[i] / dens[i]
+        gens = [terms for (terms,), _ in scaled]
+        dens = [den for _, den in scaled]
+        leads = [min(g) for g in gens]
+        degrees = [g.total_degree() for g in generators]
+        multipliers = {}
+        for prime in _PRIMES:
+            residues = [[(h, c % prime) for h, c in g.items()] for g in gens]
+            # Koszul: lc_i * lead_i * g_j = g_j * g_i - tail_i * g_j is a
+            # combination of rows m * g_i (m in g_j) and m * g_j (m in tail_i),
+            # all sorted before it, so a row mu * g_j with lead_i | mu (i < j)
+            # is never a pivot and is not built.
+            koszul = [[pk.monomial(leads[i]) for i in range(j) if gens[i][leads[i]] % prime]
+                      for j in range(len(gens))]
+            echelon = _Echelon(prime)
+            rows: list[tuple[int, int]] = []  # (generator, multiplier handle)
+            built, degree = -1, max(start, min(degrees))
+            while True:
+                block = []
+                for i, d in enumerate(degrees):
+                    for m in range(max(built + 1 - d, 0), degree - d + 1):
+                        if m not in multipliers:
+                            multipliers[m] = _monomials_of_degree(pk, m)
+                        block += [(-(mu + leads[i]), i, mu) for mu in multipliers[m]
+                                  if all((pk.monomial(mu) - k) & pk.guard for k in koszul[i])]
+                if max_rows is not None and len(rows) + len(block) > max_rows:
+                    raise ResourceCapExceeded(f"more than {max_rows} Macaulay rows")
+                block.sort()
+                for _, i, mu in block:
+                    echelon.add({mu + h: c for h, c in residues[i]})
+                    rows.append((i, mu))
+                combination = echelon.solve({h: c % prime for h, c in goal.items()})
+                if combination is not None:
+                    break
+                built, degree = degree, degree + 1
+            support = [rows[j] for j in sorted(combination)]
+            exact = [{mu + h: c for h, c in gens[i].items()} for i, mu in support]
+            for values in _dixon(exact, goal, prime):
+                cofactors = [{} for _ in generators]
+                for (i, mu), y in zip(support, values):
+                    if y:
+                        cofactors[i][mu] = y * dens[i] / goal_den
+                found = certificate([_unpacked(pk, vars, k) for k in cofactors])
+                if found.verify():
+                    return found
+        raise AssertionError("no prime gave a certificate that verifies")
+
+    return _with_room(_Packing.fitting(GREVLEX, len(vars), [difference, *generators]), attempt)
 
 
 # -- serialization -----------------------------------------------------
@@ -851,10 +1036,11 @@ _WIDE_DIGITS = 2_000_000
 def _unlock_wide_integers() -> None:
     """Lift the interpreter's int/str conversion limit for exact coefficients.
 
-    Lex eliminants of the flagship system carry integer coefficients tens of
-    thousands of digits wide, beyond CPython's default conversion guard; the
-    document layer needs the full width in both directions.  No-op where the
-    interpreter has no such limit.
+    The flagship basis and certificate stay far below CPython's default
+    guard (at most 9-digit basis coefficients, under 80-digit certificate
+    coefficients), but provenance rows and certificates of other inputs
+    can pass it, and the document layer needs the full width in both
+    directions.  No-op where the interpreter has no such limit.
     """
     setter = getattr(sys, "set_int_max_str_digits", None)
     if setter is not None and sys.get_int_max_str_digits() < _WIDE_DIGITS:

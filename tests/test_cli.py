@@ -21,12 +21,16 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # A deliberate change of the certification route that changes the payload must
 # update this pin and say so in CHANGES.md.
 CERTIFY_PAYLOAD_DIGEST = (
-    "sha256:823feac78654a51bb4a00a73096cdb8dc37357bbdfa6dda6fdee1dff427ccfec")
-# The certificate document and the reduced lex basis are fixed by the ideal and
-# the division rule, not by the search route, so a route change must not move
-# these two; only the basis `stats` may change with the route.
+    "sha256:cb554f2335ed339f9f6bd3a5d95fb96677ab025a0e1ff01c90681960a4b35a86")
+# The reduced lex basis is fixed by the ideal and the order, so no route change
+# may move BASIS_DIGEST.  The certificate document is fixed by the certificate
+# finder: the low-degree Macaulay certificate (rows mu*E_i up to degree 10,
+# eliminated modulo the first prime of a fixed list, lifted by Dixon
+# iteration).  A change of that finder's row order, primes or solution rule
+# moves CERTIFICATE_DIGEST and must say so in CHANGES.md; a change of the
+# basis search alone must not.
 CERTIFICATE_DIGEST = (
-    "sha256:11d2160df9f609cbca91f593a79e24d33512db24c06a4376d4b9e1b4231bd03c")
+    "sha256:da8a26002ffa3e60d4cb56791e1204b88d5672d1f384a9445ccc620759a1ebdd")
 BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench gates it
 
 
@@ -209,6 +213,50 @@ def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsy
     path.write_text(json.dumps(tampered))
     assert main(["certify", "--verify-only", str(path)]) == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
+                                               certify_artifact_path, monkeypatch, capsys):
+    """--certificate re-checks case VII on a stored certify artifact, with no
+    basis or certificate search; a tampered cofactor fails case VII."""
+    import birot4.cases
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("check-cases searched for a certificate")
+
+    monkeypatch.setattr(birot4.cases, "certify_membership", no_search)
+    out = tmp_path / "cases.json"
+    assert main(["check-cases", "VII", "--certificate", str(certify_artifact_path),
+                 "--output", str(out)]) == 0
+    assert "1/1 cases verified" in capsys.readouterr().out
+    assert _load(out)["payload"]["all_verified"] is True
+
+    tampered = json.loads(json.dumps(certify_artifact))
+    cofactors = tampered["payload"]["certificate"]["cofactors"]
+    cofactors[0] = cofactors[0] + " + t"
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tampered))
+    assert main(["check-cases", "VII", "--certificate", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "first failing step (case VII)" in err and "identity" in err
+    (report,) = _load(out)["payload"]["reports"]
+    assert report["case"] == "VII" and report["verdict"] != "contradiction-verified"
+
+
+def test_unreadable_certificate_files_are_usage_errors(tmp_path, capsys):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("certificate")
+    wrong_format = tmp_path / "wrong.json"
+    wrong_format.write_text(json.dumps({"format": "other"}))
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", not_json, wrong_format, a_list):
+        for argv in (["check-cases", "VII", "--certificate", str(path)],
+                     ["certify", "--verify-only", str(path)]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"cannot read a certificate from {path}" in capsys.readouterr().err
 
 
 def _readme_commands() -> list[list[str]]:

@@ -240,33 +240,59 @@ def test_staged_buchberger_equals_direct_lex():
         assert acc == element
 
 
-def test_backward_contraction_matches_forward_rows():
-    """The certificate contracts the provenance trace backward from the
-    target's quotients; it must equal the same quotients applied to the
-    forward rows, sum_k Q_k * provenance[k]."""
+def test_planted_member_certificates():
+    """Targets planted as sum(h_i * g_i) with deg(h_i) <= 1 get certificates
+    that verify, with no row above the planted degree; a basis read back
+    from its document, or none at all, gives the same certificate."""
     rng = random.Random(606)
-    nonzero_quotients = 0
     for _ in range(20):
         vars, gens = random_small_ideal(rng)
         presentation = IdealPresentation(vars, LEX, gens)
         target = Polynomial.zero(vars)
         while target.is_zero():
-            for g in gens:
-                target = target + random_polynomial(rng, vars, 1) * g
-        gb = staged_buchberger(presentation)
+            multipliers = [random_polynomial(rng, vars, 1) for _ in gens]
+            target = sum((h * g for h, g in zip(multipliers, gens)), target)
+        planted = max((h * g).total_degree() for h, g in zip(multipliers, gens))
+        gb = staged_buchberger(presentation, track_provenance=False)
         cert = certify_membership(presentation, target, basis=gb)
         assert cert.is_member and cert.verify()
-        normal, quotients = reduce(target, gb.elements, LEX)
-        assert normal.is_zero()
-        expected = [Polynomial.zero(vars) for _ in gens]
-        for q, row in zip(quotients, gb.provenance):
-            nonzero_quotients += not q.is_zero()
-            expected = [e + q * r for e, r in zip(expected, row)]
-        assert cert.cofactors == expected
-        # a basis read back from its document carries the same provenance
+        assert reduce(target, gb.elements, LEX)[0].is_zero()
+        assert max(k.total_degree() + g.total_degree()
+                   for k, g in zip(cert.cofactors, gens) if not k.is_zero()) <= planted
         stored = basis_from_document(basis_to_document(gb))
-        assert certify_membership(presentation, target, basis=stored).cofactors == expected
-    assert nonzero_quotients >= 20
+        assert certify_membership(presentation, target, basis=stored).cofactors == cert.cofactors
+        assert certify_membership(presentation, target).cofactors == cert.cofactors
+
+
+def test_non_member_certificate_needs_a_higher_degree():
+    """target - NF = y^2 has degree 2 like the generators, but its only
+    certificate y*g1 - x*g2 uses rows of degree 3."""
+    x, y = _xy()
+    gens = (x * x + y, x * y)
+    presentation = IdealPresentation(XY, LEX, gens)
+    gb = staged_buchberger(presentation, track_provenance=False)
+    assert gb.elements == [x * x + y, x * y, y * y]
+    target = y * y + y
+    cert = certify_membership(presentation, target, basis=gb)
+    assert cert.verify() and not cert.is_member
+    assert cert.remainder == reduce(target, gb.elements, LEX)[0] == y
+    assert cert.cofactors == [y, -x]
+    assert max(k.total_degree() + g.total_degree() for k, g in zip(cert.cofactors, gens)) == 3
+
+
+def test_certificate_row_cap_raises(monkeypatch):
+    """The S-pair cap also bounds the Macaulay rows of the certificate search."""
+    x, y = _xy()
+    gens = (x * x + y * y - 1, x * y - 1)
+    presentation = IdealPresentation(XY, LEX, gens)
+    gb = staged_buchberger(presentation, track_provenance=False)
+    member = (x + y) * gens[0] - y * y * gens[1]
+    with pytest.raises(ResourceCapExceeded, match="Macaulay rows"):
+        certify_membership(presentation, member, basis=gb, max_pairs=3)
+    monkeypatch.setenv("BIROT4_MAX_PAIRS", "3")
+    with pytest.raises(ResourceCapExceeded, match="Macaulay rows"):
+        certify_membership(presentation, member, basis=gb)
+    assert certify_membership(presentation, member, basis=gb, max_pairs=100).verify()
 
 
 def _check_pivot_route(presentation, targets):
@@ -463,6 +489,29 @@ def test_lex_basis_matches_sympy_on_small_ideals():
         vars, gens = random_small_ideal(rng)
         ours = staged_buchberger(IdealPresentation(vars, LEX, gens), track_provenance=False)
         assert ours.elements == _sympy_lex_basis(vars, gens)
+
+
+def test_flagship_certificate_expands_in_sympy(flagship_certificate, system_vii):
+    """An independent re-expansion: sympy's sum(K_i * E_i) is p*t^4, and no
+    product K_i * E_i goes above degree 10."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(NORMALIZED_VARS.names)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {mono: sympy.Rational(c.numerator, c.denominator) for mono, c in p.terms.items()},
+            *symbols, domain="QQ")
+
+    cert = flagship_certificate
+    assert cert.generators == tuple(system_vii.polynomials())
+    total = sympy.Poly(0, *symbols, domain="QQ")
+    for k, g in zip(cert.cofactors, cert.generators, strict=True):
+        total += to_sympy(k) * to_sympy(g)
+    p, t = symbols[3], symbols[4]
+    assert total == sympy.Poly(p * t ** 4, *symbols, domain="QQ")
+    assert cert.remainder.is_zero()
+    assert max(k.total_degree() + g.total_degree()
+               for k, g in zip(cert.cofactors, cert.generators)) <= 10
 
 
 @pytest.mark.slow
