@@ -32,6 +32,13 @@ CERTIFY_PAYLOAD_DIGEST = (
 CERTIFICATE_DIGEST = (
     "sha256:da8a26002ffa3e60d4cb56791e1204b88d5672d1f384a9445ccc620759a1ebdd")
 BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench gates it
+# Payload digest of `birot4 check-cases` over all seven cases.  The reports are
+# the proof's text: a refactor of the checking core must leave this pin alone,
+# and a change of any step, witness or case artifact must update it and say so
+# in CHANGES.md.  Re-checking the stored certify artifact gives the same payload
+# as computing the certificate afresh.
+CHECK_CASES_PAYLOAD_DIGEST = (
+    "sha256:4004e79771997317aa14f47031b75384483f6cdb6f8c62f89c6de527b1b26a54")
 
 
 def _canonical(payload) -> str:
@@ -241,6 +248,16 @@ def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
     assert "first failing step (case VII)" in err and "identity" in err
     (report,) = _load(out)["payload"]["reports"]
     assert report["case"] == "VII" and report["verdict"] != "contradiction-verified"
+
+
+def test_check_cases_payload_is_pinned(tmp_path, certify_artifact_path, capsys):
+    out = tmp_path / "cases.json"
+    assert main(["check-cases", "--certificate", str(certify_artifact_path),
+                 "--output", str(out)]) == 0
+    assert "7/7 cases verified" in capsys.readouterr().out
+    document = _load(out)
+    _check_manifest(document, "check-cases")
+    assert document["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
 
 
 def test_unreadable_certificate_files_are_usage_errors(tmp_path, capsys):
