@@ -3,20 +3,31 @@
 Seven independent verifiers, one per branch of the rotation-data partition.
 Each rebuilds its branch's deductions from the component equations: exact
 polynomial identities, eliminations with every divisor tied to a recorded
-nonzero hypothesis, and sign claims backed by re-verifiable witnesses
-(exact evaluation, Sturm root counting, or a positive-combination rewrite).
-The outcome is an immutable CaseReport whose verdict is
+nonzero hypothesis, and sign claims (SignFact) backed by re-verifiable
+witnesses.  The outcome is an immutable CaseReport whose verdict is
 contradiction-verified only if every step checked out.
+
+One bound type, VariableCondition, states what a Region knows about each
+variable and is also the range enclosure that interval_of computes.  A sign
+claim carries one of three witnesses:
+
+- PointEvaluation: the region pins every variable of the expression to one
+  point, so exact evaluation there fixes the sign;
+- SturmWindow: a univariate expression has no root on the window (Sturm
+  count, endpoints checked) and takes the claimed sign at its samples;
+- PositiveCombination: an exact rewrite as a sum of products whose signs on
+  the region combine decisively.
+
+A claim of zero for the zero polynomial needs no witness.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .constraints import NORMALIZED_VARS, compatibility_series, extract_system
+from .constraints import NORMALIZED_VARS, compatibility_series, extract_system, linear_split
 from .fixtures import (
     CASE5_FOURTH_DERIVATIVE,
     CASE6_CUBIC_AT_HI,
@@ -44,7 +55,7 @@ from .poly import (
     format_polynomial,
     parse_polynomial,
     primitive_normalize,
-    substitute_even_powers,
+    replace_square,
     variables,
 )
 from .series import (
@@ -98,7 +109,13 @@ def _sign_of(value: Fraction) -> int:
 
 @dataclass(frozen=True)
 class VariableCondition:
-    """Rational bounds and sign knowledge for one region variable."""
+    """Rational bounds and sign knowledge for one region variable.
+
+    The same type is the range enclosure that ``interval_of`` computes: a
+    missing bound is infinite and a strict bound is excluded.  The interval
+    arithmetic below reads only the bounds, and its results carry no
+    ``nonzero`` mark.
+    """
 
     lower: Fraction | None = None
     lower_strict: bool = True
@@ -157,6 +174,71 @@ class VariableCondition:
             return False
         return True
 
+    # -- interval arithmetic (closed-box ranges, sound) ----------------
+
+    def bounded(self) -> bool:
+        return self.lower is not None and self.upper is not None
+
+    def add(self, other: "VariableCondition") -> "VariableCondition":
+        lo = None if self.lower is None or other.lower is None else self.lower + other.lower
+        hi = None if self.upper is None or other.upper is None else self.upper + other.upper
+        return VariableCondition(lo, self.lower_strict or other.lower_strict,
+                                 hi, self.upper_strict or other.upper_strict)
+
+    def scale(self, factor: Fraction) -> "VariableCondition":
+        if factor == 0:
+            return VariableCondition.point(0)
+        if factor > 0:
+            lo = None if self.lower is None else self.lower * factor
+            hi = None if self.upper is None else self.upper * factor
+            return VariableCondition(lo, self.lower_strict, hi, self.upper_strict)
+        return self.negate().scale(-factor)
+
+    def negate(self) -> "VariableCondition":
+        lo = None if self.upper is None else -self.upper
+        hi = None if self.lower is None else -self.lower
+        return VariableCondition(lo, self.upper_strict, hi, self.lower_strict)
+
+    def power(self, e: int) -> "VariableCondition":
+        if e == 0:
+            return VariableCondition.point(1)
+        lo, hi = self.lower, self.upper
+        if e % 2:
+            return VariableCondition(None if lo is None else lo ** e, self.lower_strict,
+                                     None if hi is None else hi ** e, self.upper_strict)
+        if lo is not None and lo >= 0:
+            return VariableCondition(lo ** e, self.lower_strict,
+                                     None if hi is None else hi ** e, self.upper_strict)
+        if hi is not None and hi <= 0:
+            return VariableCondition((-hi) ** e, self.upper_strict,
+                                     None if lo is None else (-lo) ** e, self.lower_strict)
+        # the range straddles zero (or is unbounded around it)
+        if lo is None or hi is None:
+            return VariableCondition(Fraction(0), False, None, True)
+        a, b = (-lo) ** e, hi ** e
+        if a > b:
+            top, strict = a, self.lower_strict
+        elif b > a:
+            top, strict = b, self.upper_strict
+        else:
+            top, strict = a, self.lower_strict and self.upper_strict
+        return VariableCondition(Fraction(0), False, top, strict)
+
+    def multiply(self, other: "VariableCondition") -> "VariableCondition":
+        if not (self.bounded() and other.bounded()):
+            return VariableCondition()
+        candidates = [
+            (self.lower * other.lower, self.lower_strict or other.lower_strict),
+            (self.lower * other.upper, self.lower_strict or other.upper_strict),
+            (self.upper * other.lower, self.upper_strict or other.lower_strict),
+            (self.upper * other.upper, self.upper_strict or other.upper_strict),
+        ]
+        lo = min(v for v, _ in candidates)
+        hi = max(v for v, _ in candidates)
+        lo_strict = all(s for v, s in candidates if v == lo)
+        hi_strict = all(s for v, s in candidates if v == hi)
+        return VariableCondition(lo, lo_strict, hi, hi_strict)
+
 
 @dataclass(frozen=True)
 class Region:
@@ -176,111 +258,14 @@ class Region:
         return True
 
 
-# -- interval arithmetic (closed-box ranges, sound) --------------------
-
-
-@dataclass(frozen=True)
-class _Interval:
-    lo: Fraction | None = None
-    lo_strict: bool = True
-    hi: Fraction | None = None
-    hi_strict: bool = True
-
-    @staticmethod
-    def exact(value: Fraction) -> "_Interval":
-        return _Interval(value, False, value, False)
-
-    @staticmethod
-    def of_condition(cond: VariableCondition) -> "_Interval":
-        return _Interval(cond.lower, cond.lower_strict, cond.upper, cond.upper_strict)
-
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
-    def add(self, other: "_Interval") -> "_Interval":
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return _Interval(lo, self.lo_strict or other.lo_strict,
-                         hi, self.hi_strict or other.hi_strict)
-
-    def scale(self, factor: Fraction) -> "_Interval":
-        if factor == 0:
-            return _Interval.exact(Fraction(0))
-        if factor > 0:
-            lo = None if self.lo is None else self.lo * factor
-            hi = None if self.hi is None else self.hi * factor
-            return _Interval(lo, self.lo_strict, hi, self.hi_strict)
-        return self.negate().scale(-factor)
-
-    def negate(self) -> "_Interval":
-        lo = None if self.hi is None else -self.hi
-        hi = None if self.lo is None else -self.lo
-        return _Interval(lo, self.hi_strict, hi, self.lo_strict)
-
-    def power(self, e: int) -> "_Interval":
-        if e == 0:
-            return _Interval.exact(Fraction(1))
-        if e % 2:
-            lo = None if self.lo is None else self.lo ** e
-            hi = None if self.hi is None else self.hi ** e
-            return _Interval(lo, self.lo_strict, hi, self.hi_strict)
-        if self.lo is not None and self.lo >= 0:
-            return _Interval(self.lo ** e, self.lo_strict,
-                             None if self.hi is None else self.hi ** e, self.hi_strict)
-        if self.hi is not None and self.hi <= 0:
-            return _Interval((-self.hi) ** e, self.hi_strict,
-                             None if self.lo is None else (-self.lo) ** e, self.lo_strict)
-        # the range straddles zero (or is unbounded around it)
-        if self.lo is None or self.hi is None:
-            return _Interval(Fraction(0), False, None, True)
-        a, b = (-self.lo) ** e, self.hi ** e
-        if a > b:
-            hi, strict = a, self.lo_strict
-        elif b > a:
-            hi, strict = b, self.hi_strict
-        else:
-            hi, strict = a, self.lo_strict and self.hi_strict
-        return _Interval(Fraction(0), False, hi, strict)
-
-    def multiply(self, other: "_Interval") -> "_Interval":
-        if not (self.bounded() and other.bounded()):
-            return _Interval()
-        candidates = [
-            (self.lo * other.lo, self.lo_strict or other.lo_strict),
-            (self.lo * other.hi, self.lo_strict or other.hi_strict),
-            (self.hi * other.lo, self.hi_strict or other.lo_strict),
-            (self.hi * other.hi, self.hi_strict or other.hi_strict),
-        ]
-        lo = min(v for v, _ in candidates)
-        hi = max(v for v, _ in candidates)
-        lo_strict = all(s for v, s in candidates if v == lo)
-        hi_strict = all(s for v, s in candidates if v == hi)
-        return _Interval(lo, lo_strict, hi, hi_strict)
-
-    def sign_set(self) -> frozenset:
-        out = _ANY
-        if self.lo is not None:
-            if self.lo > 0 or (self.lo == 0 and self.lo_strict):
-                out = out & _POS
-            elif self.lo == 0:
-                out = out & _NONNEG
-        if self.hi is not None:
-            if self.hi < 0 or (self.hi == 0 and self.hi_strict):
-                out = out & _NEG
-            elif self.hi == 0:
-                out = out & _NONPOS
-        return out
-
-
-def interval_of(f: Polynomial, region: Region) -> _Interval:
+def interval_of(f: Polynomial, region: Region) -> VariableCondition:
     """Sound range enclosure of f over the region's box."""
-    total = _Interval.exact(Fraction(0))
+    total = VariableCondition.point(0)
     for exps, coeff in f.terms.items():
-        term = _Interval.exact(Fraction(1))
+        term = VariableCondition.point(1)
         for name, e in zip(f.vars, exps):
             if e:
-                base = _Interval.of_condition(region.condition(name))
-                term = term.multiply(base.power(e))
+                term = term.multiply(region.condition(name).power(e))
         total = total.add(term.scale(coeff))
     return total
 
@@ -327,15 +312,6 @@ def polynomial_sign_set(f: Polynomial, region: Region) -> frozenset:
 _CLAIM_SETS = {"positive": _POS, "negative": _NEG, "zero": _ZERO}
 
 
-def _occurring_names(f: Polynomial) -> set[str]:
-    names: set[str] = set()
-    for exps in f.terms:
-        for name, e in zip(f.vars, exps):
-            if e:
-                names.add(name)
-    return names
-
-
 def _evaluate_at(f: Polynomial, point: Mapping[str, Fraction]) -> Fraction:
     filled = {name: Fraction(point.get(name, 0)) for name in f.vars}
     return f.evaluate(filled)
@@ -343,16 +319,22 @@ def _evaluate_at(f: Polynomial, point: Mapping[str, Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """Witness: the whole region is pinned to one point; check its sign."""
+    """Witness: the region pins the expression to one point; check its sign.
+
+    Sound only because every variable of the expression has closed bounds
+    lower == upper == its value in the point, so the expression takes that
+    one value on the whole region.
+    """
 
     point: Mapping[str, Fraction]
     method = "exact evaluation"
 
     def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        if not region.contains(self.point):
-            return False
-        if not _occurring_names(expression) <= set(self.point):
-            return False
+        for name in expression.occurring_variables():
+            cond = region.condition(name)
+            if (name not in self.point or cond.lower_strict or cond.upper_strict
+                    or not cond.lower == cond.upper == Fraction(self.point[name])):
+                return False
         value = _evaluate_at(expression, self.point)
         return frozenset({_sign_of(value)}) == _CLAIM_SETS[claimed]
 
@@ -371,7 +353,7 @@ class SturmWindow:
     method = "Sturm count"
 
     def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        if _occurring_names(expression) != {self.variable}:
+        if expression.occurring_variables() != (self.variable,):
             return False
         cond = region.condition(self.variable)
         lo = NEG_INFINITY if cond.lower is None else cond.lower
@@ -578,49 +560,6 @@ class PowerProduct:
                             self.exponent * base_dot * self.poly + self.base * poly_dot)
 
 
-def _split_linear(f: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
-    """f = coeff*name + rest with degree exactly one in name."""
-    buckets = f.as_univariate_in(name)
-    if len(buckets) != 2:
-        raise ValueError(f"not linear in {name}")
-    return buckets[1], buckets[0]
-
-
-def _replace_square(f: Polynomial, name: str, square_image: Polynomial) -> Polynomial:
-    """v^(2j+s) -> square_image^j * v^s for one variable v."""
-    idx = f.vars.index(name)
-    out = Polynomial.zero(f.vars)
-    for exps, coeff in f.terms.items():
-        e = exps[idx]
-        rest = Polynomial(f.vars, {exps[:idx] + (e % 2,) + exps[idx + 1:]: coeff})
-        out = out + rest * square_image ** (e // 2)
-    return out
-
-
-def _replace_square_rational(value: RationalFunction, name: str,
-                             square: RationalFunction) -> RationalFunction:
-    def lift(poly: Polynomial) -> RationalFunction:
-        idx = poly.vars.index(name)
-        total = RationalFunction(Polynomial.zero(poly.vars))
-        for exps, coeff in poly.terms.items():
-            e = exps[idx]
-            rest = Polynomial(poly.vars, {exps[:idx] + (e % 2,) + exps[idx + 1:]: coeff})
-            term = RationalFunction(rest)
-            for _ in range(e // 2):
-                term = term * square
-            total = total + term
-        return total
-
-    return lift(value.num) / lift(value.den)
-
-
-def _rf_square_free(value: RationalFunction, name: str) -> RationalFunction:
-    """Drop a sign variable whose square is one from both components."""
-    one = Polynomial.constant(value.num.vars, 1)
-    return RationalFunction(_replace_square(value.num, name, one),
-                            _replace_square(value.den, name, one))
-
-
 # -- the seven case checks ---------------------------------------------
 
 
@@ -636,7 +575,7 @@ def check_case_I() -> CaseReport:
     circle = Polynomial.constant(ring, 1) - cs * cs
     squares = a * a + b * b + cc * cc
     c.equal("squared norm of the curvature data reduces to a^2 + b^2 + c^2 under sn^2 -> 1 - cs^2",
-            substitute_even_powers(norm2, "sn", circle), squares)
+            replace_square(RationalFunction(norm2), "sn", circle), squares)
     for name in ("a", "b", "c"):
         c.sign(f"a^2 + b^2 + c^2 is strictly positive wherever {name} is nonzero; the three "
                "regions a, b, c != 0 cover every point but (a, b, c) = (0, 0, 0)",
@@ -644,7 +583,8 @@ def check_case_I() -> CaseReport:
                         PositiveCombination.from_polynomial(squares)))
     c.check("all curvature components vanish at (a, b, c) = (0, 0, 0)",
             all(comp.substitute({"a": 0, "b": 0, "c": 0}).is_zero() for comp in components))
-    at_unit = substitute_even_powers(norm2.substitute({"a": 0, "b": 0, "c": 1}), "sn", circle)
+    at_unit = replace_square(RationalFunction(norm2.substitute({"a": 0, "b": 0, "c": 1})),
+                             "sn", circle)
     c.equal("at (a, b, c) = (0, 0, 1) the squared norm is the nonzero constant 1",
             at_unit, Polynomial.constant(ring, 1))
     c.hypothesis("in this branch the three coefficient functions vanish identically, so the "
@@ -763,12 +703,6 @@ def _case_v_data():
     return ring, chain, params
 
 
-def _rf(value: Polynomial | int) -> RationalFunction:
-    if isinstance(value, Polynomial):
-        return RationalFunction(value)
-    raise TypeError("bind constants through the parameter ring")
-
-
 def check_case_V() -> CaseReport:
     """One constant rotation speed: the conserved combination cannot stay zero."""
     c = _Checker("V")
@@ -776,7 +710,7 @@ def check_case_V() -> CaseReport:
     alpha, c0, c1, rho, rho1, sigma = (Polynomial.variable(params, n) for n in params.names)
     one = Polynomial.constant(params, 1)
 
-    def at_zero(index: int, point: Mapping[str, RationalFunction]) -> RationalFunction:
+    def at_zero(index: int, point: Mapping[str, RationalFunction | Polynomial]) -> RationalFunction:
         return evaluate_rational(chain[index], point, params)
 
     c.hypothesis("with speeds (alpha, 0), alpha > 0, differentiating the compatibility "
@@ -788,8 +722,7 @@ def check_case_V() -> CaseReport:
                     PositiveCombination.from_polynomial(big_a)))
 
     # regime 1: the curvature function has a critical point at 0
-    point = {"alpha": _rf(alpha), "c": _rf(c0), "cd": _rf(Polynomial.zero(params)),
-             "r": _rf(rho), "rd": _rf(rho1)}
+    point = {"alpha": alpha, "c": c0, "cd": Polynomial.zero(params), "r": rho, "rd": rho1}
     c.equal("regime 1: G(0) factors as rho*(c0 + (alpha^2 + c0^2)*rho)",
             at_zero(0, point), RationalFunction(rho * (c0 + big_a * rho)))
     c.hypothesis("regime 1: r(0) > 0 discards the zero root, so r(0) = -c0/(alpha^2 + c0^2)")
@@ -806,10 +739,9 @@ def check_case_V() -> CaseReport:
     c.hypothesis("regime 1: c0 is nonzero (a critical value of a nonzero solution of c'' = c), "
                  "so the vanishing third derivative forces rho1 = 0, and the vanishing second "
                  "derivative then forces c0^2 = 2*alpha^2")
-    point = dict(point, rd=_rf(Polynomial.zero(params)))
+    point = dict(point, rd=Polynomial.zero(params))
     fourth = at_zero(4, point)
-    reduced = RationalFunction(_replace_square(fourth.num, "c0", 2 * alpha * alpha),
-                               _replace_square(fourth.den, "c0", 2 * alpha * alpha))
+    reduced = replace_square(fourth, "c0", 2 * alpha * alpha)
     c.equal("regime 1: under those relations the fourth derivative is the constant 56/9",
             reduced, RationalFunction(CASE5_FOURTH_DERIVATIVE * one))
     c.sign("regime 1: 56/9 is positive, so the fourth derivative cannot vanish",
@@ -817,8 +749,7 @@ def check_case_V() -> CaseReport:
                     PositiveCombination.from_polynomial(CASE5_FOURTH_DERIVATIVE * one)))
 
     # regime 2: the curvature function has a zero at 0
-    point = {"alpha": _rf(alpha), "c": _rf(Polynomial.zero(params)), "cd": _rf(c1),
-             "r": _rf(rho), "rd": _rf(rho1)}
+    point = {"alpha": alpha, "c": Polynomial.zero(params), "cd": c1, "r": rho, "rd": rho1}
     c.equal("regime 2: G(0) equals c1*rho1 + alpha^2*rho^2",
             at_zero(0, point), RationalFunction(c1 * rho1 + alpha * alpha * rho * rho))
     c.equal("regime 2: the first derivative at 0 equals 2*rho*(alpha^2*rho1 + c1)",
@@ -830,7 +761,7 @@ def check_case_V() -> CaseReport:
             at_zero(0, point),
             RationalFunction(alpha ** 4 * rho * rho - c1 * c1, alpha * alpha))
     second = at_zero(2, point)
-    second = _replace_square_rational(second, "rho", RationalFunction(c1 * c1, alpha ** 4))
+    second = replace_square(second, "rho", RationalFunction(c1 * c1, alpha ** 4))
     c.equal("regime 2: the second derivative reduces to 3*c1^4/alpha^4",
             second, RationalFunction(3 * c1 ** 4, alpha ** 4))
     product = 3 * c1 ** 4 * alpha ** 4
@@ -843,16 +774,15 @@ def check_case_V() -> CaseReport:
                  "identically zero")
 
     # regime 3: the curvature function is proportional to its derivative
-    point = {"alpha": _rf(alpha), "c": _rf(c0), "cd": _rf(sigma * c0),
-             "r": _rf(rho), "rd": _rf(rho1)}
+    point = {"alpha": alpha, "c": c0, "cd": sigma * c0, "r": rho, "rd": rho1}
     g0 = at_zero(0, point)
-    coeff, rest = _split_linear(g0.num, "rho1")
+    coeff, rest = linear_split(g0.num, "rho1")
     c.equal("regime 3: G(0) is linear in rho1 with coefficient sigma*c0", coeff, sigma * c0)
     c.hypothesis("regime 3: sigma^2 = 1 and c0 nonzero make sigma*c0 invertible, so rho1 "
                  "solves out of G(0)")
-    rho1_v = _rf_square_free(RationalFunction(-rest * sigma, c0), "sigma")
+    rho1_v = replace_square(RationalFunction(-rest * sigma, c0), "sigma", one)
     point = dict(point, rd=rho1_v)
-    g1 = _rf_square_free(at_zero(1, point), "sigma")
+    g1 = replace_square(at_zero(1, point), "sigma", one)
     linear = 2 * big_a ** 2 * rho + c0 * (c0 * c0 + 4 * alpha * alpha)
     c.equal("regime 3: the reduced first derivative's numerator factors as "
             "-sigma*c0^2*rho^2*(2*A^2*rho + c0*(c0^2 + 4*alpha^2))",
@@ -860,20 +790,20 @@ def check_case_V() -> CaseReport:
     c.hypothesis("regime 3: r(0) > 0 discards the double root rho = 0, and the remaining "
                  "factor is linear in rho, so it pins r(0) uniquely")
     rho_v = RationalFunction(-c0 * (c0 * c0 + 4 * alpha * alpha), 2 * big_a ** 2)
-    full = {name: _rf(Polynomial.variable(params, name)) for name in params.names}
+    full = {name: Polynomial.variable(params, name) for name in params.names}
     root_check = evaluate_rational(g1.num, dict(full, rho=rho_v), params)
     c.check("regime 3: r(0) = -c0*(c0^2 + 4*alpha^2)/(2*(alpha^2 + c0^2)^2) is that root",
-            _rf_square_free(root_check, "sigma").is_zero())
-    rho1_full = _rf_square_free(evaluate_rational(rho1_v.num, dict(full, rho=rho_v), params)
-                                / evaluate_rational(rho1_v.den, dict(full, rho=rho_v), params),
-                                "sigma")
+            replace_square(root_check, "sigma", one).is_zero())
+    rho1_full = replace_square(evaluate_rational(rho1_v.num, dict(full, rho=rho_v), params)
+                               / evaluate_rational(rho1_v.den, dict(full, rho=rho_v), params),
+                               "sigma", one)
     display_rho1 = RationalFunction(
         sigma * c0 * (c0 * c0 - 2 * alpha * alpha) * (c0 * c0 + 4 * alpha * alpha),
         4 * big_a ** 3)
     c.equal("regime 3: r'(0) matches sigma*c0*(c0^2 - 2*alpha^2)*(c0^2 + 4*alpha^2)/(4*A^3)",
             rho1_full, display_rho1)
     point = dict(point, r=rho_v, rd=rho1_full)
-    second = _rf_square_free(at_zero(2, point), "sigma")
+    second = replace_square(at_zero(2, point), "sigma", one)
     display_second = RationalFunction(
         c0 ** 4 * (c0 * c0 + 4 * alpha * alpha) ** 2 * (c0 * c0 + 16 * alpha * alpha),
         8 * big_a ** 5)
@@ -1107,7 +1037,7 @@ def check_case_VII(certificate: MembershipCertificate | None = None) -> CaseRepo
 
     # subbranch t = -2/3
     e4b = system.equation("E4").substitute({"p": 0, "t": Fraction(-2, 3)})
-    coeff, rest = _split_linear(e4b, "B")
+    coeff, rest = linear_split(e4b, "B")
     c.check("subbranch p = 0, t = -2/3: the order-4 equation is linear in B with both "
             "coefficients multiples of u",
             coeff.substitute({"u": 0}).is_zero() and rest.substitute({"u": 0}).is_zero()

@@ -19,18 +19,6 @@ import time
 from importlib import metadata
 from pathlib import Path
 
-from .cases import (
-    CASE_IDS,
-    check_case_I,
-    check_case_II,
-    check_case_III,
-    check_case_IV,
-    check_case_V,
-    check_case_VI,
-    check_case_VII,
-    report_to_document,
-    summarize_report,
-)
 from .constraints import (
     NORMALIZED_VARS,
     compatibility_series,
@@ -59,7 +47,7 @@ from .series import (
     quadratic_forced_component,
     solve_profile_ivp,
 )
-from . import numeric
+from . import cases, numeric
 
 MANIFEST_FORMAT = "birot4/run-manifest@1"
 EXIT_OK = 0
@@ -282,23 +270,12 @@ def cmd_certify(args) -> int:
 
 # -- check-cases --------------------------------------------------------
 
-_CASE_CHECKS = {
-    "I": check_case_I,
-    "II": check_case_II,
-    "III": check_case_III,
-    "IV": check_case_IV,
-    "V": check_case_V,
-    "VI": check_case_VI,
-    "VII": check_case_VII,
-}
-
-
 def cmd_check_cases(args) -> int:
     started = time.perf_counter()
     selection = list(args.cases) if args.cases else ["all"]
     if "all" in selection:
-        selection = list(CASE_IDS)
-    unknown = [s for s in selection if s not in CASE_IDS]
+        selection = list(cases.CASE_IDS)
+    unknown = [s for s in selection if s not in cases.CASE_IDS]
     if unknown:
         print(f"error: unknown case selection {unknown}", file=sys.stderr)
         return EXIT_USAGE
@@ -306,10 +283,7 @@ def cmd_check_cases(args) -> int:
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     mismatches = []
     for label, text in CASE7_SYSTEM_TEXT.items():
-        expected = parse_polynomial(text, NORMALIZED_VARS)
-        if args.perturb_e2 and label == "E2":
-            expected = expected + Polynomial.constant(NORMALIZED_VARS, 1)
-        if system.equation(label) != expected:
+        if system.equation(label) != parse_polynomial(text, NORMALIZED_VARS):
             mismatches.append(label)
     if mismatches:
         payload = {
@@ -326,19 +300,21 @@ def cmd_check_cases(args) -> int:
         return EXIT_FAIL
 
     certificate = _load_certificate(args.certificate) if args.certificate else None
-    reports = [check_case_VII(certificate) if case == "VII" else _CASE_CHECKS[case]()
-               for case in selection]
+    # resolved through the module on each call: perfbench's tracer times the
+    # cases by rebinding cases.check_case_*
+    reports = [cases.check_case_VII(certificate) if case == "VII"
+               else getattr(cases, f"check_case_{case}")() for case in selection]
     all_verified = all(r.verdict == "contradiction-verified" for r in reports)
     payload = {
         "format": "birot4/case-run@1",
         "selection": selection,
         "extraction_match": True,
-        "reports": [report_to_document(r) for r in reports],
+        "reports": [cases.report_to_document(r) for r in reports],
         "all_verified": all_verified,
     }
     _emit(args, "check-cases", payload, started)
     for report in reports:
-        print(summarize_report(report))
+        print(cases.summarize_report(report))
     verified = sum(r.verdict == "contradiction-verified" for r in reports)
     print(f"{verified}/{len(reports)} cases verified")
     if not all_verified:
@@ -462,16 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--output", help="artifact path")
     certify.set_defaults(func=cmd_certify)
 
-    cases = sub.add_parser("check-cases", help="run the branch contradiction checks")
-    cases.add_argument("cases", nargs="*", default=["all"],
+    check = sub.add_parser("check-cases", help="run the branch contradiction checks")
+    check.add_argument("cases", nargs="*", default=["all"],
                        help="case ids (I..VII) or 'all'")
-    cases.add_argument("--certificate", metavar="FILE",
+    check.add_argument("--certificate", metavar="FILE",
                        help="case VII re-checks this stored certify artifact "
                             "instead of computing the certificate")
-    cases.add_argument("--perturb-e2", action="store_true",
-                       help="test mode: tamper the order-2 reference before matching")
-    cases.add_argument("--output", help="artifact path")
-    cases.set_defaults(func=cmd_check_cases)
+    check.add_argument("--output", help="artifact path")
+    check.set_defaults(func=cmd_check_cases)
 
     simulate = sub.add_parser("simulate", help="integrate profiles and report residuals")
     simulate.add_argument("--preset", choices=("catenoid", "cylinder"))

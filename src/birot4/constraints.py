@@ -165,7 +165,7 @@ def _require_divisor(name: str, case_tag: str) -> None:
             f"case {case_tag} would divide by {name}, which its hypotheses do not protect")
 
 
-def _linear_split(f: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
+def linear_split(f: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
     """Split f = coeff*name + rest, requiring degree exactly one in name."""
     buckets = f.as_univariate_in(name)
     if len(buckets) != 2:
@@ -211,7 +211,7 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
         _require_divisor("beta", case_tag)
         eliminated["y1"] = RationalFunction(-c0r1, beta)
 
-        x1_coeff, x1_rest = _linear_split(compat[1], "x1")
+        x1_coeff, x1_rest = linear_split(compat[1], "x1")
         if x1_coeff != alpha:
             raise ExtractionError("order-1 compatibility coefficient is not monic in x1 over alpha")
         _require_divisor("alpha", case_tag)
@@ -235,7 +235,7 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
         eliminated["r1"] = RationalFunction(Polynomial.zero(vars))
         coeffs = [f.substitute({"r1": 0}) for f in compat.coefficients]
 
-        x1_coeff, x1_rest = _linear_split(coeffs[1], "x1")
+        x1_coeff, x1_rest = linear_split(coeffs[1], "x1")
         if x1_coeff != alpha:
             raise ExtractionError("order-1 compatibility coefficient is not monic in x1 over alpha")
         _require_divisor("alpha", case_tag)
@@ -246,7 +246,7 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
             origins.append(origin)
 
     else:
-        x1_coeff, x1_rest = _linear_split(compat[0], "x1")
+        x1_coeff, x1_rest = linear_split(compat[0], "x1")
         if x1_coeff != alpha:
             raise ExtractionError("order-0 compatibility coefficient is not monic in x1 over alpha")
         _require_divisor("alpha", case_tag)
@@ -338,6 +338,7 @@ __all__ = [
     "arc_defect_series",
     "compatibility_series",
     "extract_system",
+    "linear_split",
     "system_from_document",
     "system_to_document",
 ]

@@ -179,18 +179,18 @@ def stencil_first_derivative(values: Sequence[float], step: float) -> np.ndarray
     return core / (12 * step)
 
 
-def _second_layer_stride(n_first: int, step: float, span: float) -> int:
+def _second_layer_stride(n_first: int, step: float) -> int:
     """Spacing for the second stencil layer.
 
     Differencing twice amplifies round-off like 1/H^4, so the second layer
     runs on a strided subsample whose spacing balances that against the H^4
-    truncation error; the default span sits near the crossover.
+    truncation error; STENCIL_SPAN sits near the crossover.
     """
-    stride = max(1, round(span / step))
+    stride = max(1, round(STENCIL_SPAN / step))
     return max(1, min(stride, (n_first - 1) // 4))
 
 
-def _layered_residuals(trajectory: Trajectory, span: float):
+def _layered_residuals(trajectory: Trajectory):
     if len(trajectory) < 5:
         raise NumericError("trajectory too short: the stencil needs 5 samples")
     if len(trajectory) < 9:
@@ -210,7 +210,7 @@ def _layered_residuals(trajectory: Trajectory, span: float):
     b = stencil_first_derivative(yd, h) / r2[2:-2]
     c = (stencil_first_derivative(rd, h) - r[2:-2]) / r2[2:-2]
     compat = np.abs(a * xd[2:-2] + b * yd[2:-2] + c * rd[2:-2])
-    m = _second_layer_stride(len(a), trajectory.step, span)
+    m = _second_layer_stride(len(a), trajectory.step)
     big_h = m * h
     a_dd = np.abs(stencil_second_derivative(a[::m], big_h))
     b_dd = np.abs(stencil_second_derivative(b[::m], big_h))
@@ -221,20 +221,18 @@ def _layered_residuals(trajectory: Trajectory, span: float):
     return tau, arc, compat, fourth, deep
 
 
-def residual_profile(trajectory: Trajectory,
-                     stencil_span: float = STENCIL_SPAN) -> tuple[np.ndarray, np.ndarray]:
+def residual_profile(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise joint residual max(|arc|, |compatibility|, |fourth-order|).
 
     Returns the tau values where both stencil layers exist and the joint
     residual there.
     """
-    tau, arc, compat, fourth, deep = _layered_residuals(trajectory, stencil_span)
+    tau, arc, compat, fourth, deep = _layered_residuals(trajectory)
     joint = np.maximum.reduce([arc[deep], compat[deep - 2], fourth])
     return tau[deep], joint
 
 
-def biharmonic_residual(trajectory: Trajectory,
-                        stencil_span: float = STENCIL_SPAN) -> ResidualReport:
+def biharmonic_residual(trajectory: Trajectory) -> ResidualReport:
     """Maximum structural residuals of a trajectory.
 
     Recovers the rotation speeds and the curvature function from the
@@ -242,7 +240,7 @@ def biharmonic_residual(trajectory: Trajectory,
     stencils), then reports the worst arc-length defect, compatibility
     defect, and fourth-order defect max(|a''|, |b''|, |c'' - c|).
     """
-    tau, arc, compat, fourth, deep = _layered_residuals(trajectory, stencil_span)
+    tau, arc, compat, fourth, deep = _layered_residuals(trajectory)
     return ResidualReport(
         arc_defect=float(arc.max()),
         compatibility=float(compat.max()),
@@ -444,21 +442,11 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     return SweepSummary(tuple(rows))
 
 
-def trajectory_table(trajectory: Trajectory, residuals: tuple[np.ndarray, np.ndarray] | None = None) -> list[str]:
-    """Delimited text rows for a trajectory, optionally with the joint residual column."""
-    header = ",".join(STATE_COLUMNS)
-    residual_at = {}
-    if residuals is not None:
-        taus, joint = residuals
-        header += ",joint_residual"
-        residual_at = {round(float(t), 12): float(v) for t, v in zip(taus, joint)}
-    lines = [header]
+def trajectory_table(trajectory: Trajectory) -> list[str]:
+    """Delimited text rows for a trajectory: a header, then one row per state."""
+    lines = [",".join(STATE_COLUMNS)]
     for state in trajectory.states:
-        cells = [f"{v:.12g}" for v in state.values()]
-        if residuals is not None:
-            key = round(state.tau, 12)
-            cells.append(f"{residual_at[key]:.6e}" if key in residual_at else "")
-        lines.append(",".join(cells))
+        lines.append(",".join(f"{v:.12g}" for v in state.values()))
     return lines
 
 

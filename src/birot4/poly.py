@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .scalar import Rational, format_rational, parse_rational
 
@@ -200,6 +200,11 @@ class Polynomial:
             return -1
         idx = self.vars.index(name)
         return max(e[idx] for e in self.terms)
+
+    def occurring_variables(self) -> tuple[str, ...]:
+        """Names with a positive exponent in some term, in ring order."""
+        return tuple(name for index, name in enumerate(self.vars)
+                     if any(exps[index] for exps in self.terms))
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -448,19 +453,6 @@ def eliminate_linear(f: Polynomial, name: str, den: Polynomial, num: Polynomial)
     return out
 
 
-def substitute_even_powers(f: Polynomial, name: str, square_image: Polynomial) -> Polynomial:
-    """Replace v^(2j) by square_image^j; rejects odd powers of v."""
-    idx = f.vars.index(name)
-    out = Polynomial.zero(f.vars)
-    for exps, coeff in f.terms.items():
-        e = exps[idx]
-        if e % 2:
-            raise ValueError(f"odd power of {name!r} in {f}")
-        rest = exps[:idx] + (0,) + exps[idx + 1:]
-        out = out + Polynomial(f.vars, {rest: coeff}) * square_image ** (e // 2)
-    return out
-
-
 # -- text format -------------------------------------------------------
 
 _TERM_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
@@ -571,12 +563,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @staticmethod
-    def of(value: Polynomial | Coefficient, vars: VariableSet) -> "RationalFunction":
-        if isinstance(value, Polynomial):
-            return RationalFunction(value)
-        return RationalFunction(Polynomial.constant(vars, value))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -638,9 +624,7 @@ def evaluate_rational(f: Polynomial, point: Mapping[str, "RationalFunction | Pol
     variables absent from f need no value.  The result lives over ``vars``.
     """
     images: dict[str, RationalFunction] = {}
-    for index, name in enumerate(f.vars):
-        if not any(exps[index] for exps in f.terms):
-            continue
+    for name in f.occurring_variables():
         if name not in point:
             raise ValueError(f"no value for variable {name!r}")
         value = point[name]
@@ -658,3 +642,26 @@ def evaluate_rational(f: Polynomial, point: Mapping[str, "RationalFunction | Pol
                 term = term * images[name]
         total = total + term
     return total
+
+
+def replace_square(value: RationalFunction, name: str,
+                   square: "RationalFunction | Polynomial") -> RationalFunction:
+    """value with every name^(2j + s), s in {0, 1}, rewritten as square^j * name^s.
+
+    ``square`` is what name^2 equals on the locus at hand (1 - cs^2 for a
+    sine, 1 for a sign variable, c1^2/alpha^4 for a solved radius), over
+    value's ring.  Both parts of value are rewritten exactly.
+    """
+    v = Polynomial.variable(value.num.vars, name)
+
+    def lift(f: Polynomial) -> RationalFunction:
+        total = RationalFunction(Polynomial.zero(f.vars))
+        power = RationalFunction(Polynomial.constant(f.vars, 1))
+        buckets = f.as_univariate_in(name)
+        for j in range(0, len(buckets), 2):
+            odd = buckets[j + 1] * v if j + 1 < len(buckets) else 0
+            total = total + power * (buckets[j] + odd)
+            power = power * square
+        return total
+
+    return lift(value.num) / lift(value.den)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import LEX, Polynomial, exact_divide, monomial_degree
-from .scalar import Rational
+from .poly import Polynomial, exact_divide, monomial_degree
 
 NEG_INFINITY = float("-inf")
 POS_INFINITY = float("inf")
@@ -26,16 +25,10 @@ class EndpointRootError(ValueError):
 
 def univariate_name(f: Polynomial) -> str | None:
     """The single variable occurring in f, or None for a constant."""
-    seen: set[str] = set()
-    for exps in f.terms.keys():
-        for name, e in zip(f.vars, exps):
-            if e:
-                seen.add(name)
-    if not seen:
-        return None
-    if len(seen) > 1:
-        raise ValueError(f"not univariate: {sorted(seen)} occur in {f}")
-    return seen.pop()
+    names = f.occurring_variables()
+    if len(names) > 1:
+        raise ValueError(f"not univariate: {list(names)} occur in {f}")
+    return names[0] if names else None
 
 
 def dense_coefficients(f: Polynomial, name: str) -> list[Fraction]:
@@ -88,6 +81,17 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return r
 
 
+def _dense_sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    """f, f', then negated Euclidean remainders; f has degree at least one."""
+    chain = [coeffs, [c * k for k, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
 def sturm_chain(f: Polynomial) -> list[Polynomial]:
     """Standard Sturm sequence: f, f', then negated Euclidean remainders."""
     if f.is_zero():
@@ -95,17 +99,7 @@ def sturm_chain(f: Polynomial) -> list[Polynomial]:
     name = univariate_name(f)
     if name is None:
         return [f]
-    coeffs = dense_coefficients(f, name)
-    chain = [coeffs]
-    derivative = [c * k for k, c in enumerate(coeffs)][1:]
-    if derivative:
-        chain.append(derivative)
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [_from_dense(c, f, name) for c in chain]
+    return [_from_dense(c, f, name) for c in _dense_sturm_chain(dense_coefficients(f, name))]
 
 
 def _sign_at(coeffs: list[Fraction], point) -> int:
@@ -131,33 +125,14 @@ def _variations(chains: list[list[Fraction]], point) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _deflate_root(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Divide out (v - root) as often as it divides."""
-    out = list(coeffs)
-    while len(out) > 1 and not _horner(out, root):
-        quotient = [Fraction(0)] * (len(out) - 1)
-        acc = Fraction(0)
-        for k in range(len(out) - 1, 0, -1):
-            acc = out[k] + acc * root
-            quotient[k - 1] = acc
-        out = quotient
-        while out and not out[-1]:
-            out.pop()
-    return out
-
-
-def count_real_roots(f: Polynomial, interval=REAL_LINE, on_endpoint_root: str = "raise") -> int:
+def count_real_roots(f: Polynomial, interval=REAL_LINE) -> int:
     """Distinct real roots of f in the open interval (a, b).
 
-    Endpoints are rationals or +/- infinity.  If a finite endpoint is a root,
-    either raise (default) or, with on_endpoint_root="exclude", divide out the
-    corresponding linear factor first -- exact, and equivalent to shrinking
-    the interval past the endpoint root.
+    Endpoints are rationals or +/- infinity.  A finite endpoint that is a
+    root raises EndpointRootError.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no root count")
-    if on_endpoint_root not in ("raise", "exclude"):
-        raise ValueError(f"bad on_endpoint_root: {on_endpoint_root!r}")
     lo, hi = interval
     if not (lo == NEG_INFINITY or isinstance(lo, (int, Fraction))):
         raise ValueError(f"bad lower endpoint {lo!r}")
@@ -170,22 +145,9 @@ def count_real_roots(f: Polynomial, interval=REAL_LINE, on_endpoint_root: str = 
         return 0
     coeffs = dense_coefficients(f, name)
     for endpoint in (lo, hi):
-        if endpoint in (NEG_INFINITY, POS_INFINITY):
-            continue
-        if not _horner(coeffs, Fraction(endpoint)):
-            if on_endpoint_root == "raise":
-                raise EndpointRootError(f"endpoint {endpoint} is a root of {f}")
-            coeffs = _deflate_root(coeffs, Fraction(endpoint))
-    if len(coeffs) <= 1:
-        return 0
-    chain = [coeffs]
-    derivative = [c * k for k, c in enumerate(coeffs)][1:]
-    chain.append(derivative)
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
+        if endpoint not in (NEG_INFINITY, POS_INFINITY) and not _horner(coeffs, Fraction(endpoint)):
+            raise EndpointRootError(f"endpoint {endpoint} is a root of {f}")
+    chain = _dense_sturm_chain(coeffs)
     return _variations(chain, lo) - _variations(chain, hi)
 
 

@@ -130,6 +130,17 @@ def test_point_evaluation_witness():
     assert not SignFact(X, region, "positive", outside).verify()
     # a variable of the expression is not pinned by the point
     assert not SignFact(X + Y, region, "positive", PointEvaluation({"x": Fraction(2)})).verify()
+    # one evaluation says nothing about a window or a free variable, even where
+    # the point lies in the region and its value has the claimed sign
+    t = Polynomial.variable(variables("t"), "t")
+    assert not SignFact(t - 2, Region({"t": VariableCondition.window(0, 10)}), "negative",
+                        PointEvaluation({"t": 1})).verify()
+    assert not SignFact(t, Region(), "positive", PointEvaluation({"t": 1})).verify()
+    # an open bound at the point's value does not pin it
+    half_open = VariableCondition(lower=Fraction(2), lower_strict=False,
+                                  upper=Fraction(2), upper_strict=True)
+    assert not SignFact(X, Region({"x": half_open}), "positive",
+                        PointEvaluation({"x": Fraction(2)})).verify()
     # zero claims work too
     origin = Region({"x": VariableCondition.point(0)})
     assert SignFact(X, origin, "zero", PointEvaluation({"x": Fraction(0)})).verify()
@@ -245,12 +256,12 @@ def test_interval_enclosure_is_sound():
     for _ in range(50):
         sample = Fraction(rng.randint(0, 64), 64)
         value = f.evaluate({"x": sample, "y": Fraction(0)})
-        assert enclosure.lo is None or enclosure.lo <= value
-        assert enclosure.hi is None or value <= enclosure.hi
+        assert enclosure.lower is None or enclosure.lower <= value
+        assert enclosure.upper is None or value <= enclosure.upper
     free = interval_of(X, Region())
-    assert free.lo is None and free.hi is None
+    assert free.lower is None and free.upper is None
     pinned = interval_of(2 * X + ONE, Region({"x": VariableCondition.point(3)}))
-    assert pinned.lo == pinned.hi == Fraction(7)
+    assert pinned.lower == pinned.upper == Fraction(7)
 
 
 def test_elimination_routes_agree_on_exact_resultants():

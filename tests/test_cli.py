@@ -127,9 +127,14 @@ def test_check_cases_subset(tmp_path, capsys):
     assert all(r["verdict"] == "contradiction-verified" for r in payload["reports"])
 
 
-def test_check_cases_detects_perturbation(tmp_path, capsys):
+def test_check_cases_detects_perturbation(tmp_path, monkeypatch, capsys):
+    import birot4.cli
+
+    perturbed = dict(birot4.cli.CASE7_SYSTEM_TEXT)
+    perturbed["E2"] += " + 1"
+    monkeypatch.setattr(birot4.cli, "CASE7_SYSTEM_TEXT", perturbed)
     out = tmp_path / "perturbed.json"
-    assert main(["check-cases", "I", "--perturb-e2", "--output", str(out)]) == 1
+    assert main(["check-cases", "I", "--output", str(out)]) == 1
     assert "FAILED" in capsys.readouterr().err
     payload = _load(out)["payload"]
     assert payload["extraction_match"] is False

@@ -265,11 +265,6 @@ def test_trajectory_table_layout(catenoid_forward):
     plain = trajectory_table(catenoid_forward)
     assert plain[0] == ",".join(STATE_COLUMNS)
     assert len(plain) == len(catenoid_forward) + 1
-    with_residuals = trajectory_table(catenoid_forward,
-                                      residual_profile(catenoid_forward))
-    assert with_residuals[0].endswith(",joint_residual")
-    filled = [line for line in with_residuals[1:] if not line.endswith(",")]
-    assert filled
     column = catenoid_forward.column("r")
     assert len(column) == len(catenoid_forward)
     assert abs(column[0] - 1.0) < 1e-15

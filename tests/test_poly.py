@@ -22,7 +22,7 @@ from birot4.poly import (
     monomial_lcm,
     parse_polynomial,
     primitive_normalize,
-    substitute_even_powers,
+    replace_square,
     variables,
 )
 
@@ -280,13 +280,23 @@ def test_eliminate_linear_rejects_self_reference():
         eliminate_linear(x * y, "x", x + 1, y)
 
 
-def test_substitute_even_powers():
+def test_replace_square():
     x, y, _ = _symbols()
-    f = x ** 4 * y + 2 * x ** 2 - 5
     image = y + 1
-    assert substitute_even_powers(f, "x", image) == image ** 2 * y + 2 * image - 5
-    with pytest.raises(ValueError):
-        substitute_even_powers(x ** 3, "x", image)
+    f = RationalFunction(x ** 4 * y + 2 * x ** 2 - 5)
+    assert replace_square(f, "x", image) == image ** 2 * y + 2 * image - 5
+    # an odd power keeps one factor of the variable; the denominator is rewritten too
+    g = RationalFunction(x ** 3 + y, x ** 2 * y)
+    assert replace_square(g, "x", image) == RationalFunction(image * x + y, image * y)
+    # a rational image: x^2 = 1/y
+    one = Polynomial.constant(XYZ, 1)
+    assert (replace_square(RationalFunction(x ** 4 * y - x), "x", RationalFunction(one, y))
+            == RationalFunction(one - x * y, y))
+    # with a polynomial image the parts are those of the rewritten parts, not
+    # merely an equal quotient
+    h = replace_square(RationalFunction(2 * x ** 2 * y, 3 * x ** 3 - y), "x", image)
+    want = RationalFunction(2 * image * y, 3 * image * x - y)
+    assert (h.num, h.den) == (want.num, want.den)
 
 
 def test_rational_function_equality_is_cross_multiplied():

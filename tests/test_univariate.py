@@ -98,13 +98,13 @@ def test_half_open_infinite_windows():
     assert count_real_roots(f, (NEG_INFINITY, Fraction(0))) == 1
 
 
-def test_endpoint_root_raises_or_deflates():
+def test_endpoint_root_raises():
     f = _poly_with_roots([0, 2])
     with pytest.raises(EndpointRootError):
         count_real_roots(f, (Fraction(0), Fraction(5)))
-    assert count_real_roots(f, (Fraction(0), Fraction(5)), on_endpoint_root="exclude") == 1
-    with pytest.raises(ValueError):
-        count_real_roots(f, (Fraction(0), Fraction(5)), on_endpoint_root="typo")
+    with pytest.raises(EndpointRootError):
+        count_real_roots(f, (Fraction(-1), Fraction(2)))
+    assert count_real_roots(f, (Fraction(1, 2), Fraction(5))) == 1
 
 
 def test_degenerate_inputs():
