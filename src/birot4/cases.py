@@ -321,7 +321,7 @@ def _evaluate_at(f: Polynomial, point: Mapping[str, Fraction]) -> Fraction:
 class PointEvaluation:
     """Witness: the region pins the expression to one point; check its sign.
 
-    Sound only because every variable of the expression has closed bounds
+    Sound because every variable of the expression has closed bounds
     lower == upper == its value in the point, so the expression takes that
     one value on the whole region.
     """

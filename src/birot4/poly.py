@@ -623,18 +623,12 @@ def evaluate_rational(f: Polynomial, point: Mapping[str, "RationalFunction | Pol
     Every variable that occurs in some term of f must be bound; ring
     variables absent from f need no value.  The result lives over ``vars``.
     """
+    total = RationalFunction(Polynomial.zero(vars))
     images: dict[str, RationalFunction] = {}
     for name in f.occurring_variables():
         if name not in point:
             raise ValueError(f"no value for variable {name!r}")
-        value = point[name]
-        if isinstance(value, RationalFunction):
-            images[name] = value
-        elif isinstance(value, Polynomial):
-            images[name] = RationalFunction(value)
-        else:
-            images[name] = RationalFunction(Polynomial.constant(vars, value))
-    total = RationalFunction(Polynomial.zero(vars))
+        images[name] = total._coerce(point[name])
     for exps, coeff in f.terms.items():
         term = RationalFunction(Polynomial.constant(vars, coeff))
         for name, e in zip(f.vars, exps):
