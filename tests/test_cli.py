@@ -39,6 +39,12 @@ BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench
 # as computing the certificate afresh.
 CHECK_CASES_PAYLOAD_DIGEST = (
     "sha256:4004e79771997317aa14f47031b75384483f6cdb6f8c62f89c6de527b1b26a54")
+# Payload digest of `birot4 simulate --sweep` on its default grid.  The sweep
+# table prints every float of every row, so a change of the integrator's
+# arithmetic or of a point's stopping rule moves this pin; such a change must
+# update it and say so in CHANGES.md.
+SIMULATE_SWEEP_PAYLOAD_DIGEST = (
+    "sha256:782ac657786a63c374da960ee0b1ced10607413db7ed0f5aa9e0ceb7b0b2f71c")
 
 
 def _canonical(payload) -> str:
@@ -314,3 +320,9 @@ def test_payloads_do_not_depend_on_the_hash_seed(tmp_path, certify_artifact):
     assert derive[0] == derive[1]
     certify = _run_cli(tmp_path, "certify", "1", "certify")
     assert certify == certify_artifact["manifest"]["payload_digest"]
+
+
+def test_simulate_sweep_payload_is_pinned(tmp_path):
+    sweeps = [_run_cli(tmp_path, f"sweep{seed}", seed, "simulate", "--sweep")
+              for seed in ("1", "77")]
+    assert sweeps == [SIMULATE_SWEEP_PAYLOAD_DIGEST] * 2
