@@ -6,6 +6,11 @@ trajectory drifts from the arc-length, compatibility, and fourth-order
 conditions.  Everything runs in the polynomial parametrization where the
 right-hand sides are x'' = alpha*tau*r^2, y'' = beta*r^2, r'' = r + c*r^2,
 with the curvature law c'' = c optionally frozen to a constant.
+
+A single trajectory (the catenoid and cylinder presets) integrates on
+Python floats.  The data sweep integrates all of its points together: the
+same RK4 step runs on a tuple of column arrays, one entry per point, so
+each point gets the float operations it would get alone.
 """
 
 from __future__ import annotations
@@ -123,6 +128,15 @@ def _rk4_step(field_at, tau: float, u: tuple[float, ...], h: float) -> tuple[flo
                  for ui, a, b, c, d in zip(u, k1, k2, k3, k4))
 
 
+def _check_start(initial: ProfileState, step: float) -> None:
+    if step <= 0:
+        raise NumericError("step must be positive")
+    if not initial.is_finite():
+        raise NumericError("initial state is not finite")
+    if initial.r <= FLOOR_RADIUS:
+        raise NumericError("initial radius is at or below the floor")
+
+
 def integrate_profile(initial: ProfileState, params: IntegrationParams,
                       t_end: float, step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step fourth-order integration of the profile system.
@@ -131,12 +145,7 @@ def integrate_profile(initial: ProfileState, params: IntegrationParams,
     every step.  A radius at or below the floor truncates the trajectory
     with a flag; a non-finite state raises.
     """
-    if step <= 0:
-        raise NumericError("step must be positive")
-    if not initial.is_finite():
-        raise NumericError("initial state is not finite")
-    if initial.r <= FLOOR_RADIUS:
-        raise NumericError("initial radius is at or below the floor")
+    _check_start(initial, step)
     count = int(round(abs(t_end) / step))
     if count == 0:
         return Trajectory(params, step, (initial,))
@@ -190,18 +199,19 @@ def _second_layer_stride(n_first: int, step: float) -> int:
     return max(1, min(stride, (n_first - 1) // 4))
 
 
-def _layered_residuals(trajectory: Trajectory):
-    if len(trajectory) < 5:
+_RESIDUAL_INPUTS = ("tau", "x_dot", "y_dot", "r", "r_dot")
+
+
+def _layered_residuals(tau: np.ndarray, xd: np.ndarray, yd: np.ndarray,
+                       r: np.ndarray, rd: np.ndarray, step: float):
+    """Arc, compatibility and fourth-order layers from the _RESIDUAL_INPUTS columns."""
+    if len(tau) < 5:
         raise NumericError("trajectory too short: the stencil needs 5 samples")
-    if len(trajectory) < 9:
+    if len(tau) < 9:
         raise NumericError("trajectory too short: the layered stencils need 9 samples")
-    tau = trajectory.column("tau")
     # sample spacing along the index axis; negative for backward runs so the
     # odd-order stencils keep their sign as derivatives in tau
-    h = trajectory.step if tau[1] > tau[0] else -trajectory.step
-    xd = trajectory.column("x_dot")
-    yd = trajectory.column("y_dot")
-    r, rd = trajectory.column("r"), trajectory.column("r_dot")
+    h = step if tau[1] > tau[0] else -step
     arc = np.abs(xd * xd + yd * yd + rd * rd - r * r)
     r2 = r * r
     # second derivatives come from one differentiation of the stored first
@@ -210,7 +220,7 @@ def _layered_residuals(trajectory: Trajectory):
     b = stencil_first_derivative(yd, h) / r2[2:-2]
     c = (stencil_first_derivative(rd, h) - r[2:-2]) / r2[2:-2]
     compat = np.abs(a * xd[2:-2] + b * yd[2:-2] + c * rd[2:-2])
-    m = _second_layer_stride(len(a), trajectory.step)
+    m = _second_layer_stride(len(a), step)
     big_h = m * h
     a_dd = np.abs(stencil_second_derivative(a[::m], big_h))
     b_dd = np.abs(stencil_second_derivative(b[::m], big_h))
@@ -218,7 +228,7 @@ def _layered_residuals(trajectory: Trajectory):
     fourth = np.maximum.reduce([a_dd, b_dd, c_gap])
     # trajectory indices of the second-layer outputs
     deep = np.array([2 + (j + 2) * m for j in range(len(fourth))])
-    return tau, arc, compat, fourth, deep
+    return arc, compat, fourth, deep
 
 
 def residual_profile(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +237,15 @@ def residual_profile(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     Returns the tau values where both stencil layers exist and the joint
     residual there.
     """
-    tau, arc, compat, fourth, deep = _layered_residuals(trajectory)
+    return _joint_residual(*_trajectory_inputs(trajectory), trajectory.step)
+
+
+def _trajectory_inputs(trajectory: Trajectory) -> list[np.ndarray]:
+    return [trajectory.column(name) for name in _RESIDUAL_INPUTS]
+
+
+def _joint_residual(tau, xd, yd, r, rd, step: float) -> tuple[np.ndarray, np.ndarray]:
+    arc, compat, fourth, deep = _layered_residuals(tau, xd, yd, r, rd, step)
     joint = np.maximum.reduce([arc[deep], compat[deep - 2], fourth])
     return tau[deep], joint
 
@@ -240,7 +258,8 @@ def biharmonic_residual(trajectory: Trajectory) -> ResidualReport:
     stencils), then reports the worst arc-length defect, compatibility
     defect, and fourth-order defect max(|a''|, |b''|, |c'' - c|).
     """
-    tau, arc, compat, fourth, deep = _layered_residuals(trajectory)
+    arc, compat, fourth, deep = _layered_residuals(*_trajectory_inputs(trajectory),
+                                                   trajectory.step)
     return ResidualReport(
         arc_defect=float(arc.max()),
         compatibility=float(compat.max()),
@@ -407,6 +426,50 @@ def _enforced_initial_state(data: Mapping[str, float]) -> tuple[ProfileState, In
     return state, IntegrationParams(alpha=alpha, beta=beta)
 
 
+def _integrate_together(initials: Sequence[ProfileState], params: IntegrationParams,
+                        t_end: float, step: float) -> tuple[np.ndarray, list[int], list[str]]:
+    """integrate_profile for P initial states at once, on columns of length P.
+
+    params holds one alpha and one beta per point, as arrays.  _rk4_step
+    runs unchanged on tuples of arrays, so each point gets the float
+    operations integrate_profile gives it.  Returns the samples as a
+    (STATE_COLUMNS x steps + 1 x P) array, and per point the number of
+    samples kept and a status: "ok"; "radius-floor", where the samples end
+    before the first state at or below the floor; or "non-finite".  A point
+    that stops early keeps integrating in the batch, and its later samples
+    are never read.
+    """
+    count = int(round(abs(t_end) / step))
+    h = step if t_end > 0 else -step
+    field_at = _derivative_field(params)
+    samples = np.empty((len(STATE_COLUMNS), count + 1, len(initials)))
+    samples[:, 0, :] = np.array([s.values() for s in initials]).T
+    tau0 = samples[0, 0].copy()
+    tau = tau0
+    u = tuple(samples[1:, 0])
+    kept = [count + 1] * len(initials)
+    status = ["ok"] * len(initials)
+    running = np.ones(len(initials), dtype=bool)
+    r_index = STATE_COLUMNS.index("r")
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            if not running.any():
+                break
+            u = _rk4_step(field_at, tau, u, h)
+            tau = tau0 + (i + 1) * h
+            row = samples[:, i + 1]
+            row[0] = tau
+            row[1:] = u
+            finite = np.isfinite(row).all(axis=0)
+            stopped = running & ~(finite & (row[r_index] > FLOOR_RADIUS))
+            if stopped.any():
+                for p in np.flatnonzero(stopped):
+                    kept[p] = i + 1
+                    status[p] = "radius-floor" if finite[p] else "non-finite"
+                running &= ~stopped
+    return samples, kept, status
+
+
 def sweep_nonminimal(points: Iterable[Mapping[str, float]],
                      window: float = DEFAULT_WINDOW,
                      step: float = DEFAULT_STEP,
@@ -417,28 +480,46 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     compatibility hold exactly when possible; points where they cannot are
     recorded, not skipped.  A violation_tau of None means the trajectory
     stayed within the threshold over the whole window.
+
+    The points that admit initial data integrate together as one batch of
+    column arrays; each row is the one integrate_profile and
+    residual_profile give that point alone.
     """
-    rows = []
-    for data in points:
+    data_rows = [dict(data) for data in points]
+    rows: list[SweepRow | None] = [None] * len(data_rows)
+    batch, initials, alphas, betas = [], [], [], []
+    for index, data in enumerate(data_rows):
         prepared = _enforced_initial_state(data)
         if isinstance(prepared, str):
-            rows.append(SweepRow(dict(data), prepared))
+            rows[index] = SweepRow(data, prepared)
             continue
         state, params = prepared
         try:
-            trajectory = integrate_profile(state, params, window, step)
+            _check_start(state, step)
         except NumericError:
-            rows.append(SweepRow(dict(data), "non-finite"))
+            rows[index] = SweepRow(data, "non-finite")
             continue
-        status = "ok" if not trajectory.truncated else trajectory.flag
-        try:
-            taus, joint = residual_profile(trajectory)
-        except NumericError:
-            rows.append(SweepRow(dict(data), "too-short"))
-            continue
-        exceed = np.nonzero(joint > threshold)[0]
-        violation = float(taus[exceed[0]]) if len(exceed) else None
-        rows.append(SweepRow(dict(data), status, violation, float(joint.max())))
+        batch.append(index)
+        initials.append(state)
+        alphas.append(params.alpha)
+        betas.append(params.beta)
+    if batch:
+        params = IntegrationParams(alpha=np.array(alphas), beta=np.array(betas))
+        samples, kept, status = _integrate_together(initials, params, window, step)
+        inputs = [samples[STATE_COLUMNS.index(name)] for name in _RESIDUAL_INPUTS]
+        for p, index in enumerate(batch):
+            data = data_rows[index]
+            if status[p] == "non-finite":
+                rows[index] = SweepRow(data, status[p])
+                continue
+            try:
+                taus, joint = _joint_residual(*(column[:kept[p], p] for column in inputs), step)
+            except NumericError:
+                rows[index] = SweepRow(data, "too-short")
+                continue
+            exceed = np.nonzero(joint > threshold)[0]
+            violation = float(taus[exceed[0]]) if len(exceed) else None
+            rows[index] = SweepRow(data, status[p], violation, float(joint.max()))
     return SweepSummary(tuple(rows))
 
 

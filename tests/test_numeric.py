@@ -5,15 +5,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from birot4.numeric import (
+    DEFAULT_STEP,
+    DEFAULT_THRESHOLD,
     IntegrationParams,
     NumericError,
     ProfileState,
     STATE_COLUMNS,
     SWEEP_FIELDS,
     SurfaceProfile,
+    SweepRow,
+    _enforced_initial_state,
+    _integrate_together,
     biharmonic_residual,
     catenoid_state,
     catenoid_surface,
@@ -236,29 +242,82 @@ def test_surface_laplacian_grid_validation():
         surface_laplacian_gap(pinched)
 
 
+# One batch that reaches every sweep status, with ok points between the others.
+SWEEP_EDGE_POINTS = [
+    {"r0": 1.0, "r1": 0.0, "c0": 0.0, "c1": 0.0, "alpha": 0.0, "beta": 0.0},
+    {"r0": 1.0, "r1": 0.0, "c0": 0.4, "c1": 0.0, "alpha": 0.0, "beta": 0.0},
+    {"r0": 0.0},
+    {"r0": 1.0, "r1": 0.5, "c0": 1.0, "beta": 0.0},
+    {"r0": 1.0, "r1": 2.0},
+    {"r0": 1.0, "c0": 1000.0},
+    {"r0": 1.0, "r1": 0.0, "c0": -40.0, "c1": -40.0, "beta": 0.1},
+    {"r0": 1.0, "r1": 0.2, "c0": 0.3, "c1": 0.05, "alpha": 0.4, "beta": 0.5},
+    {"r0": 1.0, "c0": -1e5, "c1": -1e5, "beta": 0.1},
+]
+
+
 def test_sweep_statuses():
-    points = [
-        {"r0": 1.0, "r1": 0.0, "c0": 0.0, "c1": 0.0, "alpha": 0.0, "beta": 0.0},
-        {"r0": 1.0, "r1": 0.0, "c0": 0.4, "c1": 0.0, "alpha": 0.0, "beta": 0.0},
-        {"r0": 0.0},
-        {"r0": 1.0, "r1": 0.5, "c0": 1.0, "beta": 0.0},
-        {"r0": 1.0, "r1": 2.0},
-        {"r0": 1.0, "c0": 1000.0},
-    ]
-    summary = sweep_nonminimal(points, window=1.0)
+    summary = sweep_nonminimal(SWEEP_EDGE_POINTS, window=1.0)
     statuses = [row.status for row in summary.rows]
     assert statuses == ["ok", "ok", "invalid-radius", "unsolvable-compatibility",
-                        "unsolvable-arc-length", "non-finite"]
+                        "unsolvable-arc-length", "non-finite", "radius-floor", "ok",
+                        "too-short"]
     clean, violated = summary.rows[0], summary.rows[1]
     assert clean.violation_tau is None
     assert clean.peak_residual < 1e-6
     assert violated.violation_tau is not None and violated.violation_tau < 0.2
     assert violated.peak_residual > 1e-2
+    floored, short = summary.rows[6], summary.rows[8]
+    assert floored.violation_tau == pytest.approx(0.042)
+    assert floored.peak_residual > 1.0
+    assert short.violation_tau is None and short.peak_residual is None
     table = summary.table()
-    assert len(table) == len(points) + 1
+    assert len(table) == len(SWEEP_EDGE_POINTS) + 1
     assert table[0].startswith(",".join(SWEEP_FIELDS))
     empty = sweep_nonminimal([])
     assert empty.rows == () and len(empty.table()) == 1
+
+
+def _sweep_row_alone(data, window: float) -> SweepRow:
+    """The sweep row of one point, integrated on its own as the presets are."""
+    prepared = _enforced_initial_state(data)
+    if isinstance(prepared, str):
+        return SweepRow(dict(data), prepared)
+    try:
+        trajectory = integrate_profile(*prepared, window)
+    except NumericError:
+        return SweepRow(dict(data), "non-finite")
+    try:
+        taus, joint = residual_profile(trajectory)
+    except NumericError:
+        return SweepRow(dict(data), "too-short")
+    exceed = np.nonzero(joint > DEFAULT_THRESHOLD)[0]
+    violation = float(taus[exceed[0]]) if len(exceed) else None
+    return SweepRow(dict(data), trajectory.flag or "ok", violation, float(joint.max()))
+
+
+@pytest.mark.parametrize("window", [1.0, -1.0])
+def test_sweep_rows_equal_single_point_runs(window):
+    """Integrating the points together changes no float of any sample or row."""
+    summary = sweep_nonminimal(SWEEP_EDGE_POINTS, window=window)
+    assert list(summary.rows) == [_sweep_row_alone(data, window) for data in SWEEP_EDGE_POINTS]
+
+    prepared = [item for item in map(_enforced_initial_state, SWEEP_EDGE_POINTS)
+                if not isinstance(item, str)]
+    params = IntegrationParams(alpha=np.array([single.alpha for _, single in prepared]),
+                               beta=np.array([single.beta for _, single in prepared]))
+    samples, kept, status = _integrate_together([state for state, _ in prepared], params,
+                                                window, DEFAULT_STEP)
+    for p, (state, single) in enumerate(prepared):
+        try:
+            trajectory = integrate_profile(state, single, window)
+        except NumericError:
+            assert status[p] == "non-finite"
+            continue
+        assert status[p] == (trajectory.flag or "ok")
+        assert kept[p] == len(trajectory)
+        for index, name in enumerate(STATE_COLUMNS):
+            assert np.array_equal(samples[index, :kept[p], p], trajectory.column(name))
 
 
 def test_trajectory_table_layout(catenoid_forward):
