@@ -70,6 +70,7 @@ from .univariate import (
     NEG_INFINITY,
     POS_INFINITY,
     REAL_LINE,
+    EndpointRootError,
     count_real_roots,
     resultant_univariate,
 )
@@ -249,14 +250,6 @@ class Region:
     def condition(self, name: str) -> VariableCondition:
         return self.conditions.get(name, VariableCondition())
 
-    def contains(self, point: Mapping[str, Fraction]) -> bool:
-        for name, cond in self.conditions.items():
-            if name not in point:
-                return False
-            if not cond.admits(Fraction(point[name])):
-                return False
-        return True
-
 
 def interval_of(f: Polynomial, region: Region) -> VariableCondition:
     """Sound range enclosure of f over the region's box."""
@@ -358,19 +351,17 @@ class SturmWindow:
         cond = region.condition(self.variable)
         lo = NEG_INFINITY if cond.lower is None else cond.lower
         hi = POS_INFINITY if cond.upper is None else cond.upper
-        for endpoint in (cond.lower, cond.upper):
-            if endpoint is not None and _evaluate_at(expression, {self.variable: endpoint}) == 0:
+        try:
+            if count_real_roots(expression, (lo, hi)) != 0:
                 return False
-        if count_real_roots(expression, (lo, hi)) != 0:
+        except EndpointRootError:
             return False
         if not self.samples:
             return False
         want = _CLAIM_SETS[claimed]
         for sample in self.samples:
             sample = Fraction(sample)
-            if cond.lower is not None and sample < cond.lower:
-                return False
-            if cond.upper is not None and sample > cond.upper:
+            if not cond.admits(sample):
                 return False
             if frozenset({_sign_of(_evaluate_at(expression, {self.variable: sample}))}) != want:
                 return False

@@ -158,6 +158,9 @@ def test_sturm_window_witness():
     # a root at a window endpoint defeats it as well
     assert not SignFact(X * X - X, window, "negative",
                         SturmWindow("x", (Fraction(0),))).verify()
+    # ... also when it is the only root, and without raising
+    assert not SignFact(X - ONE, window, "negative",
+                        SturmWindow("x", (Fraction(0),))).verify()
     # sample outside the window
     assert not SignFact(X * X + ONE, window, "positive",
                         SturmWindow("x", (Fraction(5),))).verify()
@@ -226,16 +229,6 @@ def test_variable_condition_admission():
     assert closed.admits(Fraction(-2)) and closed.admits(Fraction(3))
     point = VariableCondition.point(Fraction(5, 2))
     assert point.admits(Fraction(5, 2)) and not point.admits(Fraction(2))
-
-
-def test_region_containment():
-    region = Region({"x": VariableCondition.positive(),
-                     "y": VariableCondition.window(0, 1)})
-    assert region.contains({"x": Fraction(2), "y": Fraction(1, 2)})
-    assert not region.contains({"x": Fraction(-2), "y": Fraction(1, 2)})
-    # a constrained variable missing from the point cannot be certified
-    assert not region.contains({"x": Fraction(2)})
-    assert Region().contains({})
 
 
 def test_polynomial_sign_sets():
