@@ -444,8 +444,7 @@ def _integrate_together(initials: Sequence[ProfileState], params: IntegrationPar
     field_at = _derivative_field(params)
     samples = np.empty((len(STATE_COLUMNS), count + 1, len(initials)))
     samples[:, 0, :] = np.array([s.values() for s in initials]).T
-    tau0 = samples[0, 0].copy()
-    tau = tau0
+    tau0 = tau = samples[0, 0]
     u = tuple(samples[1:, 0])
     kept = [count + 1] * len(initials)
     status = ["ok"] * len(initials)
@@ -462,11 +461,10 @@ def _integrate_together(initials: Sequence[ProfileState], params: IntegrationPar
             row[1:] = u
             finite = np.isfinite(row).all(axis=0)
             stopped = running & ~(finite & (row[r_index] > FLOOR_RADIUS))
-            if stopped.any():
-                for p in np.flatnonzero(stopped):
-                    kept[p] = i + 1
-                    status[p] = "radius-floor" if finite[p] else "non-finite"
-                running &= ~stopped
+            for p in np.flatnonzero(stopped):
+                kept[p] = i + 1
+                status[p] = "radius-floor" if finite[p] else "non-finite"
+            running &= ~stopped
     return samples, kept, status
 
 
