@@ -45,6 +45,15 @@ CHECK_CASES_PAYLOAD_DIGEST = (
 # update it and say so in CHANGES.md.
 SIMULATE_SWEEP_PAYLOAD_DIGEST = (
     "sha256:782ac657786a63c374da960ee0b1ced10607413db7ed0f5aa9e0ceb7b0b2f71c")
+# Payload digests of `birot4 derive --case C` at the default order: the series,
+# the extracted system and the fixture diff of each case.  A change of the
+# series solver, the extraction or the diff entries moves these pins; such a
+# change must update them and say so in CHANGES.md.
+DERIVE_PAYLOAD_DIGESTS = {
+    "V": "sha256:c807560fbb6c70f53f34f1953b2839d00998016f8864c45ce79d8ba04cc29a57",
+    "VI": "sha256:16e5798610ce73e3667a453072d741a1ffe1604c95318963eeeb973be8e55cc3",
+    "VII": "sha256:04c0ecb203cfe0af8783a4aa5591743f0af5b7ae6b164baf3cd0a547be2b26e7",
+}
 
 
 def _canonical(payload) -> str:
@@ -326,3 +335,10 @@ def test_simulate_sweep_payload_is_pinned(tmp_path):
     sweeps = [_run_cli(tmp_path, f"sweep{seed}", seed, "simulate", "--sweep")
               for seed in ("1", "77")]
     assert sweeps == [SIMULATE_SWEEP_PAYLOAD_DIGEST] * 2
+
+
+@pytest.mark.parametrize("case", sorted(DERIVE_PAYLOAD_DIGESTS))
+def test_derive_payload_is_pinned(tmp_path, case):
+    derives = [_run_cli(tmp_path, f"derive{seed}", seed, "derive", "--case", case)
+               for seed in ("1", "77")]
+    assert derives == [DERIVE_PAYLOAD_DIGESTS[case]] * 2
