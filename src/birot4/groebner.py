@@ -39,7 +39,6 @@ public function takes and returns ``Polynomial`` values.
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,13 +63,6 @@ from .poly import (
 BASIS_FORMAT = "birot4/groebner-basis@1"
 CERTIFICATE_FORMAT = "birot4/membership-certificate@1"
 
-_ENV_MAX_PAIRS = "BIROT4_MAX_PAIRS"
-
-
-class ResourceCapExceeded(RuntimeError):
-    """The configured S-pair processing cap was hit before completion."""
-
-
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators of an ideal with the ring data needed to compute with it."""
@@ -85,14 +77,6 @@ class IdealPresentation:
                 raise ValueError("generator variable set differs from presentation")
             if g.is_zero():
                 raise ValueError("zero generator")
-
-
-def _pair_cap(max_pairs: int | None) -> int | None:
-    """The given cap, else ``BIROT4_MAX_PAIRS``, else None (no cap)."""
-    if max_pairs is None:
-        env = os.environ.get(_ENV_MAX_PAIRS)
-        max_pairs = int(env) if env else None
-    return max_pairs
 
 
 # -- the integer, packed-monomial kernel -------------------------------
@@ -500,8 +484,8 @@ def _s_terms(pk: _Packing, ri: _Reducer, ui: int, rj: _Reducer, uj: int) -> dict
     return out
 
 
-def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
-               max_pairs: int | None = None, *, trace: ProvenanceTrace | None = None,
+def buchberger(presentation: IdealPresentation, track_provenance: bool = True, *,
+               trace: ProvenanceTrace | None = None,
                leaves: list[int] | None = None) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with the normal pair strategy.
 
@@ -521,7 +505,6 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     caller continuing an earlier trace passes it with ``leaves``, the node
     of each generator in it.
     """
-    max_pairs = _pair_cap(max_pairs)
     n_gens = len(presentation.generators)
     if not track_provenance:
         trace = None
@@ -534,13 +517,13 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True,
     def attempt(pk: _Packing) -> GroebnerBasis:
         if trace is not None:
             del trace.nodes[size:]  # what an overflowed attempt appended
-        return _buchberger(presentation, pk, max_pairs, trace, leaves)
+        return _buchberger(presentation, pk, trace, leaves)
 
     pk = _Packing.fitting(presentation.order, len(presentation.vars), presentation.generators)
     return _with_room(pk, attempt)
 
 
-def _buchberger(presentation: IdealPresentation, pk: _Packing, max_pairs: int | None,
+def _buchberger(presentation: IdealPresentation, pk: _Packing,
                 trace: ProvenanceTrace | None, leaves: list[int] | None) -> GroebnerBasis:
     vars = presentation.vars
     one = Polynomial.constant(vars, 1)
@@ -575,8 +558,6 @@ def _buchberger(presentation: IdealPresentation, pk: _Packing, max_pairs: int | 
         if lcm is None:
             continue
         stats["pairs_considered"] += 1
-        if max_pairs is not None and stats["pairs_considered"] > max_pairs:
-            raise ResourceCapExceeded(f"more than {max_pairs} S-pairs")
         ri, rj = reducers[i], reducers[j]
         if lcm == ri.lead + rj.lead:
             stats["skipped_coprime"] += 1
@@ -656,8 +637,8 @@ def _reduce_basis(pk: _Packing, reducers: list[_Reducer], nodes: list[int] | Non
     return [_unpacked(pk, vars, elements[i].terms) for i in ordering], nodes
 
 
-def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = True,
-                      max_pairs: int | None = None) -> GroebnerBasis:
+def staged_buchberger(presentation: IdealPresentation,
+                      track_provenance: bool = True) -> GroebnerBasis:
     """Reduced basis for the presentation's order, by the cheapest route known.
 
     Under lex, a generator ``c*v + d`` with a constant c and v the highest
@@ -678,23 +659,23 @@ def staged_buchberger(presentation: IdealPresentation, track_provenance: bool = 
     """
     n_gens = len(presentation.generators)
     trace = ProvenanceTrace(presentation.vars, n_gens) if track_provenance else None
-    return _staged(presentation, max_pairs, trace, list(range(n_gens)))
+    return _staged(presentation, trace, list(range(n_gens)))
 
 
-def _staged(presentation: IdealPresentation, max_pairs: int | None,
-            trace: ProvenanceTrace | None, leaves: list[int]) -> GroebnerBasis:
+def _staged(presentation: IdealPresentation, trace: ProvenanceTrace | None,
+            leaves: list[int]) -> GroebnerBasis:
     """``staged_buchberger`` continuing ``trace``, whose node leaves[i] is generator i."""
     if presentation.order.kind == GREVLEX.kind:
-        return buchberger(presentation, trace is not None, max_pairs, trace=trace, leaves=leaves)
+        return buchberger(presentation, trace is not None, trace=trace, leaves=leaves)
     pivot_idx = _find_unit_pivot(presentation)
     if pivot_idx is not None:
-        return _eliminate_pivot(presentation, pivot_idx, max_pairs, trace, leaves)
+        return _eliminate_pivot(presentation, pivot_idx, trace, leaves)
     stage1 = buchberger(
         IdealPresentation(presentation.vars, GREVLEX, presentation.generators),
-        trace is not None, max_pairs, trace=trace, leaves=leaves)
+        trace is not None, trace=trace, leaves=leaves)
     stage2 = buchberger(
         IdealPresentation(presentation.vars, presentation.order, tuple(stage1.elements)),
-        trace is not None, max_pairs, trace=trace, leaves=stage1.nodes)
+        trace is not None, trace=trace, leaves=stage1.nodes)
     stats = {"stage1": stage1.stats, "stage2": stage2.stats}
     for key in ("pairs_considered", "pairs_reduced", "skipped_coprime",
                 "skipped_chain", "basis_additions"):
@@ -702,7 +683,7 @@ def _staged(presentation: IdealPresentation, max_pairs: int | None,
     return GroebnerBasis(presentation, stage2.elements, trace, stage2.nodes, stats)
 
 
-def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int, max_pairs: int | None,
+def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int,
                      trace: ProvenanceTrace | None, leaves: list[int]) -> GroebnerBasis:
     """Lex basis via the unit pivot generators[pivot_idx]; see ``staged_buchberger``."""
     vars, order = presentation.vars, presentation.order
@@ -719,7 +700,7 @@ def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int, max_pairs:
         if trace is not None:  # a generator free of v is its own remainder
             nodes.append(leaves[i] if q.is_zero() else
                          trace.add(Fraction(1), [(one, leaves[i]), (-q, leaves[pivot_idx])]))
-    inner = _staged(IdealPresentation(vars, order, tuple(remainders)), max_pairs, trace, nodes)
+    inner = _staged(IdealPresentation(vars, order, tuple(remainders)), trace, nodes)
     normal, quotients = reduce(pivot, inner.elements, order)
     if normal.is_zero():
         return GroebnerBasis(presentation, inner.elements, trace, inner.nodes, inner.stats)
@@ -740,15 +721,10 @@ def _find_unit_pivot(presentation: IdealPresentation) -> int | None:
     generators (so that under lex the pivot's leading monomial is v itself),
     and d must be free of v.  Returns the generator's index.
     """
-    occurring = set()
-    for g in presentation.generators:
-        for mono in g.terms:
-            for pos, e in enumerate(mono):
-                if e:
-                    occurring.add(pos)
+    occurring = {name for g in presentation.generators for name in g.occurring_variables()}
     if not occurring:
         return None
-    lead_pos = min(occurring)
+    lead_pos = min(map(presentation.vars.index, occurring))
     v = presentation.vars.names[lead_pos]
     for idx, g in enumerate(presentation.generators):
         if g.degree_in(v) != 1:
@@ -761,8 +737,7 @@ def _find_unit_pivot(presentation: IdealPresentation) -> int | None:
 
 
 def certify_membership(presentation: IdealPresentation, target: Polynomial,
-                       basis: GroebnerBasis | None = None,
-                       max_pairs: int | None = None) -> MembershipCertificate:
+                       basis: GroebnerBasis | None = None) -> MembershipCertificate:
     """Certificate expressing the target over the presentation's generators.
 
     The identity target = sum(K_i * g_i) + remainder holds exactly, and the
@@ -773,15 +748,12 @@ def certify_membership(presentation: IdealPresentation, target: Polynomial,
 
     The cofactors of target - remainder come from Macaulay rows, not from
     the basis search (``_macaulay_certificate``), so their degree is about
-    the least any certificate needs.  ``max_pairs`` (or ``BIROT4_MAX_PAIRS``)
-    caps the S-pairs of the basis search and, separately, the number of
-    Macaulay rows.
+    the least any certificate needs.
     """
     if basis is None:
-        basis = staged_buchberger(presentation, False, max_pairs)
+        basis = staged_buchberger(presentation, False)
     normal_form, _ = _divide(target, basis.elements, basis.order, False)
-    return _macaulay_certificate(target, basis.presentation.generators, normal_form,
-                                 _pair_cap(max_pairs))
+    return _macaulay_certificate(target, basis.presentation.generators, normal_form)
 
 
 # -- low-degree certificates from Macaulay rows --------------------------
@@ -951,7 +923,7 @@ def _dixon(rows: list[dict[int, int]], target: dict[int, int], prime: int):
 
 
 def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...],
-                          remainder: Polynomial, max_rows: int | None) -> MembershipCertificate:
+                          remainder: Polynomial) -> MembershipCertificate:
     """A verified certificate target = sum(K_i * g_i) + remainder, K_i of low degree.
 
     target - remainder must lie in the ideal.  For D = its degree, D + 1,
@@ -963,8 +935,7 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
     prime, with the unknowns of dependent rows zero, picks its support rows,
     and Dixon lifting on them gives the exact cofactors.  A candidate is
     returned only once ``verify()`` accepts it; an unlucky prime makes the
-    search start over with the next one.  The row count is capped by
-    ``max_rows``.
+    search start over with the next one.
     """
     vars = target.vars
 
@@ -1003,8 +974,6 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
                             multipliers[m] = _monomials_of_degree(pk, m)
                         block += [(-(mu + leads[i]), i, mu) for mu in multipliers[m]
                                   if all((pk.monomial(mu) - k) & pk.guard for k in koszul[i])]
-                if max_rows is not None and len(rows) + len(block) > max_rows:
-                    raise ResourceCapExceeded(f"more than {max_rows} Macaulay rows")
                 block.sort()
                 for _, i, mu in block:
                     echelon.add({mu + h: c for h, c in residues[i]})
@@ -1079,16 +1048,16 @@ def basis_from_document(doc: dict) -> GroebnerBasis:
                          dict(doc.get("stats", {})))
 
 
-def certificate_to_document(cert: MembershipCertificate, order: MonomialOrder = LEX) -> dict:
+def certificate_to_document(cert: MembershipCertificate) -> dict:
     _unlock_wide_integers()
     vars = cert.target.vars
     return {
         "format": CERTIFICATE_FORMAT,
         "variables": list(vars.names),
-        "target": format_polynomial(cert.target, order),
-        "generators": [format_polynomial(g, order) for g in cert.generators],
-        "cofactors": [format_polynomial(c, order) for c in cert.cofactors],
-        "remainder": format_polynomial(cert.remainder, order),
+        "target": format_polynomial(cert.target),
+        "generators": [format_polynomial(g) for g in cert.generators],
+        "cofactors": [format_polynomial(c) for c in cert.cofactors],
+        "remainder": format_polynomial(cert.remainder),
         "is_member": cert.remainder.is_zero(),
     }
 
