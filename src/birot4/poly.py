@@ -20,10 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .scalar import Rational, format_rational, parse_rational
-
 Exponents = tuple[int, ...]
-Coefficient = Union[Rational, int]
+Coefficient = Union[Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -328,28 +326,27 @@ class Polynomial:
             total += term
         return total
 
-    def substitute(self, bindings: Mapping[str, "Polynomial | Coefficient"],
-                   into: VariableSet | None = None) -> "Polynomial":
-        """Replace variables by polynomials (or rationals).
+    def substitute(self, bindings: Mapping[str, "Polynomial | Coefficient"]) -> "Polynomial":
+        """Replace variables by polynomials (or rationals) over the same variables.
 
-        Unbound variables must exist in the target set and map to themselves.
+        Unbound variables map to themselves.
         """
-        target = into if into is not None else self.vars
+        vars = self.vars
         images: dict[str, Polynomial] = {}
-        for name in self.vars:
+        for name in vars:
             if name in bindings:
                 image = bindings[name]
                 if isinstance(image, (int, Fraction)):
-                    image = Polynomial.constant(target, image)
-                if image.vars != target:
-                    raise ValueError(f"image of {name!r} lives in {image.vars.names}, not {target.names}")
+                    image = Polynomial.constant(vars, image)
+                if image.vars != vars:
+                    raise ValueError(f"image of {name!r} lives in {image.vars.names}, not {vars.names}")
                 images[name] = image
             else:
-                images[name] = Polynomial.variable(target, name)
-        out = Polynomial.zero(target)
+                images[name] = Polynomial.variable(vars, name)
+        out = Polynomial.zero(vars)
         for exps, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for name, e in zip(self.vars, exps):
+            term = Polynomial.constant(vars, coeff)
+            for name, e in zip(vars, exps):
                 if e:
                     term = term * images[name] ** e
             out = out + term
@@ -456,6 +453,44 @@ def eliminate_linear(f: Polynomial, name: str, den: Polynomial, num: Polynomial)
 # -- text format -------------------------------------------------------
 
 _TERM_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_MINUS_VARIANTS = ("−", "–")  # unicode minus / en-dash, seen in display text
+
+
+def _normalize_minus(text: str) -> str:
+    cleaned = text.strip()
+    for variant in _MINUS_VARIANTS:
+        cleaned = cleaned.replace(variant, "-")
+    return cleaned
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" (base-10, optional sign) into a Fraction.
+
+    Unicode minus signs are normalized; whitespace around the number and
+    the slash is ignored.  Raises ValueError on anything else.
+    """
+    cleaned = _normalize_minus(text)
+    if "/" in cleaned:
+        num_text, _, den_text = cleaned.partition("/")
+        try:
+            num = int(num_text.strip())
+            den = int(den_text.strip())
+        except ValueError as exc:
+            raise ValueError(f"not a rational literal: {text!r}") from exc
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
+    try:
+        return Fraction(int(cleaned))
+    except ValueError as exc:
+        raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical text: "p/q" in lowest terms, or plain "p" for integers."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def format_polynomial(f: Polynomial, order: MonomialOrder = LEX) -> str:
@@ -488,9 +523,7 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
 
     Raises ValueError for malformed text and for a variable outside ``vars``.
     """
-    cleaned = text.strip()
-    for variant in ("−", "–"):
-        cleaned = cleaned.replace(variant, "-")
+    cleaned = _normalize_minus(text)
     if not cleaned:
         raise ValueError("empty polynomial text")
     # split into signed terms at top level (no parentheses in the format)

@@ -17,10 +17,12 @@ from birot4.poly import (
     evaluate_rational,
     exact_divide,
     format_polynomial,
+    format_rational,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     parse_polynomial,
+    parse_rational,
     primitive_normalize,
     replace_square,
     variables,
@@ -167,8 +169,42 @@ def test_substitute_composition():
     g = f.substitute({"x": y + z})
     assert g == (y + z) ** 2 + y * z
     missing = variables("a", "b")
-    with pytest.raises(KeyError):
-        f.substitute({"x": Polynomial.variable(missing, "a")}, into=missing)
+    with pytest.raises(ValueError):
+        f.substitute({"x": Polynomial.variable(missing, "a")})
+
+
+def test_parse_plain_integers_and_fractions():
+    assert parse_rational("7") == Fraction(7)
+    assert parse_rational("-3") == Fraction(-3)
+    assert parse_rational("5/3") == Fraction(5, 3)
+    assert parse_rational("-10/4") == Fraction(-5, 2)
+
+
+def test_parse_tolerates_whitespace_and_unicode_minus():
+    assert parse_rational("  3 / 4 ") == Fraction(3, 4)
+    assert parse_rational("−2") == Fraction(-2)
+    assert parse_rational("–1/2") == Fraction(-1, 2)
+
+
+def test_parse_rejects_garbage():
+    for bad in ("", "x", "1/2/3", "1.5", "3/0"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_format_is_lowest_terms_text():
+    assert format_rational(Fraction(4, 2)) == "2"
+    assert format_rational(Fraction(-3, 9)) == "-1/3"
+    assert format_rational(Fraction(0)) == "0"
+
+
+def test_round_trip_on_random_rationals():
+    rng = random.Random(20260823)
+    for _ in range(200):
+        num = rng.randint(-10 ** 9, 10 ** 9)
+        den = rng.randint(1, 10 ** 6)
+        value = Fraction(num, den)
+        assert parse_rational(format_rational(value)) == value
 
 
 def test_format_parse_round_trip_random():
@@ -185,6 +221,7 @@ def test_parse_accepts_flexible_spelling():
     assert f == -x + 2 * y ** 3 - Fraction(1, 2) * z + 4
     shuffled = parse_polynomial("4- 1/2*z+2*y^3 -x", XYZ)
     assert shuffled == f
+    assert parse_polynomial("−x + 2*y^3 – 1/2*z + 4", XYZ) == f
     with pytest.raises(ValueError):
         parse_polynomial("x + q", XYZ)
     with pytest.raises(ValueError):
