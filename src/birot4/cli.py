@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import metadata
@@ -113,30 +114,21 @@ def _diff_entry(check: str, got, want) -> dict:
     return entry
 
 
-def _polynomial_diff(check: str, got: Polynomial, text: str, vars) -> dict:
-    want = parse_polynomial(text, vars)
-    entry = {"check": check, "match": got == want}
-    if not entry["match"]:
-        entry["expected"] = format_polynomial(want)
-        entry["got"] = format_polynomial(got)
-    return entry
-
-
 def _derive_diffs(case: str, profile, system) -> list[dict]:
     diffs = []
     if case == "VII":
         for label, text in CASE7_SYSTEM_TEXT.items():
-            diffs.append(_polynomial_diff(
+            diffs.append(_diff_entry(
                 f"equation {label} matches the embedded text",
-                system.equation(label), text, NORMALIZED_VARS))
+                system.equation(label), parse_polynomial(text, NORMALIZED_VARS)))
         for name, table, series in (("r", PROFILE_R_SERIES, profile.r),
                                     ("x", PROFILE_X_SERIES, profile.x),
                                     ("y", PROFILE_Y_SERIES, profile.y)):
             for n, text in table.items():
                 if n <= series.truncation_order:
-                    diffs.append(_polynomial_diff(
+                    diffs.append(_diff_entry(
                         f"series {name}[{n}] matches the embedded text",
-                        series[n], text, INITIAL_DATA_VARS))
+                        series[n], parse_polynomial(text, INITIAL_DATA_VARS)))
     elif case == "VI":
         nv = NORMALIZED_VARS
         uv = Polynomial.variable(nv, "u")
@@ -204,17 +196,13 @@ def cmd_derive(args) -> int:
 
 
 def _load_certificate(path: str):
-    """The certificate in a certify artifact, its payload, or a bare certificate
-    document; a file that is none of these exits with status 2."""
+    """The certificate in a certify artifact; any other file exits with status 2."""
     try:
-        doc = json.loads(Path(path).read_text())
-        if "payload" in doc and "certificate" in doc["payload"]:
-            return certificate_from_document(doc["payload"]["certificate"])
-        if "certificate" in doc:
-            return certificate_from_document(doc["certificate"])
-        return certificate_from_document(doc)
+        return certificate_from_document(
+            json.loads(Path(path).read_text())["payload"]["certificate"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: cannot read a certificate from {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read a certificate from {path} (expected a certify "
+              f"artifact): {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
 
 
@@ -346,8 +334,11 @@ def cmd_simulate(args) -> int:
     if not args.preset and not args.sweep:
         print("error: choose --preset or --sweep", file=sys.stderr)
         return EXIT_USAGE
-    if args.step <= 0 or args.window <= 0:
-        print("error: window and step must be positive", file=sys.stderr)
+    if not (0 < args.window < math.inf and 0 < args.step < math.inf):
+        print("error: window and step must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    if not math.isfinite(args.threshold):
+        print("error: threshold must be finite", file=sys.stderr)
         return EXIT_USAGE
 
     if args.sweep:

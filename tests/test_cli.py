@@ -210,6 +210,22 @@ def test_simulate_usage_errors(capsys):
     assert main(["simulate", "--preset", "catenoid", "--window", "-1"]) == 2
 
 
+def _argv_id(argv: list[str]) -> str:
+    return "_".join(arg.lstrip("-") for arg in argv)
+
+
+@pytest.mark.parametrize("mode", [["--preset", "catenoid"], ["--sweep"]], ids=_argv_id)
+@pytest.mark.parametrize("bad", [["--window", "inf"], ["--window", "nan"],
+                                 ["--step", "nan"], ["--step", "inf"],
+                                 ["--threshold", "nan"], ["--threshold", "inf"]],
+                         ids=_argv_id)
+def test_simulate_rejects_non_finite_values(tmp_path, capsys, mode, bad):
+    out = tmp_path / "simulate.json"
+    assert main(["simulate", *mode, *bad, "--output", str(out)]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     _check_manifest(certify_artifact, "certify")
     payload = certify_artifact["payload"]
@@ -280,14 +296,20 @@ def test_check_cases_payload_is_pinned(tmp_path, certify_artifact_path, capsys):
     assert document["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
 
 
-def test_unreadable_certificate_files_are_usage_errors(tmp_path, capsys):
+def test_unreadable_certificate_files_are_usage_errors(tmp_path, certify_artifact, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("certificate")
     wrong_format = tmp_path / "wrong.json"
     wrong_format.write_text(json.dumps({"format": "other"}))
     a_list = tmp_path / "list.json"
     a_list.write_text("[1, 2]")
-    for path in (tmp_path / "missing.json", not_json, wrong_format, a_list):
+    # only the artifact is read, not its payload or its certificate document alone
+    bare_payload = tmp_path / "payload.json"
+    bare_payload.write_text(json.dumps(certify_artifact["payload"]))
+    bare_certificate = tmp_path / "certificate.json"
+    bare_certificate.write_text(json.dumps(certify_artifact["payload"]["certificate"]))
+    for path in (tmp_path / "missing.json", not_json, wrong_format, a_list,
+                 bare_payload, bare_certificate):
         for argv in (["check-cases", "VII", "--certificate", str(path)],
                      ["certify", "--verify-only", str(path)]):
             with pytest.raises(SystemExit) as exit_info:
