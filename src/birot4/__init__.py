@@ -7,156 +7,71 @@ seven-branch case analysis) and a floating-point layer that integrates
 the same differential system and measures residuals.  The ``birot4``
 console script exposes the four standard runs: derive, certify,
 check-cases, and simulate.
+
+Importing the package loads no submodule.  A name below, or a submodule
+such as ``birot4.numeric``, is imported on first access, so a run that
+never touches the float layer never loads numpy.
 """
 
 from __future__ import annotations
 
-from .cases import (
-    CASE_IDS,
-    CaseReport,
-    CaseStep,
-    PointEvaluation,
-    PositiveCombination,
-    Region,
-    SignFact,
-    SturmWindow,
-    VariableCondition,
-    check_all_cases,
-    report_to_document,
-    summarize_report,
-)
-from .constraints import (
-    CASE_TAGS,
-    NORMALIZED_NAMES,
-    NORMALIZED_VARS,
-    ConstraintSystem,
-    ExtractionError,
-    NormalizationMap,
-    arc_defect_series,
-    compatibility_series,
-    extract_system,
-    system_from_document,
-    system_to_document,
-)
-from .groebner import (
-    GroebnerBasis,
-    IdealPresentation,
-    MembershipCertificate,
-    basis_from_document,
-    basis_to_document,
-    buchberger,
-    certificate_from_document,
-    certificate_to_document,
-    certify_membership,
-    reduce,
-    s_polynomial,
-    staged_buchberger,
-)
-from .numeric import (
-    IntegrationParams,
-    NumericError,
-    ProfileState,
-    ResidualReport,
-    SurfaceProfile,
-    Trajectory,
-    biharmonic_residual,
-    integrate_profile,
-    residual_profile,
-    surface_laplacian_gap,
-    sweep_nonminimal,
-)
-from .poly import (
-    GREVLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-    RationalFunction,
-    VariableSet,
-    format_polynomial,
-    parse_polynomial,
-    primitive_normalize,
-    variables,
-)
-from .series import (
-    INITIAL_DATA_NAMES,
-    INITIAL_DATA_VARS,
-    ProfileIVP,
-    ProfileSolution,
-    TruncatedSeries,
-    solve_profile_ivp,
-)
-from .univariate import (
-    count_real_roots,
-    resultant_univariate,
-    sturm_chain,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_IDS",
-    "CASE_TAGS",
-    "CaseReport",
-    "CaseStep",
-    "ConstraintSystem",
-    "ExtractionError",
-    "GREVLEX",
-    "GroebnerBasis",
-    "INITIAL_DATA_NAMES",
-    "INITIAL_DATA_VARS",
-    "IdealPresentation",
-    "IntegrationParams",
-    "LEX",
-    "MembershipCertificate",
-    "MonomialOrder",
-    "NORMALIZED_NAMES",
-    "NORMALIZED_VARS",
-    "NormalizationMap",
-    "NumericError",
-    "PointEvaluation",
-    "Polynomial",
-    "PositiveCombination",
-    "ProfileIVP",
-    "ProfileSolution",
-    "ProfileState",
-    "RationalFunction",
-    "Region",
-    "ResidualReport",
-    "SignFact",
-    "SturmWindow",
-    "SurfaceProfile",
-    "Trajectory",
-    "TruncatedSeries",
-    "VariableCondition",
-    "VariableSet",
-    "arc_defect_series",
-    "basis_from_document",
-    "basis_to_document",
-    "biharmonic_residual",
-    "buchberger",
-    "certificate_from_document",
-    "certificate_to_document",
-    "certify_membership",
-    "check_all_cases",
-    "compatibility_series",
-    "count_real_roots",
-    "extract_system",
-    "format_polynomial",
-    "integrate_profile",
-    "parse_polynomial",
-    "primitive_normalize",
-    "reduce",
-    "report_to_document",
-    "residual_profile",
-    "resultant_univariate",
-    "s_polynomial",
-    "solve_profile_ivp",
-    "staged_buchberger",
-    "sturm_chain",
-    "summarize_report",
-    "surface_laplacian_gap",
-    "sweep_nonminimal",
-    "system_from_document",
-    "system_to_document",
-    "variables",
-]
+# submodule -> the public names it exports through the package
+_EXPORTS = {
+    "cases": (
+        "CASE_IDS", "CaseReport", "CaseStep", "PointEvaluation",
+        "PositiveCombination", "Region", "SignFact", "SturmWindow",
+        "VariableCondition", "check_all_cases", "report_to_document",
+        "summarize_report",
+    ),
+    "constraints": (
+        "CASE_TAGS", "NORMALIZED_NAMES", "NORMALIZED_VARS", "ConstraintSystem",
+        "ExtractionError", "NormalizationMap", "arc_defect_series",
+        "compatibility_series", "extract_system", "system_from_document",
+        "system_to_document",
+    ),
+    "groebner": (
+        "GroebnerBasis", "IdealPresentation", "MembershipCertificate",
+        "basis_from_document", "basis_to_document", "buchberger",
+        "certificate_from_document", "certificate_to_document",
+        "certify_membership", "reduce", "s_polynomial", "staged_buchberger",
+    ),
+    "numeric": (
+        "IntegrationParams", "NumericError", "ProfileState", "ResidualReport",
+        "SurfaceProfile", "Trajectory", "biharmonic_residual",
+        "integrate_profile", "residual_profile", "surface_laplacian_gap",
+        "sweep_nonminimal",
+    ),
+    "poly": (
+        "GREVLEX", "LEX", "MonomialOrder", "Polynomial", "RationalFunction",
+        "VariableSet", "format_polynomial", "parse_polynomial",
+        "primitive_normalize", "variables",
+    ),
+    "series": (
+        "INITIAL_DATA_NAMES", "INITIAL_DATA_VARS", "ProfileIVP",
+        "ProfileSolution", "TruncatedSeries", "solve_profile_ivp",
+    ),
+    "univariate": ("count_real_roots", "resultant_univariate", "sturm_chain"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

@@ -6,6 +6,8 @@ certificate for the product monomial), check-cases (the seven branch
 verifiers), and simulate (trajectory integration, residual reports, and
 the data sweep).  Every artifact is a JSON document with a deterministic
 payload and a separate run manifest carrying timing and digests.
+The case checker and the float layer (numpy) are imported inside the one
+subcommand that runs each, so the other subcommands start without them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 from .constraints import (
@@ -48,7 +49,6 @@ from .series import (
     quadratic_forced_component,
     solve_profile_ivp,
 )
-from . import cases, numeric
 
 MANIFEST_FORMAT = "birot4/run-manifest@1"
 EXIT_OK = 0
@@ -57,6 +57,8 @@ EXIT_USAGE = 2
 
 
 def _version() -> str:
+    from importlib import metadata
+
     try:
         return metadata.version("birot4")
     except metadata.PackageNotFoundError:
@@ -226,7 +228,12 @@ def cmd_certify(args) -> int:
         print("stored certificate FAILED re-verification", file=sys.stderr)
         return EXIT_FAIL
 
-    target = parse_polynomial(args.target, NORMALIZED_VARS)
+    try:
+        target = parse_polynomial(args.target, NORMALIZED_VARS)
+    except ValueError as exc:
+        print(f"error: --target is not a polynomial over {','.join(NORMALIZED_VARS.names)}: "
+              f"{exc}", file=sys.stderr)
+        return EXIT_USAGE
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
     basis = staged_buchberger(presentation, track_provenance=False)
@@ -259,6 +266,8 @@ def cmd_certify(args) -> int:
 # -- check-cases --------------------------------------------------------
 
 def cmd_check_cases(args) -> int:
+    from . import cases
+
     started = time.perf_counter()
     selection = list(args.cases) if args.cases else ["all"]
     if "all" in selection:
@@ -266,6 +275,10 @@ def cmd_check_cases(args) -> int:
     unknown = [s for s in selection if s not in cases.CASE_IDS]
     if unknown:
         print(f"error: unknown case selection {unknown}", file=sys.stderr)
+        return EXIT_USAGE
+    repeated = sorted({s for s in selection if selection.count(s) > 1})
+    if repeated:
+        print(f"error: repeated case selection {repeated}", file=sys.stderr)
         return EXIT_USAGE
 
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
@@ -330,7 +343,12 @@ def _default_sweep_grid() -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
+    from . import numeric
+
     started = time.perf_counter()
+    args.window = numeric.DEFAULT_WINDOW if args.window is None else args.window
+    args.step = numeric.DEFAULT_STEP if args.step is None else args.step
+    args.threshold = numeric.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     if not args.preset and not args.sweep:
         print("error: choose --preset or --sweep", file=sys.stderr)
         return EXIT_USAGE
@@ -442,9 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--preset", choices=("catenoid", "cylinder"))
     simulate.add_argument("--sweep", action="store_true",
                           help="run the default data-grid sweep")
-    simulate.add_argument("--window", type=float, default=numeric.DEFAULT_WINDOW)
-    simulate.add_argument("--step", type=float, default=numeric.DEFAULT_STEP)
-    simulate.add_argument("--threshold", type=float, default=numeric.DEFAULT_THRESHOLD)
+    # None stands for numeric.DEFAULT_*, filled in by cmd_simulate, so that
+    # building the parser does not import numpy
+    simulate.add_argument("--window", type=float)
+    simulate.add_argument("--step", type=float)
+    simulate.add_argument("--threshold", type=float)
     simulate.add_argument("--output", help="artifact path")
     simulate.set_defaults(func=cmd_simulate)
     return parser

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import birot4
+from birot4 import numeric
 from birot4.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -161,6 +162,9 @@ def test_check_cases_detects_perturbation(tmp_path, monkeypatch, capsys):
 def test_check_cases_rejects_unknown_ids(capsys):
     assert main(["check-cases", "IX"]) == 2
     assert "unknown case" in capsys.readouterr().err
+    # a repeated id would run its case twice and count it twice
+    assert main(["check-cases", "I", "II", "I"]) == 2
+    assert "repeated case selection ['I']" in capsys.readouterr().err
 
 
 def test_simulate_catenoid_preset(tmp_path):
@@ -168,6 +172,11 @@ def test_simulate_catenoid_preset(tmp_path):
     assert main(["simulate", "--preset", "catenoid", "--output", str(out)]) == 0
     document = _load(out)
     _check_manifest(document, "simulate")
+    # the parser leaves these unset; the manifest records the values used
+    parameters = document["manifest"]["parameters"]
+    assert parameters["window"] == numeric.DEFAULT_WINDOW
+    assert parameters["step"] == numeric.DEFAULT_STEP
+    assert parameters["threshold"] == numeric.DEFAULT_THRESHOLD
     payload = document["payload"]
     assert payload["format"] == "birot4/simulation@1"
     assert payload["mode"] == "preset"
@@ -247,6 +256,16 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     # the stored artifact re-verifies through the verify-only path
     assert main(["certify", "--verify-only", str(certify_artifact_path)]) == 0
     assert "re-verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["p*q", "", "p**2"],
+                         ids=["unknown-variable", "empty", "double-star"])
+def test_certify_rejects_an_unparsable_target(tmp_path, capsys, target):
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--target", target, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --target") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsys):
