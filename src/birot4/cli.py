@@ -270,9 +270,7 @@ def cmd_check_cases(args) -> int:
 
     started = time.perf_counter()
     selection = list(args.cases) if args.cases else ["all"]
-    if "all" in selection:
-        selection = list(cases.CASE_IDS)
-    unknown = [s for s in selection if s not in cases.CASE_IDS]
+    unknown = [s for s in selection if s not in cases.CASE_IDS and s != "all"]
     if unknown:
         print(f"error: unknown case selection {unknown}", file=sys.stderr)
         return EXIT_USAGE
@@ -280,6 +278,8 @@ def cmd_check_cases(args) -> int:
     if repeated:
         print(f"error: repeated case selection {repeated}", file=sys.stderr)
         return EXIT_USAGE
+    if "all" in selection:
+        selection = list(cases.CASE_IDS)
 
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     mismatches = []

@@ -160,8 +160,9 @@ def test_check_cases_detects_perturbation(tmp_path, monkeypatch, capsys):
 
 
 def test_check_cases_rejects_unknown_ids(capsys):
-    assert main(["check-cases", "IX"]) == 2
-    assert "unknown case" in capsys.readouterr().err
+    for argv in (["IX"], ["all", "IX"]):
+        assert main(["check-cases", *argv]) == 2
+        assert "unknown case selection ['IX']" in capsys.readouterr().err
     # a repeated id would run its case twice and count it twice
     assert main(["check-cases", "I", "II", "I"]) == 2
     assert "repeated case selection ['I']" in capsys.readouterr().err
