@@ -30,14 +30,15 @@ _EXPORTS = {
     "constraints": (
         "CASE_TAGS", "NORMALIZED_NAMES", "NORMALIZED_VARS", "ConstraintSystem",
         "ExtractionError", "NormalizationMap", "arc_defect_series",
-        "compatibility_series", "extract_system", "system_from_document",
-        "system_to_document",
+        "compatibility_series", "extract_system", "system_to_document",
+    ),
+    "certificate": (
+        "MembershipCertificate", "certificate_from_document", "certificate_to_document",
     ),
     "groebner": (
-        "GroebnerBasis", "IdealPresentation", "MembershipCertificate",
-        "basis_from_document", "basis_to_document", "buchberger",
-        "certificate_from_document", "certificate_to_document",
-        "certify_membership", "reduce", "s_polynomial", "staged_buchberger",
+        "GroebnerBasis", "IdealPresentation", "basis_from_document",
+        "basis_to_document", "buchberger", "certify_membership", "reduce",
+        "s_polynomial", "staged_buchberger",
     ),
     "numeric": (
         "IntegrationParams", "NumericError", "ProfileState", "ResidualReport",

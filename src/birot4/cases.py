@@ -19,6 +19,10 @@ claim carries one of three witnesses:
   the region combine decisively.
 
 A claim of zero for the zero polynomial needs no witness.
+
+Case VII re-checks a membership certificate for p*t^4 with
+``birot4.certificate``; it imports the search (``birot4.groebner``) only
+when it is given no certificate and has to find one.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .fixtures import (
     QUARTIC_SQUARE_SHIFT,
     QUARTIC_T_TEXT,
 )
-from .groebner import IdealPresentation, MembershipCertificate, certify_membership
+from .certificate import MembershipCertificate
 from .poly import (
     LEX,
     Polynomial,
@@ -935,11 +939,12 @@ def check_case_VII(certificate: MembershipCertificate | None = None) -> CaseRepo
     av, bv, uv, pv, tv = (Polynomial.variable(nv, n) for n in nv.names)
     one = Polynomial.constant(nv, 1)
     target = parse_polynomial(CERTIFICATE_TARGET_TEXT, nv)
-    presentation = IdealPresentation(nv, LEX, tuple(system.polynomials()))
-    if certificate is None:
-        certificate = certify_membership(presentation, target)
+    generators = tuple(system.polynomials())
+    if certificate is None:  # the one use of the Groebner search
+        from .groebner import IdealPresentation, certify_membership
+        certificate = certify_membership(IdealPresentation(nv, LEX, generators), target)
     c.equal("the certificate is stated over this extraction's generators",
-            list(certificate.generators), list(presentation.generators))
+            list(certificate.generators), list(generators))
     c.equal("the certificate's target is p*t^4", certificate.target, target)
     c.check("the certificate identity sum(K_i*E_i) + remainder = p*t^4 holds exactly",
             certificate.verify())

@@ -6,8 +6,10 @@ certificate for the product monomial), check-cases (the seven branch
 verifiers), and simulate (trajectory integration, residual reports, and
 the data sweep).  Every artifact is a JSON document with a deterministic
 payload and a separate run manifest carrying timing and digests.
-The case checker and the float layer (numpy) are imported inside the one
-subcommand that runs each, so the other subcommands start without them.
+The Groebner search, the case checker and the float layer (numpy) are
+imported inside the one subcommand branch that runs each, so the other
+runs start without them; re-checking a stored certificate needs only
+``birot4.certificate``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+from . import __version__
+from .certificate import certificate_from_document, certificate_to_document
 from .constraints import (
     NORMALIZED_VARS,
     compatibility_series,
@@ -33,14 +37,6 @@ from .fixtures import (
     PROFILE_R_SERIES,
     PROFILE_X_SERIES,
     PROFILE_Y_SERIES,
-)
-from .groebner import (
-    IdealPresentation,
-    basis_to_document,
-    certificate_from_document,
-    certificate_to_document,
-    certify_membership,
-    staged_buchberger,
 )
 from .poly import LEX, Polynomial, format_polynomial, parse_polynomial
 from .series import (
@@ -56,15 +52,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _version() -> str:
-    from importlib import metadata
-
-    try:
-        return metadata.version("birot4")
-    except metadata.PackageNotFoundError:
-        return "0.0.0+uninstalled"
-
-
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -78,7 +65,7 @@ def _emit(args, subcommand: str, payload: dict, started: float) -> None:
         "format": MANIFEST_FORMAT,
         "subcommand": subcommand,
         "parameters": parameters,
-        "version": _version(),
+        "version": __version__,
         "seeds": [],
         "elapsed_seconds": round(time.perf_counter() - started, 6),
         "payload_digest": f"sha256:{digest}",
@@ -234,17 +221,19 @@ def cmd_certify(args) -> int:
         print(f"error: --target is not a polynomial over {','.join(NORMALIZED_VARS.names)}: "
               f"{exc}", file=sys.stderr)
         return EXIT_USAGE
+    from . import groebner
+
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
-    presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
-    basis = staged_buchberger(presentation, track_provenance=False)
-    certificate = certify_membership(presentation, target, basis=basis)
+    presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
+    basis = groebner.staged_buchberger(presentation, track_provenance=False)
+    certificate = groebner.certify_membership(presentation, target, basis=basis)
     verified = certificate.verify()
     remainder_zero = certificate.remainder.is_zero()
     payload = {
         "format": "birot4/certification@1",
         "mode": "compute",
         "target": format_polynomial(target),
-        "basis": basis_to_document(basis),
+        "basis": groebner.basis_to_document(basis),
         "certificate": certificate_to_document(certificate),
         "identity_holds": verified,
         "remainder_zero": remainder_zero,
@@ -349,8 +338,8 @@ def cmd_simulate(args) -> int:
     args.window = numeric.DEFAULT_WINDOW if args.window is None else args.window
     args.step = numeric.DEFAULT_STEP if args.step is None else args.step
     args.threshold = numeric.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    if not args.preset and not args.sweep:
-        print("error: choose --preset or --sweep", file=sys.stderr)
+    if bool(args.preset) == args.sweep:
+        print("error: choose --preset or --sweep, exactly one of them", file=sys.stderr)
         return EXIT_USAGE
     if not (0 < args.window < math.inf and 0 < args.step < math.inf):
         print("error: window and step must be positive and finite", file=sys.stderr)

@@ -24,7 +24,6 @@ from .poly import (
     VariableSet,
     eliminate_linear,
     format_polynomial,
-    parse_polynomial,
     primitive_normalize,
     variables,
 )
@@ -295,36 +294,6 @@ def system_to_document(system: ConstraintSystem) -> dict:
     }
 
 
-def system_from_document(document: dict) -> ConstraintSystem:
-    """Rebuild a ConstraintSystem from its document form."""
-    if document.get("format") != SYSTEM_FORMAT:
-        raise ValueError("unrecognized constraint-system document")
-    eliminated = {
-        name: RationalFunction(
-            parse_polynomial(entry["numerator"], INITIAL_DATA_VARS),
-            parse_polynomial(entry["denominator"], INITIAL_DATA_VARS),
-        )
-        for name, entry in document["eliminated"].items()
-    }
-    equations = []
-    origins = {}
-    for entry in document["equations"]:
-        label = entry["label"]
-        equations.append((label, parse_polynomial(entry["text"], NORMALIZED_VARS)))
-        origins[label] = EquationOrigin(
-            tau_order=entry["tau_order"],
-            scalar=Fraction(entry["scalar"]),
-            r0_power=entry["r0_power"],
-        )
-    return ConstraintSystem(
-        case_tag=document["case"],
-        hypotheses=tuple(document["hypotheses_nonzero"]),
-        eliminated=eliminated,
-        equations=tuple(equations),
-        origins=origins,
-    )
-
-
 __all__ = [
     "CASE_HYPOTHESES",
     "CASE_TAGS",
@@ -339,6 +308,5 @@ __all__ = [
     "compatibility_series",
     "extract_system",
     "linear_split",
-    "system_from_document",
     "system_to_document",
 ]

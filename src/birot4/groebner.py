@@ -1,11 +1,13 @@
-"""Reduced Groebner bases and low-degree membership certificates.
+"""Reduced Groebner bases and the search for low-degree membership certificates.
 
-``staged_buchberger`` is the one basis search behind ``certify_membership``
-and ``birot4 certify``.  Under lex it first eliminates a unit pivot ``c*v +
-d`` (v the top variable): the other generators' remainders modulo the pivot
-are searched (grevlex, then lex), and the pivot's normal form against that
-basis completes the reduced lex basis.  The basis ``stats`` are the
-counters of the search that ran.
+This module only finds proof objects; ``birot4.certificate`` holds the
+certificate type, its format and the exact check, and does not import this
+module.  ``staged_buchberger`` is the one basis search behind
+``certify_membership`` and ``birot4 certify``.  Under lex it first
+eliminates a unit pivot ``c*v + d`` (v the top variable): the other
+generators' remainders modulo the pivot are searched (grevlex, then lex),
+and the pivot's normal form against that basis completes the reduced lex
+basis.  The basis ``stats`` are the counters of the search that ran.
 
 A membership certificate target = sum(K_i * g_i) + remainder takes the
 remainder from the basis (the target's normal form) and the cofactors from
@@ -14,20 +16,20 @@ degree D, D rising from deg(target - remainder), are eliminated modulo a
 fixed prime until target - remainder lies in their span (Lazard; Faugère's
 F4), and the solution on the rows it uses is lifted to exact rationals by
 Dixon's p-adic iteration and rational reconstruction.  Nothing in that
-search is trusted: ``MembershipCertificate.verify`` re-expands the identity
-exactly and decides.  With provenance on, the basis search also appends one
-node per new element to a linear ``ProvenanceTrace``; its ``rows`` give
-each basis element over the generators.
+search is trusted: ``MembershipCertificate.verify`` decides.  With
+provenance on, the basis search also appends one node per new element to a
+linear ``ProvenanceTrace``; its ``rows`` give each basis element over the
+generators.
 
-The hot loops (division, S-polynomials, the pair criteria, the Macaulay
-rows and the re-expansion in ``verify``) run on a kernel form instead of
-``Fraction`` coefficients and exponent tuples:
+The hot loops (division, S-polynomials, the pair criteria and the Macaulay
+rows) run on a kernel form instead of ``Fraction`` coefficients and
+exponent tuples:
 
-* Monomials are packed into one int (``_Packing``), one guarded bit field
-  per variable, so a product is an addition and divisibility one masked
-  subtraction.  The field width comes from the input's largest exponent;
-  an exponent that outgrows it raises ``_Overflow`` and the computation
-  starts over with fields twice as wide, so no exponent ever wraps.
+* Monomials are packed into one int (``birot4.certificate._Packing``), one
+  guarded bit field per variable, so a product is an addition and
+  divisibility one masked subtraction.  An exponent that outgrows its field
+  raises ``_Overflow`` and the computation starts over with fields twice as
+  wide, so no exponent ever wraps.
 * Coefficients are integer numerators over one common denominator.  The
   division (``_reduce_terms``) scales the remainder by lc/gcd(a, lc) where
   a step needs it and then divides out the remainder's content.
@@ -39,16 +41,17 @@ public function takes and returns ``Polynomial`` values.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
-from operator import lshift
 
+from .certificate import MembershipCertificate, _Overflow, _Packing, _scaled, _unlock_wide_integers
+# Unused here, kept for the benchmark: perfbench/workloads.py calls the certificate
+# codec as groebner.certificate_*_document and perfbench/perftrace.py traces it there.
+from .certificate import certificate_from_document, certificate_to_document  # noqa: F401
 from .poly import (
     GREVLEX,
-    LEX,
     MonomialOrder,
     Polynomial,
     VariableSet,
@@ -61,7 +64,7 @@ from .poly import (
 )
 
 BASIS_FORMAT = "birot4/groebner-basis@1"
-CERTIFICATE_FORMAT = "birot4/membership-certificate@1"
+
 
 @dataclass(frozen=True)
 class IdealPresentation:
@@ -80,93 +83,6 @@ class IdealPresentation:
 
 
 # -- the integer, packed-monomial kernel -------------------------------
-
-class _Overflow(Exception):
-    """A packed exponent outgrew its field; the caller widens and retries."""
-
-
-_MIN_WIDTH = 8  # bits per field at least, so small inputs rarely restart
-
-
-class _Packing:
-    """Exponent tuples packed into one int, laid out for a monomial order.
-
-    Each variable owns a field of ``width`` bits.  Packed inputs and every
-    factor of a product have exponents below ``2**(width - 2)`` (``fits``),
-    so a product's fields stay below the field's top bit, its guard:
-    multiplying monomials is adding ints, and ``a`` divides ``b`` iff
-    ``(b - a) & guard == 0``, because a field of ``b`` smaller than ``a``'s
-    borrows into its own guard bit.  An exponent that would break the bound
-    raises ``_Overflow``; the caller then doubles the width and starts over,
-    so nothing ever wraps.
-
-    Under lex the first variable takes the top field and packed ints compare
-    as the monomials do.  Under grevlex the fields run from the last variable
-    (highest) down to the first, below an unbounded field holding the total
-    degree; the sort key is the degree part minus the variable part.
-
-    The kernel keys terms by their *handle*, the negated sort key: heapq pops
-    the smallest handle first, which is the leading term, and the key is
-    additive, so the handle of a product is the sum of the two handles.
-    """
-
-    def __init__(self, order: MonomialOrder, n: int, width: int):
-        self.order, self.n, self.width = order, n, width
-        graded = order.kind == "grevlex"
-        self.offsets = [(i if graded else n - 1 - i) * width for i in range(n)]
-        self.split = n * width if graded else 0  # the degree field starts here
-        self.degree_unit = 1 << self.split if graded else 0
-        self.variables = (1 << n * width) - 1
-        self.guard = sum(1 << off + width - 1 for off in self.offsets)
-        self.field = (1 << width - 1) - 1
-
-    @classmethod
-    def fitting(cls, order: MonomialOrder, n: int, polys) -> "_Packing":
-        top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
-        return cls(order, n, max(_MIN_WIDTH, top.bit_length() + 2))
-
-    def wider(self) -> "_Packing":
-        return _Packing(self.order, self.n, 2 * self.width)
-
-    def pack(self, exps) -> int:
-        if max(exps, default=0) >> self.width - 2:
-            raise _Overflow
-        return sum(map(lshift, exps, self.offsets)) + sum(exps) * self.degree_unit
-
-    def exponents(self, m: int) -> tuple[int, ...]:
-        return tuple(m >> off & self.field for off in self.offsets)
-
-    def fits(self, m: int) -> bool:
-        """True when m may be a factor of a product: no field at half range."""
-        return not m & self.guard >> 1
-
-    def handle(self, m: int) -> int:
-        low = m & (1 << self.split) - 1
-        return 2 * low - m
-
-    def monomial(self, h: int) -> int:
-        return h - (h >> self.split << self.split + 1)
-
-    def degree(self, m: int) -> int:
-        return m >> self.split if self.degree_unit else sum(self.exponents(m))
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum; a field of (a | guard) - b keeps its guard iff a >= b."""
-        a, b = a & self.variables, b & self.variables
-        a_wins = ((a | self.guard) - b & self.guard) >> self.width - 1
-        mask = a_wins * self.field
-        v = a & mask | b & ~mask
-        return v + sum(self.exponents(v)) * self.degree_unit
-
-
-def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators keyed by handle over one common denominator."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys], den
 
 
 def _with_room(pk: _Packing, attempt):
@@ -378,50 +294,6 @@ class GroebnerBasis:
     @property
     def order(self) -> MonomialOrder:
         return self.presentation.order
-
-
-@dataclass
-class MembershipCertificate:
-    """target = sum(cofactors[i] * generators[i]) + remainder, exactly."""
-
-    target: Polynomial
-    generators: tuple[Polynomial, ...]
-    cofactors: list[Polynomial]
-    remainder: Polynomial
-
-    @property
-    def is_member(self) -> bool:
-        return self.remainder.is_zero()
-
-    def verify(self) -> bool:
-        """True iff sum(cofactors[i] * generators[i]) + remainder == target.
-
-        This re-expansion is the trusted check: nothing that found the
-        certificate is trusted.  It runs in plain integers.  Each group is
-        written over its common denominator: the cofactors as K_i/k, the
-        generators as G_i/g, the remainder and the target as R/t and T/t.
-        The identity holds iff t * sum(K_i * G_i) == k * g * (T - R), term
-        by term.  Monomials are packed with fields wide enough for every
-        product (``_Packing.fitting``), so the packing is one-to-one and
-        multiplying two monomials is adding two ints.
-        """
-        vars = self.target.vars
-        polys = [*self.cofactors, *self.generators, self.remainder]
-        if any(p.vars != vars for p in polys):
-            raise ValueError("certificate polynomials use different variable sets")
-        pk = _Packing.fitting(LEX, len(vars), polys + [self.target])
-        cofactors, k = _scaled(pk, self.cofactors)
-        generators, g = _scaled(pk, self.generators)
-        (remainder, target), t = _scaled(pk, [self.remainder, self.target])
-        acc: dict[int, int] = {}
-        for cof, gen in zip(cofactors, generators):
-            for e1, c1 in cof.items():
-                for e2, c2 in gen.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        lhs = {e: c * t for e, c in acc.items() if c}
-        rhs = {e: (target.get(e, 0) - remainder.get(e, 0)) * k * g
-               for e in target.keys() | remainder.keys()}
-        return lhs == {e: c for e, c in rhs.items() if c}
 
 
 def reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, list[Polynomial]]:
@@ -999,23 +871,6 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
 
 # -- serialization -----------------------------------------------------
 
-_WIDE_DIGITS = 2_000_000
-
-
-def _unlock_wide_integers() -> None:
-    """Lift the interpreter's int/str conversion limit for exact coefficients.
-
-    The flagship basis and certificate stay far below CPython's default
-    guard (at most 9-digit basis coefficients, under 80-digit certificate
-    coefficients), but provenance rows and certificates of other inputs
-    can pass it, and the document layer needs the full width in both
-    directions.  No-op where the interpreter has no such limit.
-    """
-    setter = getattr(sys, "set_int_max_str_digits", None)
-    if setter is not None and sys.get_int_max_str_digits() < _WIDE_DIGITS:
-        setter(_WIDE_DIGITS)
-
-
 def basis_to_document(gb: GroebnerBasis) -> dict:
     _unlock_wide_integers()
     doc = {
@@ -1046,30 +901,3 @@ def basis_from_document(doc: dict) -> GroebnerBasis:
         trace, nodes = ProvenanceTrace.from_rows(vars, len(generators), rows)
     return GroebnerBasis(IdealPresentation(vars, order, generators), elements, trace, nodes,
                          dict(doc.get("stats", {})))
-
-
-def certificate_to_document(cert: MembershipCertificate) -> dict:
-    _unlock_wide_integers()
-    vars = cert.target.vars
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "variables": list(vars.names),
-        "target": format_polynomial(cert.target),
-        "generators": [format_polynomial(g) for g in cert.generators],
-        "cofactors": [format_polynomial(c) for c in cert.cofactors],
-        "remainder": format_polynomial(cert.remainder),
-        "is_member": cert.remainder.is_zero(),
-    }
-
-
-def certificate_from_document(doc: dict) -> MembershipCertificate:
-    _unlock_wide_integers()
-    if doc.get("format") != CERTIFICATE_FORMAT:
-        raise ValueError(f"unsupported document format: {doc.get('format')!r}")
-    vars = VariableSet(tuple(doc["variables"]))
-    return MembershipCertificate(
-        target=parse_polynomial(doc["target"], vars),
-        generators=tuple(parse_polynomial(t, vars) for t in doc["generators"]),
-        cofactors=[parse_polynomial(t, vars) for t in doc["cofactors"]],
-        remainder=parse_polynomial(doc["remainder"], vars),
-    )

@@ -151,16 +151,6 @@ def count_real_roots(f: Polynomial, interval=REAL_LINE) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def cauchy_root_bound(f: Polynomial) -> Fraction:
-    """B with every real root of f inside (-B, B)."""
-    name = univariate_name(f)
-    if name is None:
-        return Fraction(1)
-    coeffs = dense_coefficients(f, name)
-    lead = abs(coeffs[-1])
-    return 1 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else Fraction(1)
-
-
 # -- resultants --------------------------------------------------------
 
 def _strip(coeffs: list[Polynomial]) -> list[Polynomial]:

@@ -15,7 +15,8 @@ import pytest
 from birot4.cases import check_all_cases
 from birot4.cli import main
 from birot4.constraints import extract_system
-from birot4.groebner import basis_from_document, certificate_from_document
+from birot4.certificate import certificate_from_document
+from birot4.groebner import basis_from_document
 from birot4.poly import Polynomial, VariableSet, variables
 from birot4.series import ProfileIVP, solve_profile_ivp
 

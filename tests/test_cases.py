@@ -24,7 +24,7 @@ from birot4.cases import (
 )
 from birot4.constraints import NORMALIZED_VARS, extract_system
 from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
-from birot4.groebner import MembershipCertificate
+from birot4.certificate import MembershipCertificate
 from birot4.poly import Polynomial, parse_polynomial, variables
 from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
 from birot4.univariate import resultant_univariate

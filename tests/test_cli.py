@@ -216,6 +216,9 @@ def test_simulate_sweep(tmp_path, capsys):
 def test_simulate_usage_errors(capsys):
     assert main(["simulate"]) == 2
     assert "choose --preset or --sweep" in capsys.readouterr().err
+    # both flags: the sweep would run and the preset be dropped without a word
+    assert main(["simulate", "--preset", "cylinder", "--sweep"]) == 2
+    assert "choose --preset or --sweep" in capsys.readouterr().err
     assert main(["simulate", "--preset", "catenoid", "--step", "0"]) == 2
     assert main(["simulate", "--preset", "catenoid", "--window", "-1"]) == 2
 
@@ -259,6 +262,12 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     assert "re-verified" in capsys.readouterr().out
 
 
+def test_manifest_version_is_the_package_version(certify_artifact):
+    pyproject = README.with_name("pyproject.toml").read_text()
+    assert certify_artifact["manifest"]["version"] == birot4.__version__
+    assert f'\nversion = "{birot4.__version__}"\n' in pyproject
+
+
 @pytest.mark.parametrize("target", ["p*q", "", "p**2"],
                          ids=["unknown-variable", "empty", "double-star"])
 def test_certify_rejects_an_unparsable_target(tmp_path, capsys, target):
@@ -278,16 +287,30 @@ def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsy
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_stored_certificate_with_an_extra_cofactor_fails(tmp_path, certify_artifact, capsys):
+    """One cofactor more than generators is no certificate, even though the
+    extra term pairs with no generator in the re-expansion."""
+    tampered = json.loads(json.dumps(certify_artifact))
+    tampered["payload"]["certificate"]["cofactors"].append("A^7 + 3*t")
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(tampered))
+    assert main(["certify", "--verify-only", str(path)]) == 1
+    assert "FAILED" in capsys.readouterr().err
+    assert main(["check-cases", "VII", "--certificate", str(path)]) == 1
+    assert "first failing step (case VII)" in capsys.readouterr().err
+
+
 def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
                                                certify_artifact_path, monkeypatch, capsys):
     """--certificate re-checks case VII on a stored certify artifact, with no
     basis or certificate search; a tampered cofactor fails case VII."""
-    import birot4.cases
+    import birot4.groebner
 
     def no_search(*args, **kwargs):
         raise AssertionError("check-cases searched for a certificate")
 
-    monkeypatch.setattr(birot4.cases, "certify_membership", no_search)
+    # case VII imports the search from birot4.groebner only when it has no certificate
+    monkeypatch.setattr(birot4.groebner, "certify_membership", no_search)
     out = tmp_path / "cases.json"
     assert main(["check-cases", "VII", "--certificate", str(certify_artifact_path),
                  "--output", str(out)]) == 0

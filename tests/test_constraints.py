@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -15,8 +14,6 @@ from birot4.constraints import (
     arc_defect_series,
     compatibility_series,
     extract_system,
-    system_from_document,
-    system_to_document,
 )
 from birot4.fixtures import case7_system
 from birot4.poly import (
@@ -200,16 +197,3 @@ def test_flat_profile_is_exactly_unit_speed():
     for tag in ("V", "VI", "VII"):
         compat = compatibility_series(profile, tag)
         assert compat.is_zero(), tag
-
-
-def test_system_document_round_trip(system_vii):
-    document = system_to_document(system_vii)
-    recycled = json.loads(json.dumps(document))
-    rebuilt = system_from_document(recycled)
-    assert rebuilt.case_tag == system_vii.case_tag
-    assert rebuilt.hypotheses == system_vii.hypotheses
-    assert rebuilt.equations == system_vii.equations
-    assert rebuilt.eliminated == dict(system_vii.eliminated)
-    assert rebuilt.origins == dict(system_vii.origins)
-    with pytest.raises(ValueError):
-        system_from_document({"format": "birot4/other@1"})

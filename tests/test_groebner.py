@@ -8,17 +8,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import oracle_is_member, random_polynomial, random_small_ideal
+from birot4.certificate import (
+    MembershipCertificate,
+    certificate_from_document,
+    certificate_to_document,
+)
 from birot4.constraints import NORMALIZED_VARS
 from birot4.groebner import (
     GroebnerBasis,
     IdealPresentation,
-    MembershipCertificate,
     _find_unit_pivot,
     basis_from_document,
     basis_to_document,
     buchberger,
-    certificate_from_document,
-    certificate_to_document,
     certify_membership,
     reduce,
     s_polynomial,
@@ -380,6 +382,8 @@ def test_certificate_verify_detects_tampering():
                               cofactors, remainder),
         MembershipCertificate(target, gens, cofactors, remainder + x * y),
         MembershipCertificate(target * 2, gens, cofactors, remainder),
+        # one cofactor more than generators: a zip would pair it with nothing
+        MembershipCertificate(target, gens, cofactors + [x * y + 3], remainder),
     ]
     for bad in tampered:
         assert not bad.verify()

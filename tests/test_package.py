@@ -50,22 +50,36 @@ def test_every_exported_name_resolves(tmp_path):
     assert seen["unbound"] == [], "from birot4 import * misses exported names"
 
 
-def test_cli_subcommands_import_only_what_they_run(tmp_path):
-    loaded = _fresh_interpreter(tmp_path, """
+def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_path):
+    """Only ``certify`` without --verify-only loads the Groebner search; a stored
+    certificate is re-checked with ``birot4.certificate``, which needs only ``poly``."""
+    loaded = _fresh_interpreter(tmp_path, f"""
         import contextlib, io, json, sys
-        WATCHED = ("numpy", "birot4.numeric", "birot4.cases")
+        WATCHED = ("numpy", "birot4.numeric", "birot4.cases", "birot4.groebner")
+        STORED = {str(certify_artifact_path)!r}
 
         def snapshot():
             return [name for name in WATCHED if name in sys.modules]
 
-        seen = {}
+        seen = {{}}
+        import birot4.certificate
+        seen["trusted"] = sorted(name for name in sys.modules if name.startswith("birot4"))
         import birot4.cli
         seen["import"] = snapshot()
         with contextlib.redirect_stdout(io.StringIO()):
-            seen["derive"] = (birot4.cli.main(["derive", "--case", "V"]), snapshot())
-            seen["check-cases"] = (birot4.cli.main(["check-cases", "I"]), snapshot())
+            for label, argv in (
+                    ("derive", ["derive", "--case", "V"]),
+                    ("verify-only", ["certify", "--verify-only", STORED]),
+                    ("check-cases", ["check-cases", "I"]),
+                    ("check-cases VII", ["check-cases", "VII", "--certificate", STORED]),
+                    ("certify", ["certify"])):
+                seen[label] = (birot4.cli.main(argv), snapshot())
         print(json.dumps(seen))
     """)
+    assert loaded["trusted"] == ["birot4", "birot4.certificate", "birot4.poly"]
     assert loaded["import"] == []
     assert loaded["derive"] == [0, []]
+    assert loaded["verify-only"] == [0, []]
     assert loaded["check-cases"] == [0, ["birot4.cases"]]
+    assert loaded["check-cases VII"] == [0, ["birot4.cases"]]
+    assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner"]]

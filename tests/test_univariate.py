@@ -18,7 +18,6 @@ from birot4.univariate import (
     NEG_INFINITY,
     POS_INFINITY,
     REAL_LINE,
-    cauchy_root_bound,
     count_real_roots,
     dense_coefficients,
     resultant_univariate,
@@ -113,16 +112,6 @@ def test_degenerate_inputs():
     constant = Polynomial.constant(TV, 5)
     assert count_real_roots(constant, REAL_LINE) == 0
     assert count_real_roots(T, (Fraction(3), Fraction(2))) == 0  # empty interval
-
-
-def test_cauchy_bound_contains_planted_roots():
-    rng = random.Random(31415)
-    for _ in range(25):
-        roots = [Fraction(rng.randint(-30, 30), rng.randint(1, 3)) for _ in range(3)]
-        f = _poly_with_roots(roots)
-        bound = cauchy_root_bound(f)
-        assert all(-bound < r < bound for r in roots)
-        assert count_real_roots(f, (-bound, bound)) == len(set(roots))
 
 
 # -- resultants ---------------------------------------------------------
