@@ -843,7 +843,8 @@ def check_case_VI() -> CaseReport:
                     PositiveCombination.from_polynomial(r0)))
 
     # branch 2: nonzero constant term; work in the normalized system
-    system = extract_system(solve_profile_ivp(ProfileIVP(beta=0, k=kvar)), "VI")
+    profile = solve_profile_ivp(ProfileIVP(beta=0, k=kvar))
+    system = extract_system(profile, "VI")
     nv = NORMALIZED_VARS
     av, uv, tv = (Polynomial.variable(nv, n) for n in ("A", "u", "t"))
     c.check("branch c0 != 0: the order-0 coefficient forces r1 = 0 (recorded elimination)",
@@ -901,7 +902,6 @@ def check_case_VI() -> CaseReport:
     e3b = system.equation("E3").substitute({"t": Fraction(-2, 3)})
     c.equal("subbranch t = -2/3: 27 times the order-3 equation is 81*A + 81*u^2 - 4",
             27 * e3b, 81 * av + 81 * uv ** 2 - 4 * Polynomial.constant(nv, 1))
-    profile = solve_profile_ivp(ProfileIVP(beta=0, k=kvar))
     c0_image = RationalFunction(Polynomial.constant(vars, Fraction(-2, 3)), r0)
     bindings = {n: c0_image if n == "c0" else RationalFunction(Polynomial.variable(vars, n))
                 for n in vars.names}

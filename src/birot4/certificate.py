@@ -169,9 +169,9 @@ def _unlock_wide_integers() -> None:
 
     The flagship basis and certificate stay far below CPython's default
     guard (at most 9-digit basis coefficients, under 80-digit certificate
-    coefficients), but basis provenance rows and certificates of other inputs
-    can pass it, and the document layer needs the full width in both
-    directions.  No-op where the interpreter has no such limit.
+    coefficients), but the bases and certificates of other inputs can pass
+    it, and the document layer needs the full width in both directions.
+    No-op where the interpreter has no such limit.
     """
     setter = getattr(sys, "set_int_max_str_digits", None)
     if setter is not None and sys.get_int_max_str_digits() < _WIDE_DIGITS:

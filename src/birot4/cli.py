@@ -225,7 +225,7 @@ def cmd_certify(args) -> int:
 
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
-    basis = groebner.staged_buchberger(presentation, track_provenance=False)
+    basis = groebner.staged_buchberger(presentation)
     certificate = groebner.certify_membership(presentation, target, basis=basis)
     verified = certificate.verify()
     remainder_zero = certificate.remainder.is_zero()

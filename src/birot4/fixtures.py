@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .constraints import NORMALIZED_NAMES, NORMALIZED_VARS
-from .poly import Polynomial, VariableSet, parse_polynomial, variables
+from .poly import Polynomial, parse_polynomial
 from .series import INITIAL_DATA_NAMES, INITIAL_DATA_VARS
 
 # symbols of the raw initial-data ring, in fixed order

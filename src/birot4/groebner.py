@@ -16,10 +16,7 @@ degree D, D rising from deg(target - remainder), are eliminated modulo a
 fixed prime until target - remainder lies in their span (Lazard; Faugère's
 F4), and the solution on the rows it uses is lifted to exact rationals by
 Dixon's p-adic iteration and rational reconstruction.  Nothing in that
-search is trusted: ``MembershipCertificate.verify`` decides.  With
-provenance on, the basis search also appends one node per new element to a
-linear ``ProvenanceTrace``; its ``rows`` give each basis element over the
-generators.
+search is trusted: ``MembershipCertificate.verify`` decides.
 
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
 rows) run on a kernel form instead of ``Fraction`` coefficients and
@@ -41,7 +38,7 @@ public function takes and returns ``Polynomial`` values.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
@@ -58,7 +55,6 @@ from .poly import (
     format_polynomial,
     monomial_div,
     monomial_lcm,
-    monomial_mul,
     parse_polynomial,
     primitive_normalize,
 )
@@ -189,12 +185,12 @@ def _reduce_terms(pk: _Packing, work: dict[int, int], den: int, reducers: list[_
     return {h: a * (den // d) for h, a, d in normal}, den, quotients
 
 
-def _primitive(terms: dict[int, int], den: int) -> tuple[dict[int, int], Fraction]:
-    """(primitive numerators with a positive lead, s) where the first is s * terms/den."""
+def _primitive(terms: dict[int, int]) -> dict[int, int]:
+    """The terms divided by their content, with a positive lead."""
     g = gcd(*terms.values())
     if terms[min(terms)] < 0:
         g = -g
-    return {h: a // g for h, a in terms.items()}, Fraction(den, g)
+    return {h: a // g for h, a in terms.items()}
 
 
 def _unpacked(pk: _Packing, vars: VariableSet, terms: dict) -> Polynomial:
@@ -202,94 +198,16 @@ def _unpacked(pk: _Packing, vars: VariableSet, terms: dict) -> Polynomial:
     return Polynomial(vars, {pk.exponents(pk.monomial(h)): c for h, c in terms.items()})
 
 
-# -- provenance, bases and certificates ---------------------------------
-
-
-class ProvenanceTrace:
-    """Linear record of how polynomials arose from a fixed list of generators.
-
-    Nodes ``0 .. n_generators - 1`` are the generators.  Each later node
-    stands for ``scalar * sum(m * value(p) for m, p in parents)``, and every
-    parent precedes its child, so the list is in topological order.
-    """
-
-    def __init__(self, vars: VariableSet, n_generators: int):
-        self.vars = vars
-        self.n_generators = n_generators
-        self.nodes: list[tuple[Fraction, list[tuple[Polynomial, int]]]] = (
-            [(Fraction(1), [])] * n_generators)
-
-    @classmethod
-    def from_rows(cls, vars: VariableSet, n_generators: int,
-                  rows: list[list[Polynomial]]) -> tuple["ProvenanceTrace", list[int]]:
-        """A one-level trace whose node k is sum(rows[k][i] * generator_i)."""
-        trace = cls(vars, n_generators)
-        nodes = [trace.add(Fraction(1), [(c, i) for i, c in enumerate(row) if not c.is_zero()])
-                 for row in rows]
-        return trace, nodes
-
-    def add(self, scalar: Fraction, parents: list[tuple[Polynomial, int]]) -> int:
-        self.nodes.append((scalar, parents))
-        return len(self.nodes) - 1
-
-    def rows(self, nodes: list[int]) -> list[list[Polynomial]]:
-        """Each node's value as a row of cofactors over the generators."""
-        needed = set(nodes)
-        for k in range(max(nodes, default=-1), self.n_generators - 1, -1):
-            if k in needed:
-                needed.update(p for _, p in self.nodes[k][1])
-        one = {(0,) * len(self.vars): Fraction(1)}
-        built: dict[int, list[dict]] = {}
-        for k in sorted(needed):
-            if k < self.n_generators:
-                built[k] = [one if i == k else {} for i in range(self.n_generators)]
-                continue
-            scalar, parents = self.nodes[k]
-            row: list[dict] = [{} for _ in range(self.n_generators)]
-            for m, p in parents:
-                scaled = {e: c * scalar for e, c in m.terms.items()}
-                for acc, src in zip(row, built[p]):
-                    _add_product(acc, scaled, src)
-            built[k] = row
-        return [[Polynomial(self.vars, terms) for terms in built[k]] for k in nodes]
-
-
-def _add_product(acc: dict, f: dict, g: dict) -> None:
-    """acc += f * g on raw term dicts, dropping terms that cancel."""
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            k = monomial_mul(e1, e2)
-            if k in acc:
-                total = acc[k] + c1 * c2
-                if total:
-                    acc[k] = total
-                else:
-                    del acc[k]
-            else:
-                acc[k] = c1 * c2
+# -- bases and certificates --------------------------------------------
 
 
 @dataclass
 class GroebnerBasis:
-    """A reduced basis, with its provenance when it was tracked.
-
-    ``trace`` is None without provenance; otherwise element k equals the
-    value of trace node ``nodes[k]``, and ``provenance`` builds each
-    element's row of cofactors over the presentation's generators from the
-    trace when read.
-    """
+    """A reduced basis of the presentation's ideal and the counters of its search."""
 
     presentation: IdealPresentation
     elements: list[Polynomial]
-    trace: ProvenanceTrace | None
-    nodes: list[int] | None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def provenance(self) -> list[list[Polynomial]] | None:
-        if self.trace is None:
-            return None
-        return self.trace.rows(self.nodes)
+    stats: dict
 
     @property
     def order(self) -> MonomialOrder:
@@ -356,9 +274,7 @@ def _s_terms(pk: _Packing, ri: _Reducer, ui: int, rj: _Reducer, uj: int) -> dict
     return out
 
 
-def buchberger(presentation: IdealPresentation, track_provenance: bool = True, *,
-               trace: ProvenanceTrace | None = None,
-               leaves: list[int] | None = None) -> GroebnerBasis:
+def buchberger(presentation: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with the normal pair strategy.
 
     Pairs are processed by smallest lcm under the graded refinement of the
@@ -371,41 +287,14 @@ def buchberger(presentation: IdealPresentation, track_provenance: bool = True, *
     S-polynomials, the pair lcms and both criteria work on packed monomials
     and integer coefficients.  If an exponent outgrows the packing, the
     search starts over with wider fields.
-
-    With provenance, every new element appends a node to ``trace``.  By
-    default a fresh trace is started whose leaves are the generators; a
-    caller continuing an earlier trace passes it with ``leaves``, the node
-    of each generator in it.
     """
-    n_gens = len(presentation.generators)
-    if not track_provenance:
-        trace = None
-    elif trace is None:
-        trace, leaves = ProvenanceTrace(presentation.vars, n_gens), list(range(n_gens))
-    elif leaves is None or len(leaves) != n_gens:
-        raise ValueError("a continued trace needs one leaf node per generator")
-    size = len(trace.nodes) if trace is not None else 0
-
-    def attempt(pk: _Packing) -> GroebnerBasis:
-        if trace is not None:
-            del trace.nodes[size:]  # what an overflowed attempt appended
-        return _buchberger(presentation, pk, trace, leaves)
-
     pk = _Packing.fitting(presentation.order, len(presentation.vars), presentation.generators)
-    return _with_room(pk, attempt)
+    return _with_room(pk, lambda pk: _buchberger(presentation, pk))
 
 
-def _buchberger(presentation: IdealPresentation, pk: _Packing,
-                trace: ProvenanceTrace | None, leaves: list[int] | None) -> GroebnerBasis:
-    vars = presentation.vars
-    one = Polynomial.constant(vars, 1)
-    reducers: list[_Reducer] = []
-    nodes: list[int] = []
-    for i, g in enumerate(presentation.generators):
-        norm, scalar = primitive_normalize(g, presentation.order)
-        reducers.append(_Reducer.of(pk, norm))
-        if trace is not None:
-            nodes.append(trace.add(scalar, [(one, leaves[i])]))
+def _buchberger(presentation: IdealPresentation, pk: _Packing) -> GroebnerBasis:
+    reducers = [_Reducer.of(pk, primitive_normalize(g, presentation.order)[0])
+                for g in presentation.generators]
 
     pending: dict[tuple[int, int], int] = {}
     pair_heap: list[tuple] = []
@@ -444,37 +333,20 @@ def _buchberger(presentation: IdealPresentation, pk: _Packing,
         if chain:
             stats["skipped_chain"] += 1
             continue
-        ui, uj = lcm - ri.lead, lcm - rj.lead
-        normal, den, quotients = _reduce_terms(pk, _s_terms(pk, ri, ui, rj, uj), 1, reducers,
-                                               trace is not None)
+        s_terms = _s_terms(pk, ri, lcm - ri.lead, rj, lcm - rj.lead)
+        normal, _, _ = _reduce_terms(pk, s_terms, 1, reducers, False)
         if not normal:
             continue
-        normalized, scalar = _primitive(normal, den)
-        if trace is not None:
-            parents = [(Polynomial(vars, {pk.exponents(ui): Fraction(rj.lc)}), nodes[i]),
-                       (Polynomial(vars, {pk.exponents(uj): Fraction(-ri.lc)}), nodes[j])]
-            parents += _negated_quotients(pk, vars, quotients, nodes)
-            nodes.append(trace.add(scalar, parents))
-        reducers.append(_Reducer(pk, normalized))
+        reducers.append(_Reducer(pk, _primitive(normal)))
         stats["pairs_reduced"] += 1
         stats["basis_additions"] += 1
         push_pairs(len(reducers) - 1)
 
-    elements, final_nodes = _reduce_basis(pk, reducers, nodes if trace is not None else None,
-                                          trace, vars)
-    return GroebnerBasis(presentation, elements, trace, final_nodes, stats)
+    return GroebnerBasis(presentation, _reduce_basis(pk, reducers, presentation.vars), stats)
 
 
-def _negated_quotients(pk: _Packing, vars: VariableSet, quotients: list[dict],
-                       nodes: list[int]) -> list[tuple[Polynomial, int]]:
-    """Trace parents (-q, node) for the nonzero division quotients."""
-    return [(_unpacked(pk, vars, {h: -c for h, c in q.items()}), node)
-            for q, node in zip(quotients, nodes) if q]
-
-
-def _reduce_basis(pk: _Packing, reducers: list[_Reducer], nodes: list[int] | None,
-                  trace: ProvenanceTrace | None, vars: VariableSet):
-    """Minimalize then interreduce; appends a trace node per rewritten element."""
+def _reduce_basis(pk: _Packing, reducers: list[_Reducer], vars: VariableSet) -> list[Polynomial]:
+    """Minimalize then interreduce."""
     indices = sorted(range(len(reducers)), key=lambda i: -reducers[i].handle)
     kept: list[int] = []
     for i in indices:
@@ -482,108 +354,76 @@ def _reduce_basis(pk: _Packing, reducers: list[_Reducer], nodes: list[int] | Non
             continue
         kept.append(i)
     elements = [reducers[i] for i in kept]
-    if nodes is not None:
-        nodes = [nodes[i] for i in kept]
-    one = Polynomial.constant(vars, 1)
 
     changed = True
     while changed:
         changed = False
         for pos in range(len(elements)):
-            normal, den, quotients = _reduce_terms(pk, dict(elements[pos].terms), 1,
-                                                   elements[:pos] + elements[pos + 1:],
-                                                   nodes is not None)
+            normal, _, _ = _reduce_terms(pk, dict(elements[pos].terms), 1,
+                                         elements[:pos] + elements[pos + 1:], False)
             if not normal:
                 raise AssertionError("minimalized basis element reduced to zero")
-            normalized, scalar = _primitive(normal, den)
+            normalized = _primitive(normal)
             if normalized != elements[pos].terms:
                 changed = True
-                if nodes is not None:
-                    parents = [(one, nodes[pos])] + _negated_quotients(
-                        pk, vars, quotients, nodes[:pos] + nodes[pos + 1:])
-                    nodes[pos] = trace.add(scalar, parents)
                 elements[pos] = _Reducer(pk, normalized)
     ordering = sorted(range(len(elements)), key=lambda i: elements[i].handle)
-    if nodes is not None:
-        nodes = [nodes[i] for i in ordering]
-    return [_unpacked(pk, vars, elements[i].terms) for i in ordering], nodes
+    return [_unpacked(pk, vars, elements[i].terms) for i in ordering]
 
 
 def staged_buchberger(presentation: IdealPresentation,
-                      track_provenance: bool = True) -> GroebnerBasis:
+                      track_provenance: bool = False) -> GroebnerBasis:
     """Reduced basis for the presentation's order, by the cheapest route known.
 
     Under lex, a generator ``c*v + d`` with a constant c and v the highest
     variable that occurs (``_find_unit_pivot``) is eliminated first: the
     nonzero remainders of the other generators modulo the pivot are v-free
-    and generate the elimination ideal.  Their basis is found the same way,
-    so nested pivots chain, and the pivot's primitive normal form against
-    it, left out when zero (the unit ideal), completes the reduced lex
-    basis.  Without a pivot, a grevlex basis is computed first and used as
-    the generating set for lex: the graded pass keeps intermediate
-    coefficients small, and the second pass starts from a closed set.
+    and generate the elimination ideal.  Pivots are eliminated the same way
+    while the remainders have one.  The remainders' basis is then computed
+    grevlex first and used as the generating set for lex: the graded pass
+    keeps intermediate coefficients small, and the second pass starts from
+    a closed set.  Each pivot's primitive normal form against the basis
+    found so far, left out when zero (the unit ideal), is put in front of
+    it, innermost pivot first, which completes the reduced lex basis.
 
     The reduced basis is unique for the ideal and order, so the result
     equals a direct ``buchberger``; only the cost differs.  ``stats`` are
-    the counters of the search that ran (after a pivot, the remainders'
-    search): ``stage1`` (grevlex), ``stage2`` (lex) and their sums.  All
-    steps extend one provenance trace whose leaves are the generators.
+    the counters of the search that ran (after pivots, the remainders'
+    search): ``stage1`` (grevlex), ``stage2`` (lex) and their sums.
+
+    ``track_provenance`` is ignored.  It is accepted only because the
+    benchmark's ``small_ideals`` workload passes it
+    (``perfbench/workloads.py``, ``certify_ideal``); it goes when that call
+    drops it.
     """
-    n_gens = len(presentation.generators)
-    trace = ProvenanceTrace(presentation.vars, n_gens) if track_provenance else None
-    return _staged(presentation, trace, list(range(n_gens)))
-
-
-def _staged(presentation: IdealPresentation, trace: ProvenanceTrace | None,
-            leaves: list[int]) -> GroebnerBasis:
-    """``staged_buchberger`` continuing ``trace``, whose node leaves[i] is generator i."""
-    if presentation.order.kind == GREVLEX.kind:
-        return buchberger(presentation, trace is not None, trace=trace, leaves=leaves)
-    pivot_idx = _find_unit_pivot(presentation)
-    if pivot_idx is not None:
-        return _eliminate_pivot(presentation, pivot_idx, trace, leaves)
-    stage1 = buchberger(
-        IdealPresentation(presentation.vars, GREVLEX, presentation.generators),
-        trace is not None, trace=trace, leaves=leaves)
-    stage2 = buchberger(
-        IdealPresentation(presentation.vars, presentation.order, tuple(stage1.elements)),
-        trace is not None, trace=trace, leaves=stage1.nodes)
+    order = presentation.order
+    if order.kind == GREVLEX.kind:
+        return buchberger(presentation)
+    remaining, pivots = presentation, []
+    while (pivot_idx := _find_unit_pivot(remaining)) is not None:
+        pivots.append(remaining.generators[pivot_idx])
+        remaining = _eliminate_pivot(remaining, pivot_idx)
+    stage1 = buchberger(IdealPresentation(remaining.vars, GREVLEX, remaining.generators))
+    stage2 = buchberger(IdealPresentation(remaining.vars, order, tuple(stage1.elements)))
     stats = {"stage1": stage1.stats, "stage2": stage2.stats}
     for key in ("pairs_considered", "pairs_reduced", "skipped_coprime",
                 "skipped_chain", "basis_additions"):
         stats[key] = stage1.stats[key] + stage2.stats[key]
-    return GroebnerBasis(presentation, stage2.elements, trace, stage2.nodes, stats)
+    elements = stage2.elements
+    for pivot in reversed(pivots):
+        normal, _ = _divide(pivot, elements, order, False)
+        if not normal.is_zero():
+            elements = [primitive_normalize(normal, order)[0]] + elements
+    return GroebnerBasis(presentation, elements, stats)
 
 
-def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int,
-                     trace: ProvenanceTrace | None, leaves: list[int]) -> GroebnerBasis:
-    """Lex basis via the unit pivot generators[pivot_idx]; see ``staged_buchberger``."""
-    vars, order = presentation.vars, presentation.order
-    one = Polynomial.constant(vars, 1)
-    pivot = presentation.generators[pivot_idx]
-    remainders, nodes = [], []
-    for i, g in enumerate(presentation.generators):
-        if i == pivot_idx:
-            continue
-        remainder, (q,) = reduce(g, [pivot], order)
-        if remainder.is_zero():
-            continue
-        remainders.append(remainder)
-        if trace is not None:  # a generator free of v is its own remainder
-            nodes.append(leaves[i] if q.is_zero() else
-                         trace.add(Fraction(1), [(one, leaves[i]), (-q, leaves[pivot_idx])]))
-    inner = _staged(IdealPresentation(vars, order, tuple(remainders)), trace, nodes)
-    normal, quotients = reduce(pivot, inner.elements, order)
-    if normal.is_zero():
-        return GroebnerBasis(presentation, inner.elements, trace, inner.nodes, inner.stats)
-    normalized, scalar = primitive_normalize(normal, order)
-    final_nodes = None
-    if trace is not None:
-        parents = [(one, leaves[pivot_idx])] + [(-q, node) for q, node in
-                                                zip(quotients, inner.nodes) if not q.is_zero()]
-        final_nodes = [trace.add(scalar, parents)] + inner.nodes
-    return GroebnerBasis(presentation, [normalized] + inner.elements, trace, final_nodes,
-                         inner.stats)
+def _eliminate_pivot(presentation: IdealPresentation, pivot_idx: int) -> IdealPresentation:
+    """The other generators' nonzero remainders modulo the unit pivot generators[pivot_idx]."""
+    pivot, order = presentation.generators[pivot_idx], presentation.order
+    remainders = (_divide(g, [pivot], order, False)[0]
+                  for i, g in enumerate(presentation.generators) if i != pivot_idx)
+    return IdealPresentation(presentation.vars, order,
+                             tuple(r for r in remainders if not r.is_zero()))
 
 
 def _find_unit_pivot(presentation: IdealPresentation) -> int | None:
@@ -615,15 +455,14 @@ def certify_membership(presentation: IdealPresentation, target: Polynomial,
     The identity target = sum(K_i * g_i) + remainder holds exactly, and the
     remainder, the target's normal form against the reduced basis, vanishes
     iff the target lies in the ideal.  ``basis`` is a reduced basis of the
-    presentation (provenance is not needed); without one,
-    ``staged_buchberger`` computes it.
+    presentation; without one, ``staged_buchberger`` computes it.
 
     The cofactors of target - remainder come from Macaulay rows, not from
     the basis search (``_macaulay_certificate``), so their degree is about
     the least any certificate needs.
     """
     if basis is None:
-        basis = staged_buchberger(presentation, False)
+        basis = staged_buchberger(presentation)
     normal_form, _ = _divide(target, basis.elements, basis.order, False)
     return _macaulay_certificate(target, basis.presentation.generators, normal_form)
 
@@ -873,7 +712,7 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
 
 def basis_to_document(gb: GroebnerBasis) -> dict:
     _unlock_wide_integers()
-    doc = {
+    return {
         "format": BASIS_FORMAT,
         "variables": list(gb.presentation.vars.names),
         "order": gb.order.kind,
@@ -881,10 +720,6 @@ def basis_to_document(gb: GroebnerBasis) -> dict:
         "basis": [format_polynomial(g, gb.order) for g in gb.elements],
         "stats": dict(gb.stats),
     }
-    rows = gb.provenance
-    if rows is not None:
-        doc["provenance"] = [[format_polynomial(p, gb.order) for p in row] for row in rows]
-    return doc
 
 
 def basis_from_document(doc: dict) -> GroebnerBasis:
@@ -895,9 +730,5 @@ def basis_from_document(doc: dict) -> GroebnerBasis:
     order = MonomialOrder(doc["order"])
     generators = tuple(parse_polynomial(t, vars) for t in doc["generators"])
     elements = [parse_polynomial(t, vars) for t in doc["basis"]]
-    trace = nodes = None
-    if "provenance" in doc:
-        rows = [[parse_polynomial(t, vars) for t in row] for row in doc["provenance"]]
-        trace, nodes = ProvenanceTrace.from_rows(vars, len(generators), rows)
-    return GroebnerBasis(IdealPresentation(vars, order, generators), elements, trace, nodes,
+    return GroebnerBasis(IdealPresentation(vars, order, generators), elements,
                          dict(doc.get("stats", {})))

@@ -348,8 +348,7 @@ def test_acceptance_8_structural_identities_and_basis_postconditions(
     assert not _top_reduces_to_zero(_nsym("t"), elements, heads, LEX)
     generators = tuple(system_vii.polynomials())
     rotated = generators[1:] + generators[:1]
-    again = staged_buchberger(IdealPresentation(NORMALIZED_VARS, LEX, rotated),
-                              track_provenance=False)
+    again = staged_buchberger(IdealPresentation(NORMALIZED_VARS, LEX, rotated))
     assert list(again.elements) == elements
 
     # the same postconditions on fifty randomized small ideals, with normal
@@ -358,8 +357,7 @@ def test_acceptance_8_structural_identities_and_basis_postconditions(
     members_seen = 0
     for index in range(50):
         vars, gens = random_small_ideal(rng)
-        gb = buchberger(IdealPresentation(vars, GREVLEX, gens),
-                        track_provenance=False)
+        gb = buchberger(IdealPresentation(vars, GREVLEX, gens))
         basis = gb.elements
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -367,8 +365,7 @@ def test_acceptance_8_structural_identities_and_basis_postconditions(
                 assert reduce(spoly, basis, GREVLEX)[0].is_zero(), index
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        permuted = buchberger(IdealPresentation(vars, GREVLEX, tuple(shuffled)),
-                              track_provenance=False)
+        permuted = buchberger(IdealPresentation(vars, GREVLEX, tuple(shuffled)))
         assert permuted.elements == basis, index
         planted = (gens[0] * random_polynomial(rng, vars, 1)
                    + gens[-1] * random_polynomial(rng, vars, 1))

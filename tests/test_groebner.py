@@ -15,7 +15,6 @@ from birot4.certificate import (
 )
 from birot4.constraints import NORMALIZED_VARS
 from birot4.groebner import (
-    GroebnerBasis,
     IdealPresentation,
     _find_unit_pivot,
     basis_from_document,
@@ -126,7 +125,7 @@ def test_reduce_matches_fraction_reference():
             f = _rationalized(rng, f)
             rational_cases += 1
         assert reduce(f, basis, order) == _reference_reduce(f, basis, order)
-        gb = buchberger(IdealPresentation(vars, order, gens), track_provenance=False)
+        gb = buchberger(IdealPresentation(vars, order, gens))
         assert reduce(f, gb.elements, order) == _reference_reduce(f, gb.elements, order)
     assert rational_cases == 20
 
@@ -144,8 +143,6 @@ def test_reduce_beyond_the_packing_width():
     assert grown[0] == y ** 600
     gb = buchberger(IdealPresentation(XY, LEX, (x - y ** 50, x ** 3)))
     assert gb.elements == [x - y ** 50, y ** 150]
-    for element, row in zip(gb.elements, gb.provenance):
-        assert row[0] * (x - y ** 50) + row[1] * x ** 3 == element
 
 
 def test_textbook_basis_circle_and_hyperbola():
@@ -167,7 +164,7 @@ def test_buchberger_postconditions_on_random_ideals():
         vars, gens = random_small_ideal(rng)
         order = GREVLEX if rng.random() < 0.5 else LEX
         presentation = IdealPresentation(vars, order, gens)
-        gb = buchberger(presentation, track_provenance=False)
+        gb = buchberger(presentation)
         elements = gb.elements
         # every S-polynomial of the final basis reduces to zero
         for i in range(len(elements)):
@@ -188,25 +185,24 @@ def test_reduced_basis_unique_under_generator_permutation():
     for _ in range(8):
         vars, gens = random_small_ideal(rng)
         presentation = IdealPresentation(vars, GREVLEX, gens)
-        reference = buchberger(presentation, track_provenance=False).elements
+        reference = buchberger(presentation).elements
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        again = buchberger(IdealPresentation(vars, GREVLEX, tuple(shuffled)),
-                           track_provenance=False).elements
+        again = buchberger(IdealPresentation(vars, GREVLEX, tuple(shuffled))).elements
         assert again == reference
 
 
-def test_provenance_rows_re_expand_each_basis_element():
+def test_each_basis_element_has_a_membership_certificate():
+    """Every reduced basis element, under either order, lies in the
+    generators' ideal with a certificate that verifies."""
     rng = random.Random(404)
     for _ in range(6):
         vars, gens = random_small_ideal(rng)
-        gb = buchberger(IdealPresentation(vars, GREVLEX, gens))
-        assert gb.provenance is not None
-        for element, row in zip(gb.elements, gb.provenance):
-            acc = Polynomial.zero(vars)
-            for cof, g in zip(row, gens):
-                acc = acc + cof * g
-            assert acc == element
+        for order in (GREVLEX, LEX):
+            presentation = IdealPresentation(vars, order, gens)
+            for element in staged_buchberger(presentation).elements:
+                cert = certify_membership(presentation, element)
+                assert cert.is_member and cert.verify()
 
 
 def test_normal_form_agrees_with_membership_oracle():
@@ -215,7 +211,7 @@ def test_normal_form_agrees_with_membership_oracle():
     rng = random.Random(505)
     for _ in range(10):
         vars, gens = random_small_ideal(rng)
-        gb = buchberger(IdealPresentation(vars, GREVLEX, gens), track_provenance=False)
+        gb = buchberger(IdealPresentation(vars, GREVLEX, gens))
         planted = Polynomial.zero(vars)
         for g in gens:
             planted = planted + random_polynomial(rng, vars, 1) * g
@@ -229,16 +225,23 @@ def test_normal_form_agrees_with_membership_oracle():
 def test_staged_buchberger_equals_direct_lex():
     x, y = _xy()
     gens = (x * x + y * y - 1, x * y - 1)
-    direct = buchberger(IdealPresentation(XY, LEX, gens), track_provenance=False)
-    staged = staged_buchberger(IdealPresentation(XY, LEX, gens), track_provenance=False)
+    direct = buchberger(IdealPresentation(XY, LEX, gens))
+    staged = staged_buchberger(IdealPresentation(XY, LEX, gens))
     assert staged.elements == direct.elements
-    # staged provenance still expresses elements over the original generators
-    tracked = staged_buchberger(IdealPresentation(XY, LEX, gens))
-    for element, row in zip(tracked.elements, tracked.provenance):
-        acc = Polynomial.zero(XY)
-        for cof, g in zip(row, gens):
-            acc = acc + cof * g
-        assert acc == element
+
+
+def test_staged_buchberger_ignores_track_provenance():
+    """The benchmark's call shape, ``track_provenance=True``, changes nothing:
+    same basis, same counters, same document, and no provenance rows."""
+    x, y = _xy()
+    presentation = IdealPresentation(XY, LEX, (x * x + y * y - 1, x * y - 1))
+    tracked = staged_buchberger(presentation, track_provenance=True)
+    plain = staged_buchberger(presentation)
+    assert tracked.elements == plain.elements
+    assert tracked.stats == plain.stats
+    doc = basis_to_document(tracked)
+    assert doc == basis_to_document(plain)
+    assert "provenance" not in doc
 
 
 def test_planted_member_certificates():
@@ -254,7 +257,7 @@ def test_planted_member_certificates():
             multipliers = [random_polynomial(rng, vars, 1) for _ in gens]
             target = sum((h * g for h, g in zip(multipliers, gens)), target)
         planted = max((h * g).total_degree() for h, g in zip(multipliers, gens))
-        gb = staged_buchberger(presentation, track_provenance=False)
+        gb = staged_buchberger(presentation)
         cert = certify_membership(presentation, target, basis=gb)
         assert cert.is_member and cert.verify()
         assert reduce(target, gb.elements, LEX)[0].is_zero()
@@ -271,7 +274,7 @@ def test_non_member_certificate_needs_a_higher_degree():
     x, y = _xy()
     gens = (x * x + y, x * y)
     presentation = IdealPresentation(XY, LEX, gens)
-    gb = staged_buchberger(presentation, track_provenance=False)
+    gb = staged_buchberger(presentation)
     assert gb.elements == [x * x + y, x * y, y * y]
     target = y * y + y
     cert = certify_membership(presentation, target, basis=gb)
@@ -282,18 +285,16 @@ def test_non_member_certificate_needs_a_higher_degree():
 
 
 def _check_pivot_route(presentation, targets):
-    """The unit-pivot route gives the direct lex basis; every provenance row
-    re-expands to its element; each target's certificate from that basis
-    verifies, with the normal form against the basis as its remainder.
-    Returns the certificates."""
+    """The unit-pivot route gives the direct lex basis; every basis element
+    has a membership certificate that verifies; each target's certificate
+    from that basis verifies, with the normal form against the basis as its
+    remainder.  Returns the target certificates."""
     assert _find_unit_pivot(presentation) is not None
     gb = staged_buchberger(presentation)
-    assert gb.elements == buchberger(presentation, track_provenance=False).elements
-    assert staged_buchberger(presentation, track_provenance=False).elements == gb.elements
-    zero = Polynomial.zero(presentation.vars)
-    for element, row in zip(gb.elements, gb.provenance, strict=True):
-        assert sum((k * g for k, g in zip(row, presentation.generators, strict=True)),
-                   zero) == element
+    assert gb.elements == buchberger(presentation).elements
+    for element in gb.elements:
+        cert = certify_membership(presentation, element, basis=gb)
+        assert cert.is_member and cert.verify()
     certificates = []
     for target in targets:
         cert = certify_membership(presentation, target, basis=gb)
@@ -345,7 +346,7 @@ def test_certify_membership_member_and_non_member():
     for cof, g in zip(cert.cofactors, cert.generators):
         acc = acc + cof * g
     assert acc == member
-    gb = staged_buchberger(presentation, track_provenance=False)
+    gb = staged_buchberger(presentation)
     assert certify_membership(presentation, member, basis=gb).verify()
     outsider = certify_membership(presentation, x)
     assert not outsider.is_member
@@ -391,8 +392,8 @@ def test_certificate_verify_detects_tampering():
 
 def test_unit_pivot_path_matches_basis_path():
     """Nested unit pivots: x is eliminated by the first generator, then y by
-    the remainder z^2 - y; the basis, its provenance and the certificates
-    must match a direct lex computation over the original generators."""
+    the remainder z^2 - y; the basis and the certificates must match a
+    direct lex computation over the original generators."""
     x, y, z = (Polynomial.variable(XYZ, n) for n in ("x", "y", "z"))
     gens = (2 * x + y * z - 1, y * y + z - 3, z * z - y)
     presentation = IdealPresentation(XYZ, LEX, gens)
@@ -421,7 +422,6 @@ def test_basis_document_round_trip():
     back = basis_from_document(doc)
     assert back.elements == gb.elements
     assert back.presentation.generators == gb.presentation.generators
-    assert back.provenance == gb.provenance
     with pytest.raises(ValueError):
         basis_from_document({"format": "other"})
 
@@ -443,7 +443,7 @@ def test_certificate_document_round_trip():
 def test_ideal_containing_a_unit_collapses():
     x, y = _xy()
     gens = (x * y - 1, x * y + 1)
-    gb = buchberger(IdealPresentation(XY, LEX, gens), track_provenance=False)
+    gb = buchberger(IdealPresentation(XY, LEX, gens))
     assert gb.elements == [Polynomial.constant(XY, 1)]
     assert reduce(x + Fraction(5, 3), gb.elements, LEX)[0].is_zero()
 
@@ -470,7 +470,7 @@ def test_lex_basis_matches_sympy_on_small_ideals():
     rng = random.Random(808)
     for _ in range(10):
         vars, gens = random_small_ideal(rng)
-        ours = staged_buchberger(IdealPresentation(vars, LEX, gens), track_provenance=False)
+        ours = staged_buchberger(IdealPresentation(vars, LEX, gens))
         assert ours.elements == _sympy_lex_basis(vars, gens)
 
 
@@ -503,6 +503,5 @@ def test_flagship_lex_basis_matches_sympy(system_vii):
     minute in sympy)."""
     pytest.importorskip("sympy")
     gens = tuple(system_vii.polynomials())
-    ours = staged_buchberger(IdealPresentation(NORMALIZED_VARS, LEX, gens),
-                             track_provenance=False)
+    ours = staged_buchberger(IdealPresentation(NORMALIZED_VARS, LEX, gens))
     assert ours.elements == _sympy_lex_basis(NORMALIZED_VARS, gens)

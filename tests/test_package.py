@@ -1,8 +1,9 @@
-"""Package surface: every exported name resolves, and each CLI subcommand
-imports only the layers it runs."""
+"""Package surface: every exported name resolves, each CLI subcommand
+imports only the layers it runs, and no module imports a name it never reads."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -83,3 +84,37 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["check-cases"] == [0, ["birot4.cases"]]
     assert loaded["check-cases VII"] == [0, ["birot4.cases"]]
     assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner"]]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Top-level imported names that the module never reads.
+
+    ``__future__`` imports and statements marked ``# noqa: F401`` (a
+    deliberate re-export) are skipped; a name is read where the module
+    loads it anywhere.  ``__init__.py`` imports its exports lazily through
+    a table of strings, so it has no such import to check.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{stmt.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = Path(birot4.__file__).resolve().parent
+    unused = [entry for path in sorted(package.glob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []
