@@ -55,7 +55,7 @@ _EXPORTS = {
         "INITIAL_DATA_NAMES", "INITIAL_DATA_VARS", "ProfileIVP",
         "ProfileSolution", "TruncatedSeries", "solve_profile_ivp",
     ),
-    "univariate": ("count_real_roots", "resultant_univariate", "sturm_chain"),
+    "univariate": ("count_real_roots", "resultant_univariate"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

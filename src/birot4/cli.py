@@ -5,7 +5,8 @@ against the embedded reference texts), certify (lex basis and membership
 certificate for the product monomial), check-cases (the seven branch
 verifiers), and simulate (trajectory integration, residual reports, and
 the data sweep).  Every artifact is a JSON document with a deterministic
-payload and a separate run manifest carrying timing and digests.
+payload and a separate run manifest carrying timing, digests and, for
+certify, the search counters.
 The Groebner search, the case checker and the float layer (numpy) are
 imported inside the one subcommand branch that runs each, so the other
 runs start without them; re-checking a stored certificate needs only
@@ -47,6 +48,9 @@ from .series import (
 )
 
 MANIFEST_FORMAT = "birot4/run-manifest@1"
+CERTIFY_FORMAT = "birot4/certification@2"
+NONMEMBER_NOTE = ("nonzero remainder: the target is not a member; "
+                  "in particular the ideal is proper if the target is 1")
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -56,8 +60,10 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, subcommand: str, payload: dict, started: float) -> None:
-    """Attach the run manifest and write or summarize the artifact."""
+def _emit(args, subcommand: str, payload: dict, started: float,
+          search: dict | None = None) -> None:
+    """Attach the run manifest and write or summarize the artifact; the time
+    and the counters of a search that ran go into the manifest, never the payload."""
     digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
     parameters = {k: v for k, v in vars(args).items()
                   if k not in ("func",) and not callable(v)}
@@ -70,6 +76,8 @@ def _emit(args, subcommand: str, payload: dict, started: float) -> None:
         "elapsed_seconds": round(time.perf_counter() - started, 6),
         "payload_digest": f"sha256:{digest}",
     }
+    if search is not None:
+        manifest["search"] = search
     document = {"manifest": manifest, "payload": payload}
     if getattr(args, "output", None):
         path = Path(args.output)
@@ -195,25 +203,54 @@ def _load_certificate(path: str):
         raise SystemExit(EXIT_USAGE) from exc
 
 
+def _certify_payload(target: Polynomial, basis, certificate) -> dict:
+    """The compute-mode certify payload: the ideal and its reduced basis, the
+    certificate and its two verdicts.  It reads no search counter, so every
+    route to the same basis and certificate gives the same payload."""
+    from .groebner import basis_to_document
+
+    payload = {
+        "format": CERTIFY_FORMAT,
+        "mode": "compute",
+        "target": format_polynomial(target),
+        "basis": basis_to_document(basis),
+        "certificate": certificate_to_document(certificate),
+        "identity_holds": certificate.verify(),
+        "remainder_zero": certificate.remainder.is_zero(),
+    }
+    if not payload["remainder_zero"]:
+        payload["note"] = NONMEMBER_NOTE
+    return payload
+
+
+def _certify_status(payload: dict) -> int:
+    """Exit status of a certify run; a failure names its first failing step on stderr."""
+    if not payload["identity_holds"]:
+        print("first failing step: certificate re-verification FAILED: the identity "
+              "target = sum(K_i*g_i) + remainder does not re-expand", file=sys.stderr)
+    elif not payload["remainder_zero"]:
+        print(f"first failing step: membership FAILED: {NONMEMBER_NOTE}", file=sys.stderr)
+    else:
+        return EXIT_OK
+    return EXIT_FAIL
+
+
 def cmd_certify(args) -> int:
     started = time.perf_counter()
     if args.verify_only:
         certificate = _load_certificate(args.verify_only)
-        verified = certificate.verify()
-        remainder_zero = certificate.remainder.is_zero()
         payload = {
-            "format": "birot4/certification@1",
+            "format": CERTIFY_FORMAT,
             "mode": "verify-only",
             "target": format_polynomial(certificate.target),
-            "identity_holds": verified,
-            "remainder_zero": remainder_zero,
+            "identity_holds": certificate.verify(),
+            "remainder_zero": certificate.remainder.is_zero(),
         }
         _emit(args, "certify", payload, started)
-        if verified and remainder_zero:
+        status = _certify_status(payload)
+        if status == EXIT_OK:
             print("stored certificate re-verified: identity holds, remainder zero")
-            return EXIT_OK
-        print("stored certificate FAILED re-verification", file=sys.stderr)
-        return EXIT_FAIL
+        return status
 
     try:
         target = parse_polynomial(args.target, NORMALIZED_VARS)
@@ -227,29 +264,12 @@ def cmd_certify(args) -> int:
     presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
     basis = groebner.staged_buchberger(presentation)
     certificate = groebner.certify_membership(presentation, target, basis=basis)
-    verified = certificate.verify()
-    remainder_zero = certificate.remainder.is_zero()
-    payload = {
-        "format": "birot4/certification@1",
-        "mode": "compute",
-        "target": format_polynomial(target),
-        "basis": groebner.basis_to_document(basis),
-        "certificate": certificate_to_document(certificate),
-        "identity_holds": verified,
-        "remainder_zero": remainder_zero,
-    }
-    if not remainder_zero:
-        payload["note"] = ("nonzero remainder: the target is not a member; "
-                          "in particular the ideal is proper if the target is 1")
-    _emit(args, "certify", payload, started)
+    payload = _certify_payload(target, basis, certificate)
+    _emit(args, "certify", payload, started, search=basis.stats)
     print(f"basis elements: {len(basis.elements)}")
-    print(f"identity re-verification: {'ok' if verified else 'FAILED'}")
-    print(f"remainder zero: {remainder_zero}")
-    if not verified or not remainder_zero:
-        if not remainder_zero:
-            print("note: " + payload["note"], file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    print(f"identity re-verification: {'ok' if payload['identity_holds'] else 'FAILED'}")
+    print(f"remainder zero: {payload['remainder_zero']}")
+    return _certify_status(payload)
 
 
 # -- check-cases --------------------------------------------------------

@@ -13,10 +13,9 @@ from fractions import Fraction
 
 from .constraints import NORMALIZED_NAMES, NORMALIZED_VARS
 from .poly import Polynomial, parse_polynomial
-from .series import INITIAL_DATA_NAMES, INITIAL_DATA_VARS
+from .series import INITIAL_DATA_VARS
 
-# symbols of the raw initial-data ring, in fixed order
-RAW_NAMES = INITIAL_DATA_NAMES
+# the raw initial-data ring
 RAW_VARS = INITIAL_DATA_VARS
 
 # profile Taylor coefficients (exponential convention), orders 2..7

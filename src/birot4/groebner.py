@@ -7,7 +7,9 @@ module.  ``staged_buchberger`` is the one basis search behind
 eliminates a unit pivot ``c*v + d`` (v the top variable): the other
 generators' remainders modulo the pivot are searched (grevlex, then lex),
 and the pivot's normal form against that basis completes the reduced lex
-basis.  The basis ``stats`` are the counters of the search that ran.
+basis.  The basis ``stats`` are the counters of the search that ran; the
+basis document leaves them out, since they describe the route, not the
+basis.
 
 A membership certificate target = sum(K_i * g_i) + remainder takes the
 remainder from the basis (the target's normal form) and the cofactors from
@@ -59,7 +61,7 @@ from .poly import (
     primitive_normalize,
 )
 
-BASIS_FORMAT = "birot4/groebner-basis@1"
+BASIS_FORMAT = "birot4/groebner-basis@2"
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,8 @@ def _unpacked(pk: _Packing, vars: VariableSet, terms: dict) -> Polynomial:
 
 @dataclass
 class GroebnerBasis:
-    """A reduced basis of the presentation's ideal and the counters of its search."""
+    """A reduced basis of the presentation's ideal and the counters of its search
+    (empty for a basis read back from its document)."""
 
     presentation: IdealPresentation
     elements: list[Polynomial]
@@ -310,7 +313,7 @@ def _buchberger(presentation: IdealPresentation, pk: _Packing) -> GroebnerBasis:
         push_pairs(idx)
 
     stats = {"pairs_considered": 0, "pairs_reduced": 0,
-             "skipped_coprime": 0, "skipped_chain": 0, "basis_additions": 0}
+             "skipped_coprime": 0, "skipped_chain": 0}
     guard = pk.guard
 
     while pair_heap:
@@ -339,7 +342,6 @@ def _buchberger(presentation: IdealPresentation, pk: _Packing) -> GroebnerBasis:
             continue
         reducers.append(_Reducer(pk, _primitive(normal)))
         stats["pairs_reduced"] += 1
-        stats["basis_additions"] += 1
         push_pairs(len(reducers) - 1)
 
     return GroebnerBasis(presentation, _reduce_basis(pk, reducers, presentation.vars), stats)
@@ -406,8 +408,7 @@ def staged_buchberger(presentation: IdealPresentation,
     stage1 = buchberger(IdealPresentation(remaining.vars, GREVLEX, remaining.generators))
     stage2 = buchberger(IdealPresentation(remaining.vars, order, tuple(stage1.elements)))
     stats = {"stage1": stage1.stats, "stage2": stage2.stats}
-    for key in ("pairs_considered", "pairs_reduced", "skipped_coprime",
-                "skipped_chain", "basis_additions"):
+    for key in ("pairs_considered", "pairs_reduced", "skipped_coprime", "skipped_chain"):
         stats[key] = stage1.stats[key] + stage2.stats[key]
     elements = stage2.elements
     for pivot in reversed(pivots):
@@ -718,7 +719,6 @@ def basis_to_document(gb: GroebnerBasis) -> dict:
         "order": gb.order.kind,
         "generators": [format_polynomial(g, gb.order) for g in gb.presentation.generators],
         "basis": [format_polynomial(g, gb.order) for g in gb.elements],
-        "stats": dict(gb.stats),
     }
 
 
@@ -730,5 +730,4 @@ def basis_from_document(doc: dict) -> GroebnerBasis:
     order = MonomialOrder(doc["order"])
     generators = tuple(parse_polynomial(t, vars) for t in doc["generators"])
     elements = [parse_polynomial(t, vars) for t in doc["basis"]]
-    return GroebnerBasis(IdealPresentation(vars, order, generators), elements,
-                         dict(doc.get("stats", {})))
+    return GroebnerBasis(IdealPresentation(vars, order, generators), elements, {})

@@ -96,12 +96,6 @@ class ResidualReport:
     biharmonic: float
     surface_laplacian_gap: float | None = None
 
-    def entries(self) -> tuple[float, ...]:
-        base = (self.arc_defect, self.compatibility, self.biharmonic)
-        if self.surface_laplacian_gap is not None:
-            base = base + (self.surface_laplacian_gap,)
-        return base
-
 
 def _derivative_field(params: IntegrationParams):
     alpha = params.alpha

@@ -86,7 +86,7 @@ class MonomialOrder:
     """A total multiplicative order on exponent tuples with 1 minimal.
 
     ``key(exps)`` returns a tuple so that builtin comparisons realize the
-    order; ``compare`` gives the usual -1/0/+1.
+    order.
     """
 
     def __init__(self, kind: str):
@@ -99,14 +99,6 @@ class MonomialOrder:
             return exps
         # grevlex: compare total degree, then reversed exponents negated
         return (sum(exps),) + tuple(-e for e in reversed(exps))
-
-    def compare(self, a: Exponents, b: Exponents) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.kind!r})"
@@ -203,9 +195,6 @@ class Polynomial:
         """Names with a positive exponent in some term, in ring order."""
         return tuple(name for index, name in enumerate(self.vars)
                      if any(exps[index] for exps in self.terms))
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def leading_monomial(self, order: MonomialOrder) -> Exponents:
         if not self.terms:

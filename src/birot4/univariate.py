@@ -47,18 +47,6 @@ def dense_coefficients(f: Polynomial, name: str) -> list[Fraction]:
     return coeffs
 
 
-def _from_dense(coeffs: list[Fraction], template: Polynomial, name: str) -> Polynomial:
-    idx = template.vars.index(name)
-    width = len(template.vars)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            exps = [0] * width
-            exps[idx] = k
-            terms[tuple(exps)] = c
-    return Polynomial(template.vars, terms)
-
-
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -90,16 +78,6 @@ def _dense_sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
             break
         chain.append([-c for c in rem])
     return chain
-
-
-def sturm_chain(f: Polynomial) -> list[Polynomial]:
-    """Standard Sturm sequence: f, f', then negated Euclidean remainders."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no Sturm chain")
-    name = univariate_name(f)
-    if name is None:
-        return [f]
-    return [_from_dense(c, f, name) for c in _dense_sturm_chain(dense_coefficients(f, name))]
 
 
 def _sign_at(coeffs: list[Fraction], point) -> int:

@@ -14,15 +14,21 @@ import pytest
 
 import birot4
 from birot4 import numeric
-from birot4.cli import build_parser, main
+from birot4.certificate import MembershipCertificate
+from birot4.cli import _certify_payload, build_parser, main
+from birot4.constraints import NORMALIZED_VARS
+from birot4.groebner import IdealPresentation, buchberger, certify_membership, staged_buchberger
+from birot4.poly import LEX, Polynomial, variables
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# Payload digest of `birot4 certify` (the lex basis and the p*t^4 certificate).
-# A deliberate change of the certification route that changes the payload must
-# update this pin and say so in CHANGES.md.
+# Payload digest of `birot4 certify`: the ideal, its reduced lex basis, the
+# p*t^4 certificate and the two verdicts.  The search counters live in the
+# manifest (`search`), not in the payload, so a change of the basis search
+# alone must not move this pin.  A change of the certificate or of the payload
+# format must update it and say so in CHANGES.md.
 CERTIFY_PAYLOAD_DIGEST = (
-    "sha256:cb554f2335ed339f9f6bd3a5d95fb96677ab025a0e1ff01c90681960a4b35a86")
+    "sha256:1a04740f2cdab50df56987a25a3de7d99317b245767bc77b8ca1a55c79fe81bf")
 # The reduced lex basis is fixed by the ideal and the order, so no route change
 # may move BASIS_DIGEST.  The certificate document is fixed by the certificate
 # finder: the low-degree Macaulay certificate (rows mu*E_i up to degree 10,
@@ -239,17 +245,33 @@ def test_simulate_rejects_non_finite_values(tmp_path, capsys, mode, bad):
     assert not out.exists()
 
 
-def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
+def _keys(document) -> set[str]:
+    """Every dictionary key at any depth of a JSON document."""
+    if isinstance(document, dict):
+        return set(document).union(*map(_keys, document.values()))
+    if isinstance(document, list):
+        return set().union(*map(_keys, document))
+    return set()
+
+
+def test_certify_artifact(certify_artifact, certify_artifact_path, system_vii, capsys):
     _check_manifest(certify_artifact, "certify")
     payload = certify_artifact["payload"]
-    assert payload["format"] == "birot4/certification@1"
+    assert payload["format"] == "birot4/certification@2"
     assert payload["mode"] == "compute"
     assert payload["target"] == "p*t^4"
     assert payload["identity_holds"] is True
     assert payload["remainder_zero"] is True
-    assert payload["basis"]["format"] == "birot4/groebner-basis@1"
+    assert payload["basis"]["format"] == "birot4/groebner-basis@2"
     assert payload["basis"]["order"] == "lex"
-    assert "provenance" not in payload["basis"]
+    assert not {"provenance", "stats"} & _keys(payload)
+    # the counters of the staged search are in the manifest: grevlex, then lex
+    search = certify_artifact["manifest"]["search"]
+    assert (search["pairs_considered"], search["pairs_reduced"]) == (2481, 75)
+    assert (search["stage1"]["pairs_considered"], search["stage1"]["pairs_reduced"]) == (1953, 58)
+    assert (search["stage2"]["pairs_considered"], search["stage2"]["pairs_reduced"]) == (528, 17)
+    presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system_vii.polynomials()))
+    assert search == staged_buchberger(presentation).stats
     assert payload["certificate"]["format"] == "birot4/membership-certificate@1"
     assert payload["certificate"]["is_member"] is True
     assert certify_artifact["manifest"]["payload_digest"] == CERTIFY_PAYLOAD_DIGEST
@@ -260,6 +282,72 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, capsys):
     # the stored artifact re-verifies through the verify-only path
     assert main(["certify", "--verify-only", str(certify_artifact_path)]) == 0
     assert "re-verified" in capsys.readouterr().out
+
+
+def test_certify_payload_is_the_same_for_every_search_route():
+    """The direct lex search and the staged route (unit pivot x, grevlex, then
+    lex) find one reduced basis with different counters; the payload states
+    the basis and the certificate, so both routes give one payload."""
+    xyz = variables("x", "y", "z")
+    x, y, z = (Polynomial.variable(xyz, name) for name in xyz.names)
+    generators = (x - y * z - 1, y * y - z * z - 1, x * z * z - y)
+    presentation = IdealPresentation(xyz, LEX, generators)
+    target = x * y * generators[2] + z * generators[1]
+    payloads = []
+    bases = [buchberger(presentation), staged_buchberger(presentation)]
+    for basis in bases:
+        certificate = certify_membership(presentation, target, basis=basis)
+        payloads.append(_certify_payload(target, basis, certificate))
+    assert bases[0].stats != bases[1].stats
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["identity_holds"] and payloads[0]["remainder_zero"]
+
+
+def test_certify_names_a_nonzero_remainder(tmp_path, capsys):
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--target", "t", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "remainder zero: False" in captured.out
+    assert captured.err.count("\n") == 1
+    assert "first failing step: membership FAILED: nonzero remainder" in captured.err
+    payload = _load(out)["payload"]
+    assert payload["identity_holds"] is True and payload["remainder_zero"] is False
+    assert payload["note"] in captured.err
+
+
+def test_certify_names_a_failed_re_verification(tmp_path, monkeypatch, capsys):
+    """A certificate that the search accepted but the final check rejects fails
+    the run, and stderr names the re-verification step."""
+    def search_then_break_verify(*args, **kwargs):
+        certificate = certify_membership(*args, **kwargs)
+        monkeypatch.setattr(MembershipCertificate, "verify", lambda self: False)
+        return certificate
+
+    monkeypatch.setattr("birot4.groebner.certify_membership", search_then_break_verify)
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "identity re-verification: FAILED" in captured.out
+    assert captured.err.count("\n") == 1
+    assert "first failing step: certificate re-verification FAILED" in captured.err
+    payload = _load(out)["payload"]
+    assert payload["identity_holds"] is False and payload["remainder_zero"] is True
+
+
+def test_certify_artifacts_in_the_first_format_still_load(tmp_path, certify_artifact, capsys):
+    """Only the certificate of a stored artifact is read, and its format is
+    unchanged, so an artifact with the old payload format and basis counters
+    still re-checks."""
+    old = json.loads(json.dumps(certify_artifact))
+    old["payload"]["format"] = "birot4/certification@1"
+    old["payload"]["basis"]["format"] = "birot4/groebner-basis@1"
+    old["payload"]["basis"]["stats"] = certify_artifact["manifest"]["search"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert main(["certify", "--verify-only", str(path)]) == 0
+    assert "re-verified" in capsys.readouterr().out
+    assert main(["check-cases", "VII", "--certificate", str(path)]) == 0
+    assert "1/1 cases verified" in capsys.readouterr().out
 
 
 def test_manifest_version_is_the_package_version(certify_artifact):
@@ -377,31 +465,33 @@ def test_readme_usage_parses():
         parser.parse_args(argv)
 
 
-def _run_cli(tmp_path, name: str, hash_seed: str, *argv: str) -> str:
-    """Run the CLI in a fresh interpreter; return the artifact's payload digest."""
+def _run_cli(tmp_path, name: str, hash_seed: str, *argv: str) -> dict:
+    """Run the CLI in a fresh interpreter; return the artifact's manifest."""
     out = tmp_path / f"{name}.json"
     src = str(Path(birot4.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     subprocess.run([sys.executable, "-m", "birot4.cli", *argv, "--output", str(out)],
                    env=env, cwd=tmp_path, check=True, capture_output=True)
-    return _load(out)["manifest"]["payload_digest"]
+    return _load(out)["manifest"]
 
 
 def test_payloads_do_not_depend_on_the_hash_seed(tmp_path, certify_artifact):
     # the derive payloads are pinned under two hash seeds below
     certify = _run_cli(tmp_path, "certify", "1", "certify")
-    assert certify == certify_artifact["manifest"]["payload_digest"]
+    assert certify["payload_digest"] == certify_artifact["manifest"]["payload_digest"]
+    # the search counters too; the times differ from run to run
+    assert certify["search"] == certify_artifact["manifest"]["search"]
 
 
 def test_simulate_sweep_payload_is_pinned(tmp_path):
-    sweeps = [_run_cli(tmp_path, f"sweep{seed}", seed, "simulate", "--sweep")
-              for seed in ("1", "77")]
+    sweeps = [_run_cli(tmp_path, f"sweep{seed}", seed, "simulate",
+                       "--sweep")["payload_digest"] for seed in ("1", "77")]
     assert sweeps == [SIMULATE_SWEEP_PAYLOAD_DIGEST] * 2
 
 
 @pytest.mark.parametrize("case", sorted(DERIVE_PAYLOAD_DIGESTS))
 def test_derive_payload_is_pinned(tmp_path, case):
-    derives = [_run_cli(tmp_path, f"derive{seed}", seed, "derive", "--case", case)
-               for seed in ("1", "77")]
+    derives = [_run_cli(tmp_path, f"derive{seed}", seed, "derive",
+                        "--case", case)["payload_digest"] for seed in ("1", "77")]
     assert derives == [DERIVE_PAYLOAD_DIGESTS[case]] * 2

@@ -419,8 +419,10 @@ def test_basis_document_round_trip():
     x, y = _xy()
     gb = buchberger(IdealPresentation(XY, LEX, (x * x + y * y - 1, x * y - 1)))
     doc = basis_to_document(gb)
+    assert doc["format"] == "birot4/groebner-basis@2" and "stats" not in doc
     back = basis_from_document(doc)
     assert back.elements == gb.elements
+    assert back.stats == {}
     assert back.presentation.generators == gb.presentation.generators
     with pytest.raises(ValueError):
         basis_from_document({"format": "other"})

@@ -66,7 +66,6 @@ def test_catenoid_residuals_both_directions(catenoid_forward, catenoid_backward)
         assert report.compatibility < 1e-8
         assert report.biharmonic < 1e-6
         assert report.surface_laplacian_gap is None
-        assert len(report.entries()) == 3
 
 
 def test_cylinder_keeps_unit_radius_and_shows_its_curvature_gap():

@@ -85,9 +85,7 @@ def test_ring_laws_on_random_samples():
 def test_integer_and_fraction_scalars_mix_in():
     x, y, _ = _symbols()
     f = 2 * x + y * Fraction(1, 3) - 1
-    assert f.coefficient((1, 0, 0)) == 2
-    assert f.coefficient((0, 1, 0)) == Fraction(1, 3)
-    assert f.coefficient((0, 0, 0)) == -1
+    assert f.terms == {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 0): -1}
     assert f == Fraction(1, 3) * y + x + x - 1
 
 
@@ -105,13 +103,13 @@ def test_power_matches_repeated_multiplication():
 def test_lex_and_grevlex_disagree_where_expected():
     # x versus y^2: lex ranks by the first variable, grevlex by total degree
     a, b = (1, 0, 0), (0, 2, 0)
-    assert LEX.compare(a, b) == 1
-    assert GREVLEX.compare(a, b) == -1
+    assert LEX.key(a) > LEX.key(b)
+    assert GREVLEX.key(a) < GREVLEX.key(b)
     # ties in total degree break on the rightmost difference: y^2 > y*z
     c = (0, 1, 1)
-    assert LEX.compare(b, c) == 1
-    assert GREVLEX.compare(b, c) == 1
-    assert GREVLEX.compare((0, 0, 2), c) == -1  # z^2 < y*z
+    assert LEX.key(b) > LEX.key(c)
+    assert GREVLEX.key(b) > GREVLEX.key(c)
+    assert GREVLEX.key((0, 0, 2)) < GREVLEX.key(c)  # z^2 < y*z
 
 
 def test_monomial_order_validation_and_equality():

@@ -21,7 +21,6 @@ from birot4.univariate import (
     count_real_roots,
     dense_coefficients,
     resultant_univariate,
-    sturm_chain,
     univariate_name,
 )
 
@@ -52,16 +51,6 @@ def test_dense_coefficients_round_trip():
     f = 2 * T ** 3 - T + Fraction(1, 2)
     assert dense_coefficients(f, "t") == [Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(2)]
     assert dense_coefficients(Polynomial.zero(TV), "t") == []
-
-
-def test_sturm_chain_shape():
-    f = _poly_with_roots([0, 1, 2])
-    chain = sturm_chain(f)
-    assert chain[0] == f
-    assert len(chain) >= 2
-    # degrees strictly decrease after the first element
-    degrees = [p.degree_in("t") for p in chain]
-    assert all(a > b for a, b in zip(degrees[1:], degrees[2:]))
 
 
 def test_count_real_roots_with_planted_roots():
