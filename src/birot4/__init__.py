@@ -22,10 +22,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports through the package
 _EXPORTS = {
     "cases": (
-        "CASE_IDS", "CaseReport", "CaseStep", "PointEvaluation",
-        "PositiveCombination", "Region", "SignFact", "SturmWindow",
-        "VariableCondition", "check_all_cases", "report_to_document",
-        "summarize_report",
+        "CASE_IDS", "CaseReport", "CaseStep", "check_all_cases",
+        "report_to_document", "summarize_report",
     ),
     "constraints": (
         "CASE_TAGS", "NORMALIZED_NAMES", "NORMALIZED_VARS", "ConstraintSystem",
@@ -56,6 +54,10 @@ _EXPORTS = {
         "ProfileSolution", "TruncatedSeries", "solve_profile_ivp",
     ),
     "univariate": ("count_real_roots", "resultant_univariate"),
+    "witness": (
+        "PointEvaluation", "PositiveCombination", "Region", "SignFact",
+        "SturmWindow", "VariableCondition",
+    ),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

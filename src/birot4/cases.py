@@ -7,22 +7,12 @@ nonzero hypothesis, and sign claims (SignFact) backed by re-verifiable
 witnesses.  The outcome is an immutable CaseReport whose verdict is
 contradiction-verified only if every step checked out.
 
-One bound type, VariableCondition, states what a Region knows about each
-variable and is also the range enclosure that interval_of computes.  A sign
-claim carries one of three witnesses:
-
-- PointEvaluation: the region pins every variable of the expression to one
-  point, so exact evaluation there fixes the sign;
-- SturmWindow: a univariate expression has no root on the window (Sturm
-  count, endpoints checked) and takes the claimed sign at its samples;
-- PositiveCombination: an exact rewrite as a sum of products whose signs on
-  the region combine decisively.
-
-A claim of zero for the zero polynomial needs no witness.
-
-Case VII re-checks a membership certificate for p*t^4 with
-``birot4.certificate``; it imports the search (``birot4.groebner``) only
-when it is given no certificate and has to find one.
+This module states the deductions and is not itself trusted: each step is
+decided by the trusted core, ``birot4.poly`` and ``birot4.univariate`` for
+identities and root counts, ``birot4.witness`` for sign claims, and
+``birot4.certificate`` for case VII's membership certificate for p*t^4.
+Case VII imports the search (``birot4.groebner``) only when it is given no
+certificate and has to find one.
 """
 
 from __future__ import annotations
@@ -54,7 +44,6 @@ from .poly import (
     LEX,
     Polynomial,
     RationalFunction,
-    VariableSet,
     evaluate_rational,
     format_polynomial,
     parse_polynomial,
@@ -70,386 +59,20 @@ from .series import (
     quadratic_forced_component,
     solve_profile_ivp,
 )
-from .univariate import (
-    NEG_INFINITY,
-    POS_INFINITY,
-    REAL_LINE,
-    EndpointRootError,
-    count_real_roots,
-    resultant_univariate,
+from .univariate import REAL_LINE, count_real_roots, resultant_univariate
+from .witness import (
+    PointEvaluation,
+    PositiveCombination,
+    ProductTerm,
+    Region,
+    SignFact,
+    SturmWindow,
+    VariableCondition,
 )
 
 REPORT_FORMAT = "birot4/case-report@1"
 
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII")
-
-# sign sets: subsets of {-1, 0, 1} a quantity can take on a region
-_POS = frozenset({1})
-_NEG = frozenset({-1})
-_ZERO = frozenset({0})
-_NONNEG = frozenset({0, 1})
-_NONPOS = frozenset({-1, 0})
-_NONZERO = frozenset({-1, 1})
-_ANY = frozenset({-1, 0, 1})
-
-
-def _sign_mul(a: frozenset, b: frozenset) -> frozenset:
-    return frozenset(x * y for x in a for y in b)
-
-
-def _sign_add(a: frozenset, b: frozenset) -> frozenset:
-    if a <= _NONNEG and b <= _NONNEG:
-        return _POS if (a == _POS or b == _POS) else _NONNEG
-    if a <= _NONPOS and b <= _NONPOS:
-        return _NEG if (a == _NEG or b == _NEG) else _NONPOS
-    return _ANY
-
-
-def _sign_of(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
-# -- regions -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VariableCondition:
-    """Rational bounds and sign knowledge for one region variable.
-
-    The same type is the range enclosure that ``interval_of`` computes: a
-    missing bound is infinite and a strict bound is excluded.  The interval
-    arithmetic below reads only the bounds, and its results carry no
-    ``nonzero`` mark.
-    """
-
-    lower: Fraction | None = None
-    lower_strict: bool = True
-    upper: Fraction | None = None
-    upper_strict: bool = True
-    nonzero: bool = False
-
-    @staticmethod
-    def positive() -> "VariableCondition":
-        return VariableCondition(lower=Fraction(0), lower_strict=True)
-
-    @staticmethod
-    def negative() -> "VariableCondition":
-        return VariableCondition(upper=Fraction(0), upper_strict=True)
-
-    @staticmethod
-    def nonzero_only() -> "VariableCondition":
-        return VariableCondition(nonzero=True)
-
-    @staticmethod
-    def window(lower, upper, strict: bool = True) -> "VariableCondition":
-        return VariableCondition(lower=Fraction(lower), lower_strict=strict,
-                                 upper=Fraction(upper), upper_strict=strict)
-
-    @staticmethod
-    def point(value) -> "VariableCondition":
-        value = Fraction(value)
-        return VariableCondition(lower=value, lower_strict=False,
-                                 upper=value, upper_strict=False,
-                                 nonzero=bool(value))
-
-    def sign_set(self) -> frozenset:
-        out = _ANY
-        if self.lower is not None:
-            if self.lower > 0 or (self.lower == 0 and self.lower_strict):
-                out = out & _POS
-            elif self.lower == 0:
-                out = out & _NONNEG
-        if self.upper is not None:
-            if self.upper < 0 or (self.upper == 0 and self.upper_strict):
-                out = out & _NEG
-            elif self.upper == 0:
-                out = out & _NONPOS
-        if self.nonzero:
-            out = out & _NONZERO
-        return out
-
-    def admits(self, value: Fraction) -> bool:
-        if self.lower is not None:
-            if value < self.lower or (value == self.lower and self.lower_strict):
-                return False
-        if self.upper is not None:
-            if value > self.upper or (value == self.upper and self.upper_strict):
-                return False
-        if self.nonzero and value == 0:
-            return False
-        return True
-
-    # -- interval arithmetic (closed-box ranges, sound) ----------------
-
-    def bounded(self) -> bool:
-        return self.lower is not None and self.upper is not None
-
-    def add(self, other: "VariableCondition") -> "VariableCondition":
-        lo = None if self.lower is None or other.lower is None else self.lower + other.lower
-        hi = None if self.upper is None or other.upper is None else self.upper + other.upper
-        return VariableCondition(lo, self.lower_strict or other.lower_strict,
-                                 hi, self.upper_strict or other.upper_strict)
-
-    def scale(self, factor: Fraction) -> "VariableCondition":
-        if factor == 0:
-            return VariableCondition.point(0)
-        if factor > 0:
-            lo = None if self.lower is None else self.lower * factor
-            hi = None if self.upper is None else self.upper * factor
-            return VariableCondition(lo, self.lower_strict, hi, self.upper_strict)
-        return self.negate().scale(-factor)
-
-    def negate(self) -> "VariableCondition":
-        lo = None if self.upper is None else -self.upper
-        hi = None if self.lower is None else -self.lower
-        return VariableCondition(lo, self.upper_strict, hi, self.lower_strict)
-
-    def power(self, e: int) -> "VariableCondition":
-        if e == 0:
-            return VariableCondition.point(1)
-        lo, hi = self.lower, self.upper
-        if e % 2:
-            return VariableCondition(None if lo is None else lo ** e, self.lower_strict,
-                                     None if hi is None else hi ** e, self.upper_strict)
-        if lo is not None and lo >= 0:
-            return VariableCondition(lo ** e, self.lower_strict,
-                                     None if hi is None else hi ** e, self.upper_strict)
-        if hi is not None and hi <= 0:
-            return VariableCondition((-hi) ** e, self.upper_strict,
-                                     None if lo is None else (-lo) ** e, self.lower_strict)
-        # the range straddles zero (or is unbounded around it)
-        if lo is None or hi is None:
-            return VariableCondition(Fraction(0), False, None, True)
-        a, b = (-lo) ** e, hi ** e
-        if a > b:
-            top, strict = a, self.lower_strict
-        elif b > a:
-            top, strict = b, self.upper_strict
-        else:
-            top, strict = a, self.lower_strict and self.upper_strict
-        return VariableCondition(Fraction(0), False, top, strict)
-
-    def multiply(self, other: "VariableCondition") -> "VariableCondition":
-        if not (self.bounded() and other.bounded()):
-            return VariableCondition()
-        candidates = [
-            (self.lower * other.lower, self.lower_strict or other.lower_strict),
-            (self.lower * other.upper, self.lower_strict or other.upper_strict),
-            (self.upper * other.lower, self.upper_strict or other.lower_strict),
-            (self.upper * other.upper, self.upper_strict or other.upper_strict),
-        ]
-        lo = min(v for v, _ in candidates)
-        hi = max(v for v, _ in candidates)
-        lo_strict = all(s for v, s in candidates if v == lo)
-        hi_strict = all(s for v, s in candidates if v == hi)
-        return VariableCondition(lo, lo_strict, hi, hi_strict)
-
-
-@dataclass(frozen=True)
-class Region:
-    """Conjunction of per-variable conditions; absent variables are free."""
-
-    conditions: Mapping[str, VariableCondition] = field(default_factory=dict)
-
-    def condition(self, name: str) -> VariableCondition:
-        return self.conditions.get(name, VariableCondition())
-
-
-def interval_of(f: Polynomial, region: Region) -> VariableCondition:
-    """Sound range enclosure of f over the region's box."""
-    total = VariableCondition.point(0)
-    for exps, coeff in f.terms.items():
-        term = VariableCondition.point(1)
-        for name, e in zip(f.vars, exps):
-            if e:
-                term = term.multiply(region.condition(name).power(e))
-        total = total.add(term.scale(coeff))
-    return total
-
-
-def _power_sign(s: frozenset, e: int) -> frozenset:
-    if e == 0:
-        return _POS
-    if e % 2 == 0:
-        out = set()
-        if s & _NONZERO:
-            out.add(1)
-        if 0 in s:
-            out.add(0)
-        return frozenset(out)
-    return s
-
-
-def polynomial_sign_set(f: Polynomial, region: Region) -> frozenset:
-    """Sign set of f on the region: per-monomial rules, then intervals.
-
-    Per-monomial: a term's sign is its coefficient sign times the product
-    of variable signs read off the region, with even powers of nonzero
-    variables counting as positive.  If the per-monomial sum is not
-    decisive, fall back to the interval enclosure.
-    """
-    if f.is_zero():
-        return _ZERO
-    total = None
-    for exps, coeff in f.terms.items():
-        term = frozenset({_sign_of(coeff)})
-        for name, e in zip(f.vars, exps):
-            if e:
-                term = _sign_mul(term, _power_sign(region.condition(name).sign_set(), e))
-        total = term if total is None else _sign_add(total, term)
-        if total == _ANY:
-            break
-    if total != _ANY:
-        return total
-    return interval_of(f, region).sign_set()
-
-
-# -- sign-fact witnesses -----------------------------------------------
-
-_CLAIM_SETS = {"positive": _POS, "negative": _NEG, "zero": _ZERO}
-
-
-def _evaluate_at(f: Polynomial, point: Mapping[str, Fraction]) -> Fraction:
-    filled = {name: Fraction(point.get(name, 0)) for name in f.vars}
-    return f.evaluate(filled)
-
-
-@dataclass(frozen=True)
-class PointEvaluation:
-    """Witness: the region pins the expression to one point; check its sign.
-
-    Sound because every variable of the expression has closed bounds
-    lower == upper == its value in the point, so the expression takes that
-    one value on the whole region.
-    """
-
-    point: Mapping[str, Fraction]
-    method = "exact evaluation"
-
-    def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        for name in expression.occurring_variables():
-            cond = region.condition(name)
-            if (name not in self.point or cond.lower_strict or cond.upper_strict
-                    or not cond.lower == cond.upper == Fraction(self.point[name])):
-                return False
-        value = _evaluate_at(expression, self.point)
-        return frozenset({_sign_of(value)}) == _CLAIM_SETS[claimed]
-
-
-@dataclass(frozen=True)
-class SturmWindow:
-    """Witness: no roots on the window plus sample signs fix the sign.
-
-    The expression must be univariate; the window is the region's bound on
-    that variable (the whole line when unbounded).  Soundness: a continuous
-    function with no zero on a connected set has one sign there.
-    """
-
-    variable: str
-    samples: tuple[Fraction, ...]
-    method = "Sturm count"
-
-    def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        if expression.occurring_variables() != (self.variable,):
-            return False
-        cond = region.condition(self.variable)
-        lo = NEG_INFINITY if cond.lower is None else cond.lower
-        hi = POS_INFINITY if cond.upper is None else cond.upper
-        try:
-            if count_real_roots(expression, (lo, hi)) != 0:
-                return False
-        except EndpointRootError:
-            return False
-        if not self.samples:
-            return False
-        want = _CLAIM_SETS[claimed]
-        for sample in self.samples:
-            sample = Fraction(sample)
-            if not cond.admits(sample):
-                return False
-            if frozenset({_sign_of(_evaluate_at(expression, {self.variable: sample}))}) != want:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class ProductTerm:
-    """coefficient times a product of polynomial powers."""
-
-    coefficient: Fraction
-    factors: tuple[tuple[Polynomial, int], ...] = ()
-
-    def rebuild(self, vars: VariableSet) -> Polynomial:
-        out = Polynomial.constant(vars, self.coefficient)
-        for base, e in self.factors:
-            out = out * base ** e
-        return out
-
-    def sign_set(self, region: Region) -> frozenset:
-        total = frozenset({_sign_of(self.coefficient)})
-        for base, e in self.factors:
-            total = _sign_mul(total, _power_sign(polynomial_sign_set(base, region), e))
-        return total
-
-
-@dataclass(frozen=True)
-class PositiveCombination:
-    """Witness: rewrite as a sum of terms whose signs combine decisively.
-
-    Verification re-expands the terms, checks exact equality with the
-    claimed expression, then combines per-term sign sets: every term must
-    be one-signed-or-zero on the region with at least one strictly signed,
-    all agreeing with the claim.
-    """
-
-    terms: tuple[ProductTerm, ...]
-    method = "positive-combination rewrite"
-
-    @staticmethod
-    def from_polynomial(f: Polynomial) -> "PositiveCombination":
-        terms = []
-        for exps, coeff in sorted(f.terms.items(), key=lambda item: LEX.key(item[0]),
-                                  reverse=True):
-            factors = tuple(
-                (Polynomial.variable(f.vars, name), e)
-                for name, e in zip(f.vars, exps) if e)
-            terms.append(ProductTerm(coeff, factors))
-        return PositiveCombination(tuple(terms))
-
-    def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        rebuilt = Polynomial.zero(expression.vars)
-        for term in self.terms:
-            rebuilt = rebuilt + term.rebuild(expression.vars)
-        if rebuilt != expression:
-            return False
-        total = None
-        for term in self.terms:
-            s = term.sign_set(region)
-            total = s if total is None else _sign_add(total, s)
-        return total == _CLAIM_SETS[claimed]
-
-
-@dataclass(frozen=True)
-class SignFact:
-    """A sign claim for a polynomial on a region, plus its witness."""
-
-    expression: Polynomial
-    region: Region
-    claimed_sign: str
-    witness: object = None
-
-    @property
-    def method(self) -> str:
-        if self.witness is None:
-            return "exact zero test"
-        return self.witness.method
-
-    def verify(self) -> bool:
-        if self.claimed_sign not in _CLAIM_SETS:
-            return False
-        if self.witness is None:
-            return self.claimed_sign == "zero" and self.expression.is_zero()
-        return self.witness.verify(self.expression, self.region, self.claimed_sign)
 
 
 # -- reports -----------------------------------------------------------
@@ -876,13 +499,13 @@ def check_case_VI() -> CaseReport:
            SignFact(cubic, Region({"t": VariableCondition.point(lo)}), "negative",
                     PointEvaluation({"t": lo})))
     c.equal("subbranch u = 0: its value there is -36/25",
-            cubic.evaluate({n: lo if n == "t" else Fraction(0) for n in nv.names}),
+            cubic.evaluate({"t": lo}),
             CASE6_CUBIC_AT_LO)
     c.sign("subbranch u = 0: the cubic is positive at -9/4",
            SignFact(cubic, Region({"t": VariableCondition.point(hi)}), "positive",
                     PointEvaluation({"t": hi})))
     c.equal("subbranch u = 0: its value there is 75/64",
-            cubic.evaluate({n: hi if n == "t" else Fraction(0) for n in nv.names}),
+            cubic.evaluate({"t": hi}),
             CASE6_CUBIC_AT_HI)
     quad = parse_polynomial(QUADRATIC_T_TEXT, nv)
     window = Region({"t": VariableCondition.window(lo, hi, strict=False)})
@@ -1080,43 +703,6 @@ def check_all_cases(certificate: MembershipCertificate | None = None) -> list[Ca
 # -- document form -----------------------------------------------------
 
 
-def _condition_document(cond: VariableCondition) -> dict:
-    doc: dict = {}
-    if cond.lower is not None:
-        doc["lower"] = str(cond.lower)
-        doc["lower_strict"] = cond.lower_strict
-    if cond.upper is not None:
-        doc["upper"] = str(cond.upper)
-        doc["upper_strict"] = cond.upper_strict
-    if cond.nonzero:
-        doc["nonzero"] = True
-    return doc
-
-
-def _sign_fact_document(fact: SignFact) -> dict:
-    doc = {
-        "expression": format_polynomial(fact.expression),
-        "claimed_sign": fact.claimed_sign,
-        "method": fact.method,
-        "region": {name: _condition_document(cond)
-                   for name, cond in fact.region.conditions.items()},
-    }
-    witness = fact.witness
-    if isinstance(witness, PointEvaluation):
-        doc["point"] = {name: str(value) for name, value in witness.point.items()}
-    elif isinstance(witness, SturmWindow):
-        doc["variable"] = witness.variable
-        doc["samples"] = [str(s) for s in witness.samples]
-    elif isinstance(witness, PositiveCombination):
-        doc["terms"] = [
-            {"coefficient": str(term.coefficient),
-             "factors": [{"base": format_polynomial(base), "power": e}
-                         for base, e in term.factors]}
-            for term in witness.terms
-        ]
-    return doc
-
-
 def report_to_document(report: CaseReport) -> dict:
     """Render a CaseReport as a plain-data document."""
     steps = []
@@ -1126,7 +712,7 @@ def report_to_document(report: CaseReport) -> dict:
         if step.detail:
             entry["detail"] = step.detail
         if step.sign_fact is not None:
-            entry["sign_fact"] = _sign_fact_document(step.sign_fact)
+            entry["sign_fact"] = step.sign_fact.document()
         steps.append(entry)
     return {
         "format": REPORT_FORMAT,
@@ -1159,15 +745,8 @@ __all__ = [
     "CASE_IDS",
     "CaseReport",
     "CaseStep",
-    "PointEvaluation",
-    "PositiveCombination",
     "PowerProduct",
-    "ProductTerm",
     "REPORT_FORMAT",
-    "Region",
-    "SignFact",
-    "SturmWindow",
-    "VariableCondition",
     "apply_derivation",
     "check_all_cases",
     "check_case_I",
@@ -1177,8 +756,6 @@ __all__ = [
     "check_case_V",
     "check_case_VI",
     "check_case_VII",
-    "interval_of",
-    "polynomial_sign_set",
     "report_to_document",
     "summarize_report",
 ]

@@ -72,7 +72,6 @@ def _emit(args, subcommand: str, payload: dict, started: float,
         "subcommand": subcommand,
         "parameters": parameters,
         "version": __version__,
-        "seeds": [],
         "elapsed_seconds": round(time.perf_counter() - started, 6),
         "payload_digest": f"sha256:{digest}",
     }
@@ -238,6 +237,10 @@ def _certify_status(payload: dict) -> int:
 def cmd_certify(args) -> int:
     started = time.perf_counter()
     if args.verify_only:
+        if args.target is not None:
+            print("error: --verify-only re-checks the stored certificate's own target; "
+                  "drop --target", file=sys.stderr)
+            return EXIT_USAGE
         certificate = _load_certificate(args.verify_only)
         payload = {
             "format": CERTIFY_FORMAT,
@@ -252,6 +255,7 @@ def cmd_certify(args) -> int:
             print("stored certificate re-verified: identity holds, remainder zero")
         return status
 
+    args.target = CERTIFICATE_TARGET_TEXT if args.target is None else args.target
     try:
         target = parse_polynomial(args.target, NORMALIZED_VARS)
     except ValueError as exc:
@@ -449,8 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     derive.set_defaults(func=cmd_derive)
 
     certify = sub.add_parser("certify", help="lex basis and membership certificate")
-    certify.add_argument("--target", default=CERTIFICATE_TARGET_TEXT,
-                         help="target polynomial over A,B,u,p,t")
+    # None stands for CERTIFICATE_TARGET_TEXT, filled in by cmd_certify in
+    # compute mode, so that a verify-only manifest records no target it never read
+    certify.add_argument("--target", help="target polynomial over A,B,u,p,t "
+                                          f"(default {CERTIFICATE_TARGET_TEXT})")
     certify.add_argument("--verify-only", metavar="FILE",
                          help="re-check a stored certificate artifact")
     certify.add_argument("--output", help="artifact path")

@@ -10,6 +10,10 @@ The text format is a sum of terms like ``2*B*p + 3*t*u - 4/3*u``: rational
 coefficients, ``*`` between factors, ``^`` for powers >= 2.  Printing sorts
 terms descending under a chosen order and parsing is exact, so print/parse
 round-trips are bit-identical.
+
+This module is part of the trusted core (with ``birot4.univariate``,
+``birot4.certificate`` and ``birot4.witness``) and imports no other
+``birot4`` module.
 """
 
 from __future__ import annotations
@@ -129,9 +133,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             value = Fraction(coeff)
             if value:
-                clean[exps] = clean.get(exps, Fraction(0)) + value
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = value
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 
@@ -140,7 +142,7 @@ class Polynomial:
         """Wrap terms that are already valid: fitting tuples, nonzero Fractions.
 
         The ring operations build such dicts themselves, so they skip the
-        checks and the re-summing that ``__init__`` does.
+        checks that ``__init__`` does.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vars)
@@ -296,22 +298,22 @@ class Polynomial:
             if k == 0:
                 continue
             dropped = exps[:idx] + (k - 1,) + exps[idx + 1:]
-            out[dropped] = out.get(dropped, Fraction(0)) + coeff * k
+            out[dropped] = coeff * k
         return Polynomial(self.vars, out)
 
     def evaluate(self, point: Mapping[str, Coefficient]) -> Fraction:
-        """Evaluate with every variable bound to a rational."""
-        values = []
-        for name in self.vars:
+        """Evaluate at rationals; only the variables that occur need a value."""
+        values: dict[str, Fraction] = {}
+        for name in self.occurring_variables():
             if name not in point:
                 raise ValueError(f"no value for variable {name!r}")
-            values.append(Fraction(point[name]))
+            values[name] = Fraction(point[name])
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
-            for value, e in zip(values, exps):
+            for name, e in zip(self.vars, exps):
                 if e:
-                    term *= value ** e
+                    term *= values[name] ** e
             total += term
         return total
 
@@ -357,7 +359,7 @@ class Polynomial:
         for exps, coeff in self.terms.items():
             k = exps[idx]
             rest = exps[:idx] + (0,) + exps[idx + 1:]
-            buckets[k][rest] = buckets[k].get(rest, Fraction(0)) + coeff
+            buckets[k][rest] = coeff
         return [Polynomial(self.vars, bucket) for bucket in buckets]
 
     # -- printing ------------------------------------------------------

@@ -6,6 +6,8 @@ with rational endpoints or +/- infinity (floats).  Resultants treat one
 designated variable as the main one and the remaining variables as
 coefficient symbols; the subresultant polynomial remainder sequence keeps
 all arithmetic in the polynomial ring.
+
+This module is part of the trusted core and imports only ``birot4.poly``.
 """
 
 from __future__ import annotations

@@ -15,14 +15,7 @@ import time
 from fractions import Fraction
 
 from conftest import oracle_is_member, random_polynomial, random_small_ideal
-from birot4.cases import (
-    PositiveCombination,
-    ProductTerm,
-    Region,
-    SignFact,
-    VariableCondition,
-    check_case_V,
-)
+from birot4.cases import check_case_V
 from birot4.constraints import (
     NORMALIZED_VARS,
     arc_defect_series,
@@ -82,6 +75,7 @@ from birot4.series import (
     solve_profile_ivp,
 )
 from birot4.univariate import REAL_LINE, count_real_roots, resultant_univariate
+from birot4.witness import PositiveCombination, ProductTerm, Region, SignFact, VariableCondition
 
 
 def _scorecard(number: int, label: str) -> None:
@@ -93,8 +87,7 @@ def _nsym(name: str) -> Polynomial:
 
 
 def _value_at_t(f: Polynomial, point: Fraction) -> Fraction:
-    return f.evaluate({name: point if name == "t" else Fraction(0)
-                       for name in NORMALIZED_VARS.names})
+    return f.evaluate({"t": point})
 
 
 def _top_reduces_to_zero(f: Polynomial, basis, heads, order) -> bool:

@@ -7,8 +7,14 @@ import json
 import random
 from fractions import Fraction
 
-from birot4.cases import (
-    CASE_IDS,
+from birot4.cases import CASE_IDS, check_case_VII, report_to_document, summarize_report
+from birot4.constraints import NORMALIZED_VARS, extract_system
+from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
+from birot4.certificate import MembershipCertificate
+from birot4.poly import Polynomial, parse_polynomial, variables
+from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
+from birot4.univariate import resultant_univariate
+from birot4.witness import (
     PointEvaluation,
     PositiveCombination,
     ProductTerm,
@@ -16,18 +22,8 @@ from birot4.cases import (
     SignFact,
     SturmWindow,
     VariableCondition,
-    check_case_VII,
-    interval_of,
     polynomial_sign_set,
-    report_to_document,
-    summarize_report,
 )
-from birot4.constraints import NORMALIZED_VARS, extract_system
-from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
-from birot4.certificate import MembershipCertificate
-from birot4.poly import Polynomial, parse_polynomial, variables
-from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
-from birot4.univariate import resultant_univariate
 
 XY = variables("x", "y")
 X = Polynomial.variable(XY, "x")
@@ -220,7 +216,6 @@ def test_from_polynomial_round_trip():
 def test_variable_condition_admission():
     assert VariableCondition.positive().admits(Fraction(1, 100))
     assert not VariableCondition.positive().admits(Fraction(0))
-    assert not VariableCondition.negative().admits(Fraction(0))
     assert VariableCondition.nonzero_only().admits(Fraction(-7))
     assert not VariableCondition.nonzero_only().admits(Fraction(0))
     window = VariableCondition.window(-2, 3)
@@ -241,20 +236,56 @@ def test_polynomial_sign_sets():
     assert polynomial_sign_set(-(X * X), nonzero) == frozenset({-1})
 
 
-def test_interval_enclosure_is_sound():
-    box = Region({"x": VariableCondition.window(0, 1, strict=False)})
-    rng = random.Random(8128)
-    f = parse_polynomial("x^3 - 2*x^2 + x - 1", XY)
-    enclosure = interval_of(f, box)
-    for _ in range(50):
-        sample = Fraction(rng.randint(0, 64), 64)
-        value = f.evaluate({"x": sample, "y": Fraction(0)})
-        assert enclosure.lower is None or enclosure.lower <= value
-        assert enclosure.upper is None or value <= enclosure.upper
-    free = interval_of(X, Region())
-    assert free.lower is None and free.upper is None
-    pinned = interval_of(2 * X + ONE, Region({"x": VariableCondition.point(3)}))
-    assert pinned.lower == pinned.upper == Fraction(7)
+def test_univariate_sign_sets_are_sound():
+    """Over random univariate polynomials and every kind of window, the sign
+    at every admitted sample lies in the returned set; the case VI and VII
+    signs that no per-monomial rule decides are decided exactly."""
+    def closed(lo, hi):
+        return VariableCondition.window(lo, hi, strict=False)
+
+    def sign_set(f, cond):
+        return polynomial_sign_set(f, Region({"x": cond}))
+
+    windows = [
+        VariableCondition(), VariableCondition.nonzero_only(), VariableCondition.positive(),
+        VariableCondition(upper=Fraction(1), upper_strict=False),
+        VariableCondition(lower=Fraction(-2), lower_strict=True),
+        VariableCondition.window(-1, 1), closed(-1, 1), closed(Fraction(1, 2), 3),
+        VariableCondition(lower=Fraction(-1), upper=Fraction(1), nonzero=True),
+        VariableCondition(lower=Fraction(-3), lower_strict=False, upper=Fraction(-1)),
+        VariableCondition.point(Fraction(3, 2)), VariableCondition.point(0),
+        # two windows that admit no point
+        VariableCondition.window(1, 1), dataclasses.replace(closed(0, 0), nonzero=True),
+    ]
+    samples = sorted({Fraction(k, 8) for k in range(-40, 41)} | {Fraction(-100), Fraction(100)}
+                     | {w.lower + d for w in windows if w.lower is not None
+                        for d in (0, Fraction(1, 1000))}
+                     | {w.upper - d for w in windows if w.upper is not None
+                        for d in (0, Fraction(1, 1000))})
+    rng = random.Random(20261019)
+    decided = 0
+    for _ in range(300):
+        f = Polynomial(XY, {(e, 0): rng.randint(-6, 6) for e in range(rng.randint(1, 4) + 1)})
+        if f.is_zero():
+            continue
+        for cond in windows:
+            signs = sign_set(f, cond)
+            decided += len(signs) == 1
+            for x in samples:
+                if cond.admits(x):
+                    value = f.evaluate({"x": x})
+                    assert (value > 0) - (value < 0) in signs, (str(f), cond, x)
+    assert decided > 1500  # the per-monomial rules alone decide 1024 of these
+
+    quad = 2 * X * X + 7 * X + 4 * ONE
+    assert sign_set(quad, closed(Fraction(-12, 5), Fraction(-9, 4))) == frozenset({-1})
+    assert sign_set(ONE - X * X, VariableCondition.window(Fraction(-1, 2), Fraction(1, 2))) \
+        == frozenset({1})
+    # a point window gives the exact sign there, zero included
+    assert sign_set(ONE - X * X, VariableCondition.point(1)) == frozenset({0})
+    # a root at a window end, or no admitted point at all, leaves the sign open
+    assert sign_set(ONE - X * X, closed(1, 2)) == frozenset({-1, 0, 1})
+    assert sign_set(ONE - X * X, VariableCondition.window(3, 3)) == frozenset({-1, 0, 1})
 
 
 def test_elimination_routes_agree_on_exact_resultants():

@@ -75,7 +75,7 @@ def _check_manifest(document, subcommand):
     manifest = document["manifest"]
     assert manifest["format"] == "birot4/run-manifest@1"
     assert manifest["subcommand"] == subcommand
-    assert manifest["seeds"] == []
+    assert "seeds" not in manifest
     assert manifest["elapsed_seconds"] >= 0.0
     digest = hashlib.sha256(_canonical(document["payload"]).encode()).hexdigest()
     assert manifest["payload_digest"] == f"sha256:{digest}"
@@ -260,6 +260,7 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, system_vii, c
     assert payload["format"] == "birot4/certification@2"
     assert payload["mode"] == "compute"
     assert payload["target"] == "p*t^4"
+    assert certify_artifact["manifest"]["parameters"]["target"] == "p*t^4"
     assert payload["identity_holds"] is True
     assert payload["remainder_zero"] is True
     assert payload["basis"]["format"] == "birot4/groebner-basis@2"
@@ -364,6 +365,23 @@ def test_certify_rejects_an_unparsable_target(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("error: --target") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_only_manifest_records_only_what_it_read(tmp_path, certify_artifact_path,
+                                                        capsys):
+    """--verify-only re-checks the stored certificate's own target, so its
+    manifest records no --target, and passing one is a usage error."""
+    out = tmp_path / "verify.json"
+    assert main(["certify", "--verify-only", str(certify_artifact_path),
+                 "--output", str(out)]) == 0
+    document = _load(out)
+    _check_manifest(document, "certify")
+    assert document["manifest"]["parameters"]["target"] is None
+    assert document["payload"]["target"] == "p*t^4"
+    capsys.readouterr()
+    assert main(["certify", "--verify-only", str(certify_artifact_path),
+                 "--target", "p*t^4"]) == 2
+    assert capsys.readouterr().err.startswith("error: --verify-only")
 
 
 def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsys):

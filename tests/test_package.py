@@ -86,6 +86,16 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner"]]
 
 
+def test_sign_witnesses_load_only_the_trusted_core(tmp_path):
+    """The sign-claim checks need polynomial arithmetic and Sturm counts only."""
+    loaded = _fresh_interpreter(tmp_path, """
+        import json, sys
+        import birot4.witness
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("birot4"))))
+    """)
+    assert loaded == ["birot4", "birot4.poly", "birot4.univariate", "birot4.witness"]
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Top-level imported names that the module never reads.
 

@@ -367,5 +367,8 @@ def test_evaluate_rational_on_a_known_quotient():
 
 def test_evaluate_rational_requires_the_variables_that_occur():
     x, y, _ = _symbols()
-    with pytest.raises(ValueError, match="'y'"):
-        evaluate_rational(x * x - y, {"x": 1}, XYZ)
+    for evaluate in (lambda f, point: evaluate_rational(f, point, XYZ), Polynomial.evaluate):
+        with pytest.raises(ValueError, match="'y'"):
+            evaluate(x * x - y, {"x": 1})
+        # z is a ring variable absent from the polynomial, so it needs no value
+        assert evaluate(x * x - y, {"x": 2, "y": 1}) == 3
