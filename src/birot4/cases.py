@@ -38,6 +38,7 @@ from .fixtures import (
     QUARTIC_DECOMP_T2,
     QUARTIC_SQUARE_SHIFT,
     QUARTIC_T_TEXT,
+    certificate_claim,
 )
 from .certificate import MembershipCertificate
 from .poly import (
@@ -566,9 +567,8 @@ def check_case_VII(certificate: MembershipCertificate | None = None) -> CaseRepo
     if certificate is None:  # the one use of the Groebner search
         from .groebner import IdealPresentation, certify_membership
         certificate = certify_membership(IdealPresentation(nv, LEX, generators), target)
-    c.equal("the certificate is stated over this extraction's generators",
-            list(certificate.generators), list(generators))
-    c.equal("the certificate's target is p*t^4", certificate.target, target)
+    for description, stated, expected in certificate_claim(certificate, generators):
+        c.equal(description, stated, expected)
     c.check("the certificate identity sum(K_i*E_i) + remainder = p*t^4 holds exactly",
             certificate.verify())
     c.check("the remainder is zero, so p*t^4 vanishes on every solution of the system",

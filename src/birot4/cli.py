@@ -9,8 +9,8 @@ payload and a separate run manifest carrying timing, digests and, for
 certify, the search counters.
 The Groebner search, the case checker and the float layer (numpy) are
 imported inside the one subcommand branch that runs each, so the other
-runs start without them; re-checking a stored certificate needs only
-``birot4.certificate``.
+runs start without them; re-checking a stored certificate needs
+``birot4.certificate`` and the extraction, never the search.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .fixtures import (
     PROFILE_R_SERIES,
     PROFILE_X_SERIES,
     PROFILE_Y_SERIES,
+    certificate_claim,
 )
 from .poly import LEX, Polynomial, format_polynomial, parse_polynomial
 from .series import (
@@ -238,21 +239,29 @@ def cmd_certify(args) -> int:
     started = time.perf_counter()
     if args.verify_only:
         if args.target is not None:
-            print("error: --verify-only re-checks the stored certificate's own target; "
+            print("error: --verify-only re-checks the stored certificate of p*t^4; "
                   "drop --target", file=sys.stderr)
             return EXIT_USAGE
         certificate = _load_certificate(args.verify_only)
+        system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+        failed = [step for step, stated, expected
+                  in certificate_claim(certificate, system.polynomials()) if stated != expected]
         payload = {
             "format": CERTIFY_FORMAT,
             "mode": "verify-only",
             "target": format_polynomial(certificate.target),
+            "claim_holds": not failed,
             "identity_holds": certificate.verify(),
             "remainder_zero": certificate.remainder.is_zero(),
         }
         _emit(args, "certify", payload, started)
+        if failed:
+            print(f"first failing step: {failed[0]} FAILED", file=sys.stderr)
+            return EXIT_FAIL
         status = _certify_status(payload)
         if status == EXIT_OK:
-            print("stored certificate re-verified: identity holds, remainder zero")
+            print("stored certificate re-verified: p*t^4 over the extracted E-system, "
+                  "identity holds, remainder zero (the stored basis is not re-checked)")
         return status
 
     args.target = CERTIFICATE_TARGET_TEXT if args.target is None else args.target

@@ -1,22 +1,20 @@
 """Ground-truth data the verification runs compare against.
 
 Everything here is transcription, not computation: the profile-series
-coefficient table, the seven-equation rotational-surface constraint system
-in normalized symbols, and the handful of exact constants used by the
-per-case contradiction checks.  The engine must regenerate all of it from
-the differential system; these copies are the comparison targets.
+coefficient table, the rotational-surface constraint equations E2..E6 in
+normalized symbols, the handful of exact constants used by the per-case
+contradiction checks, and the claim a membership certificate must state.
+The engine must regenerate all of it from the differential system; these
+copies are the comparison targets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .constraints import NORMALIZED_NAMES, NORMALIZED_VARS
+from .certificate import MembershipCertificate
+from .constraints import NORMALIZED_VARS
 from .poly import Polynomial, parse_polynomial
-from .series import INITIAL_DATA_VARS
-
-# the raw initial-data ring
-RAW_VARS = INITIAL_DATA_VARS
 
 # profile Taylor coefficients (exponential convention), orders 2..7
 PROFILE_R_SERIES = {
@@ -67,37 +65,6 @@ CASE7_SYSTEM_TEXT = {
           " + 16*p*t + 172*p*u^2 + 73*t^3*u + 274*t^2*u + 220*t*u + 24*u^3 + 16*u",
 }
 
-
-def normalized_symbol(name: str) -> Polynomial:
-    return Polynomial.variable(NORMALIZED_VARS, name)
-
-
-def case7_zeroth_equation() -> Polynomial:
-    """B*(B+p*u+t+t^2)^2 + A*p^2*(B+t^2) - A*B, expanded."""
-    A, B, u, p, t = (normalized_symbol(n) for n in NORMALIZED_NAMES)
-    return B * (B + p * u + t + t ** 2) ** 2 + A * p ** 2 * (B + t ** 2) - A * B
-
-
-def case7_system() -> dict[str, Polynomial]:
-    """Labelled normalized constraint system {E0, E2, ..., E6}."""
-    system = {"E0": case7_zeroth_equation()}
-    for label, text in CASE7_SYSTEM_TEXT.items():
-        system[label] = parse_polynomial(text, NORMALIZED_VARS)
-    return system
-
-
-def profile_series_fixture() -> dict[str, dict[int, Polynomial]]:
-    """Expected profile coefficients keyed by component then order."""
-    out: dict[str, dict[int, Polynomial]] = {"r": {}, "x": {}, "y": {}}
-    for n, text in PROFILE_R_SERIES.items():
-        out["r"][n] = parse_polynomial(text, RAW_VARS)
-    for n, text in PROFILE_X_SERIES.items():
-        out["x"][n] = parse_polynomial(text, RAW_VARS)
-    for n, text in PROFILE_Y_SERIES.items():
-        out["y"][n] = parse_polynomial(text, RAW_VARS)
-    return out
-
-
 # single-variable targets of the two case eliminations
 CUBIC_T_TEXT = "5*t^3 + 18*t^2 + 20*t + 12"
 QUADRATIC_T_TEXT = "2*t^2 + 7*t + 4"
@@ -121,3 +88,20 @@ CASE6_CUBIC_AT_HI = Fraction(75, 64)
 
 # membership target of the certificate run: p*t^4
 CERTIFICATE_TARGET_TEXT = "p*t^4"
+
+
+def certificate_claim(certificate: MembershipCertificate,
+                      generators: tuple[Polynomial, ...]) -> list[tuple[str, object, object]]:
+    """The paper's claim about a membership certificate, as (step, stated, expected).
+
+    The certificate must be stated over the E-system E0, E2..E6 that the
+    extraction gives (``generators``, in order) and have target p*t^4.
+    Case VII and ``certify --verify-only`` check these steps before the
+    identity itself, which ``MembershipCertificate.verify`` decides.
+    """
+    return [
+        ("the certificate is stated over this extraction's generators",
+         list(certificate.generators), list(generators)),
+        ("the certificate's target is p*t^4", certificate.target,
+         parse_polynomial(CERTIFICATE_TARGET_TEXT, NORMALIZED_VARS)),
+    ]

@@ -13,12 +13,13 @@ basis.
 
 A membership certificate target = sum(K_i * g_i) + remainder takes the
 remainder from the basis (the target's normal form) and the cofactors from
-linear algebra, not from the search history: the rows mu * g_i up to a
-degree D, D rising from deg(target - remainder), are eliminated modulo a
-fixed prime until target - remainder lies in their span (Lazard; Faugère's
-F4), and the solution on the rows it uses is lifted to exact rationals by
-Dixon's p-adic iteration and rational reconstruction.  Nothing in that
-search is trusted: ``MembershipCertificate.verify`` decides.
+linear algebra, not from the search history: the rows mu * g_i, by rising
+degree from deg(target - remainder), go one at a time into an elimination
+modulo a fixed prime (Lazard; Faugère's F4), which stops at the first row
+that puts target - remainder in their span.  The solution on the rows it
+uses is lifted to exact rationals by Dixon's p-adic iteration and rational
+reconstruction.  Nothing in that search is trusted:
+``MembershipCertificate.verify`` decides.
 
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
 rows) run on a kernel form instead of ``Fraction`` coefficients and
@@ -481,13 +482,20 @@ class _Echelon:
     Rows are dicts handle -> int whose leading term is the smallest handle,
     as in the division kernel, numbered in the order they are added.
     ``add`` top-reduces a row by the pivots; a row left with a new lead
-    becomes a monic pivot, a row that vanishes is dependent and dropped.  Each pivot records the multiples of earlier
-    pivots subtracted from its input row, so ``solve`` maps a vector of the
-    span back to input rows with one backward sweep.  Values being reduced
-    are taken modulo the prime only when they lead.
+    becomes a monic pivot, a row that vanishes is dependent and dropped.
+    Each pivot records the multiples of earlier pivots subtracted from its
+    input row, so ``solve`` maps a vector of the span back to input rows with
+    one backward sweep.  Values being reduced are taken modulo the prime only
+    when they lead.
+
+    An optional goal row is reduced as the rows go in, one at a time: it
+    stops at ``goal_lead``, its first term without a pivot, and resumes only
+    when ``add`` makes a pivot with that lead.  So with a goal,
+    ``goal_lead`` turns None at the first row that puts the goal in the
+    span, and ``combination(goal_steps)`` then gives its input rows.
     """
 
-    def __init__(self, prime: int):
+    def __init__(self, prime: int, goal: dict[int, int] | None = None):
         self.prime = prime
         self.added = 0
         self.pivot_at: dict[int, int] = {}  # lead handle -> pivot
@@ -495,6 +503,17 @@ class _Echelon:
         self.rows: list[int] = []  # pivot -> its input row
         self.scales: list[int] = []  # pivot -> inverse of its reduced lead
         self.steps: list[list[tuple[int, int]]] = []  # pivot -> (earlier pivot, multiple)
+        self.goal = goal  # the goal row, reduced up to goal_lead
+        self.goal_steps: list[tuple[int, int]] = []
+        self.goal_lead = None
+        if goal is not None:
+            self._resume_goal()
+
+    def _resume_goal(self) -> None:
+        steps, self.goal_lead, a = self._reduce(self.goal)
+        self.goal_steps += steps
+        if self.goal_lead is not None:
+            self.goal[self.goal_lead] = a  # _reduce popped it
 
     def _reduce(self, work: dict[int, int]):
         """Cancel leads of work by pivots; returns (steps, first lead without a pivot, its value)."""
@@ -533,6 +552,8 @@ class _Echelon:
         self.rows.append(self.added - 1)
         self.scales.append(scale)
         self.steps.append(steps)
+        if lead == self.goal_lead:
+            self._resume_goal()
         return True
 
     def solve(self, work: dict[int, int]) -> dict[int, int] | None:
@@ -542,8 +563,10 @@ class _Echelon:
         with every dependent row's unknown zero.
         """
         steps, lead, _ = self._reduce(work)
-        if lead is not None:
-            return None
+        return None if lead is not None else self.combination(steps)
+
+    def combination(self, steps: list[tuple[int, int]]) -> dict[int, int]:
+        """Input-row coefficients of a row that the reduction ``steps`` cancel to zero."""
         prime = self.prime
         weight = [0] * len(self.rows)
         for k, a in steps:
@@ -639,15 +662,19 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
     """A verified certificate target = sum(K_i * g_i) + remainder, K_i of low degree.
 
     target - remainder must lie in the ideal.  For D = its degree, D + 1,
-    ... the rows mu * g_i with deg(mu * g_i) <= D are eliminated modulo a
-    prime (``_Echelon``), until the difference lies in their span.  Each
-    degree adds only its block of new rows, in ascending grevlex order of
-    their leading monomials, ties by generator; smaller rows first gives
-    smaller certificates than the reverse order.  The solution modulo the
-    prime, with the unknowns of dependent rows zero, picks its support rows,
-    and Dixon lifting on them gives the exact cofactors.  A candidate is
-    returned only once ``verify()`` accepts it; an unlucky prime makes the
-    search start over with the next one.
+    ... the rows mu * g_i with deg(mu * g_i) <= D that are not in yet go
+    into an elimination modulo a prime (``_Echelon``) one row at a time, in
+    ascending grevlex order of their leading monomials, ties by generator;
+    smaller rows first gives smaller certificates than the reverse order.
+    The elimination tracks the difference and stops at the first row that
+    puts it in the span.  The solution modulo the prime, with the unknowns
+    of dependent rows zero, picks its support rows, and Dixon lifting on
+    them gives the exact cofactors.  Whether a row becomes a pivot depends
+    only on the rows before it, so the pivots at the stop are a prefix of
+    those of any longer run; pivot rows are independent, so the solution
+    over them is unique, and no row after the stop could change it.  A
+    candidate is returned only once ``verify()`` accepts it; an unlucky
+    prime makes the search start over with the next one.
     """
     vars = target.vars
 
@@ -675,10 +702,10 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
             # is never a pivot and is not built.
             koszul = [[pk.monomial(leads[i]) for i in range(j) if gens[i][leads[i]] % prime]
                       for j in range(len(gens))]
-            echelon = _Echelon(prime)
+            echelon = _Echelon(prime, {h: c % prime for h, c in goal.items()})
             rows: list[tuple[int, int]] = []  # (generator, multiplier handle)
             built, degree = -1, max(start, min(degrees))
-            while True:
+            while echelon.goal_lead is not None:
                 block = []
                 for i, d in enumerate(degrees):
                     for m in range(max(built + 1 - d, 0), degree - d + 1):
@@ -690,10 +717,10 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
                 for _, i, mu in block:
                     echelon.add({mu + h: c for h, c in residues[i]})
                     rows.append((i, mu))
-                combination = echelon.solve({h: c % prime for h, c in goal.items()})
-                if combination is not None:
-                    break
+                    if echelon.goal_lead is None:
+                        break
                 built, degree = degree, degree + 1
+            combination = echelon.combination(echelon.goal_steps)
             support = [rows[j] for j in sorted(combination)]
             exact = [{mu + h: c for h, c in gens[i].items()} for i, mu in support]
             for values in _dixon(exact, goal, prime):

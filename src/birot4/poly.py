@@ -174,12 +174,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(monomial_degree(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
-
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
         if not self.terms:

@@ -9,7 +9,6 @@ weights and differentiation is a plain index shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .poly import Polynomial, VariableSet, variables
@@ -46,14 +45,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> Polynomial:
         return self.coefficients[n]
-
-    @staticmethod
-    def from_values(vars: VariableSet, values, order: int | None = None) -> TruncatedSeries:
-        coeffs = [_as_coefficient(vars, v) for v in values]
-        if order is not None:
-            while len(coeffs) < order + 1:
-                coeffs.append(Polynomial.zero(vars))
-        return TruncatedSeries(vars, tuple(coeffs))
 
     @staticmethod
     def constant(vars: VariableSet, value, order: int) -> TruncatedSeries:
@@ -93,16 +84,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
-
-    def ordinary_coefficients(self) -> list[Polynomial]:
-        """Plain Taylor coefficients c[n]/n! of the same truncated series."""
-        out = []
-        fact = 1
-        for n, c in enumerate(self.coefficients):
-            if n:
-                fact *= n
-            out.append(c * Fraction(1, fact))
-        return out
 
 
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -14,11 +14,12 @@ import pytest
 
 from birot4.cases import check_all_cases
 from birot4.cli import main
-from birot4.constraints import extract_system
+from birot4.constraints import NORMALIZED_VARS, extract_system
 from birot4.certificate import certificate_from_document
+from birot4.fixtures import CASE7_SYSTEM_TEXT, PROFILE_R_SERIES, PROFILE_X_SERIES, PROFILE_Y_SERIES
 from birot4.groebner import basis_from_document
-from birot4.poly import Polynomial, VariableSet, variables
-from birot4.series import ProfileIVP, solve_profile_ivp
+from birot4.poly import Polynomial, VariableSet, parse_polynomial, variables
+from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,26 @@ def profile_vii():
 @pytest.fixture(scope="session")
 def system_vii(profile_vii):
     return extract_system(profile_vii, "VII")
+
+
+# -- the transcribed reference tables -----------------------------------
+
+
+def profile_series_table() -> dict[str, dict[int, Polynomial]]:
+    """The transcribed profile coefficients, keyed by component then order."""
+    return {name: {n: parse_polynomial(text, INITIAL_DATA_VARS) for n, text in table.items()}
+            for name, table in (("r", PROFILE_R_SERIES), ("x", PROFILE_X_SERIES),
+                                ("y", PROFILE_Y_SERIES))}
+
+
+def case7_reference_system() -> dict[str, Polynomial]:
+    """The transcribed system {E0, E2, ..., E6}; E0 is expanded from
+    B*(B + p*u + t + t^2)^2 + A*p^2*(B + t^2) - A*B."""
+    A, B, u, p, t = (Polynomial.variable(NORMALIZED_VARS, n) for n in NORMALIZED_VARS.names)
+    system = {"E0": B * (B + p * u + t + t ** 2) ** 2 + A * p ** 2 * (B + t ** 2) - A * B}
+    for label, text in CASE7_SYSTEM_TEXT.items():
+        system[label] = parse_polynomial(text, NORMALIZED_VARS)
+    return system
 
 
 # -- randomized small ideals and the brute-force membership oracle ------

@@ -369,7 +369,7 @@ def test_certify_rejects_an_unparsable_target(tmp_path, capsys, target):
 
 def test_verify_only_manifest_records_only_what_it_read(tmp_path, certify_artifact_path,
                                                         capsys):
-    """--verify-only re-checks the stored certificate's own target, so its
+    """--verify-only re-checks the stored certificate of p*t^4, so its
     manifest records no --target, and passing one is a usage error."""
     out = tmp_path / "verify.json"
     assert main(["certify", "--verify-only", str(certify_artifact_path),
@@ -378,10 +378,37 @@ def test_verify_only_manifest_records_only_what_it_read(tmp_path, certify_artifa
     _check_manifest(document, "certify")
     assert document["manifest"]["parameters"]["target"] is None
     assert document["payload"]["target"] == "p*t^4"
+    assert document["payload"]["claim_holds"] is True
     capsys.readouterr()
     assert main(["certify", "--verify-only", str(certify_artifact_path),
                  "--target", "p*t^4"]) == 2
     assert capsys.readouterr().err.startswith("error: --verify-only")
+
+
+@pytest.mark.parametrize("forgery, step", [
+    ({"generators": ["p*t^4"], "cofactors": ["1"]},
+     "the certificate is stated over this extraction's generators"),
+    ({"target": "0", "cofactors": ["0"] * 6}, "the certificate's target is p*t^4"),
+], ids=["other-generators", "zero-target"])
+def test_verify_only_rejects_a_certificate_of_another_claim(tmp_path, certify_artifact, capsys,
+                                                            forgery, step):
+    """A certificate whose identity holds is still no proof of the paper's
+    claim if it is over other generators or of another target: --verify-only
+    fails it, as case VII does, and names the same step."""
+    forged = json.loads(json.dumps(certify_artifact))
+    forged["payload"]["certificate"].update(forgery)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forged))
+    out = tmp_path / "verify.json"
+    assert main(["certify", "--verify-only", str(path), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"first failing step: {step} FAILED\n"
+    assert "re-verified" not in captured.out
+    payload = _load(out)["payload"]
+    assert payload["claim_holds"] is False
+    assert payload["identity_holds"] is True and payload["remainder_zero"] is True
+    assert main(["check-cases", "VII", "--certificate", str(path)]) == 1
+    assert f"first failing step (case VII): {step}\n" in capsys.readouterr().err
 
 
 def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from conftest import case7_reference_system
 from birot4.constraints import (
     CASE_HYPOTHESES,
     ExtractionError,
@@ -15,7 +16,6 @@ from birot4.constraints import (
     compatibility_series,
     extract_system,
 )
-from birot4.fixtures import case7_system
 from birot4.poly import (
     Polynomial,
     RationalFunction,
@@ -51,7 +51,7 @@ def profile_v(profile_vi):
 
 def test_full_case_system_matches_reference(system_vii):
     assert system_vii.labels() == ("E0", "E2", "E3", "E4", "E5", "E6")
-    reference = case7_system()
+    reference = case7_reference_system()
     for label in system_vii.labels():
         assert system_vii.equation(label) == reference[label], label
     with pytest.raises(KeyError):

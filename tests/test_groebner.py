@@ -16,6 +16,7 @@ from birot4.certificate import (
 from birot4.constraints import NORMALIZED_VARS
 from birot4.groebner import (
     IdealPresentation,
+    _Echelon,
     _find_unit_pivot,
     basis_from_document,
     basis_to_document,
@@ -32,6 +33,7 @@ from birot4.poly import (
     monomial_div,
     monomial_divides,
     monomial_mul,
+    parse_polynomial,
     primitive_normalize,
     variables,
 )
@@ -282,6 +284,83 @@ def test_non_member_certificate_needs_a_higher_degree():
     assert cert.remainder == reduce(target, gb.elements, LEX)[0] == y
     assert cert.cofactors == [y, -x]
     assert max(k.total_degree() + g.total_degree() for k, g in zip(cert.cofactors, gens)) == 3
+
+
+def _span_holds(rows, goal, prime):
+    """Whether goal lies in the span of rows modulo prime, from a fresh elimination."""
+    echelon = _Echelon(prime)
+    for row in rows:
+        echelon.add(dict(row))
+    return echelon.solve(dict(goal)) is not None
+
+
+def test_echelon_stops_at_the_first_row_that_spans_the_goal():
+    """A tracked goal leaves ``goal_lead`` None exactly at the first prefix of
+    rows whose span holds it; its combination there reproduces it and equals
+    what ``solve`` gives after every row.  A goal with a term that no row
+    has never enters."""
+    rng = random.Random(707)
+    prime = 101
+    seen = {"at start": 0, "midway": 0, "at the end": 0, "never": 0}
+    for _ in range(300):
+        width = rng.randint(2, 9)  # handles 0 .. width - 1
+        rows = [{h: rng.randrange(1, prime)
+                 for h in rng.sample(range(width), rng.randint(1, min(3, width)))}
+                for _ in range(rng.randint(1, 10))]
+        goal = {}
+        for j in rng.sample(range(len(rows)), rng.randint(0, len(rows))):
+            c = rng.randrange(1, prime)
+            for h, v in rows[j].items():
+                goal[h] = (goal.get(h, 0) + c * v) % prime
+        goal = {h: v for h, v in goal.items() if v}
+        if rng.random() < 0.2:
+            goal[width] = 1
+        echelon = _Echelon(prime, dict(goal))
+        entered = 0 if echelon.goal_lead is None else None
+        combination = echelon.combination(echelon.goal_steps) if entered == 0 else None
+        for n, row in enumerate(rows, 1):
+            echelon.add(dict(row))
+            if entered is None and echelon.goal_lead is None:
+                entered, combination = n, echelon.combination(echelon.goal_steps)
+        first = next((n for n in range(len(rows) + 1) if _span_holds(rows[:n], goal, prime)),
+                     None)
+        assert entered == first
+        full = echelon.solve(dict(goal))
+        if first is None:
+            assert full is None and echelon.goal_lead is not None
+            seen["never"] += 1
+            continue
+        assert combination == full
+        total = {}
+        for j, c in combination.items():
+            for h, v in rows[j].items():
+                total[h] = (total.get(h, 0) + c * v) % prime
+        assert {h: v for h, v in total.items() if v} == goal
+        seen["at start" if first == 0 else "at the end" if first == len(rows) else "midway"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_flagship_elimination_stops_at_row_1256(flagship_basis, monkeypatch):
+    """p*t^4 enters the span of the flagship's Macaulay rows at row 1256 of
+    the 2167 up to degree 10.  The first prime's elimination adds exactly
+    those rows, 32 of which reduce to zero; Dixon's own elimination adds the
+    297 support rows."""
+    added = {}
+    add = _Echelon.add
+
+    def counting_add(self, work):
+        pivot = add(self, work)
+        counts = added.setdefault(self, [0, 0])
+        counts[0] += 1
+        counts[1] += not pivot
+        return pivot
+
+    monkeypatch.setattr(_Echelon, "add", counting_add)
+    target = parse_polynomial("p*t^4", NORMALIZED_VARS)
+    certificate = certify_membership(flagship_basis.presentation, target, basis=flagship_basis)
+    assert list(added.values()) == [[1256, 32], [297, 0]]
+    assert certificate.verify() and certificate.is_member
+    assert sum(len(k.terms) for k in certificate.cofactors) == 297
 
 
 def _check_pivot_route(presentation, targets):

@@ -94,8 +94,8 @@ def test_series_and_integrator_agree():
 
     def series_value(series):
         total = Fraction(0)
-        for n, coeff in enumerate(series.ordinary_coefficients()):
-            total += coeff.evaluate(data) * tau ** n
+        for n, coeff in enumerate(series.coefficients):  # exponential convention
+            total += coeff.evaluate(data) * tau ** n / math.factorial(n)
         return float(total)
 
     state = ProfileState(tau=0.0, x=0.0, x_dot=float(data["x1"]), y=0.0,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from birot4.fixtures import profile_series_fixture
+from conftest import profile_series_table
 from birot4.poly import Polynomial, variables
 from birot4.series import (
     INITIAL_DATA_VARS,
@@ -23,7 +23,7 @@ V = INITIAL_DATA_VARS
 
 
 def _const_series(values):
-    return TruncatedSeries.from_values(V, [Fraction(v) for v in values])
+    return TruncatedSeries(V, tuple(Polynomial.constant(V, v) for v in values))
 
 
 def test_exponential_convention_on_the_exponential():
@@ -59,12 +59,6 @@ def test_shift_by_expansion_variable():
         assert lhs[n] == rhs[n]
 
 
-def test_ordinary_coefficients_divide_by_factorials():
-    f = _const_series([1, 2, 6, 24])
-    assert [c.constant_value() for c in f.ordinary_coefficients()] == [
-        Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-
-
 def test_series_validation_errors():
     with pytest.raises(ValueError):
         TruncatedSeries(V, ())
@@ -86,7 +80,7 @@ def test_truncation_tracks_the_shorter_operand():
 
 def test_solver_reproduces_the_reference_table():
     profile = solve_profile_ivp(ProfileIVP())
-    table = profile_series_fixture()
+    table = profile_series_table()
     for name, series in (("r", profile.r), ("x", profile.x), ("y", profile.y)):
         for n, expected in table[name].items():
             assert series[n] == expected, f"{name}[{n}] diverges"
