@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .constraints import NORMALIZED_VARS, compatibility_series, extract_system, linear_split
+from .constraints import (NORMALIZED_VARS, ConstraintSystem, compatibility_series,
+                          extract_system, linear_split)
 from .fixtures import (
     CASE5_FOURTH_DERIVATIVE,
     CASE6_CUBIC_AT_HI,
@@ -555,10 +556,12 @@ def check_case_VI() -> CaseReport:
     return c.report()
 
 
-def check_case_VII(certificate: MembershipCertificate | None = None) -> CaseReport:
+def check_case_VII(certificate: MembershipCertificate | None = None,
+                   system: ConstraintSystem | None = None) -> CaseReport:
     """Two independent rotation speeds: the full normalized system is infeasible."""
     c = _Checker("VII")
-    system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+    if system is None:
+        system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     nv = NORMALIZED_VARS
     av, bv, uv, pv, tv = (Polynomial.variable(nv, n) for n in nv.names)
     one = Polynomial.constant(nv, 1)

@@ -325,7 +325,7 @@ def cmd_check_cases(args) -> int:
     certificate = _load_certificate(args.certificate) if args.certificate else None
     # resolved through the module on each call: perfbench's tracer times the
     # cases by rebinding cases.check_case_*
-    reports = [cases.check_case_VII(certificate) if case == "VII"
+    reports = [cases.check_case_VII(certificate, system) if case == "VII"
                else getattr(cases, f"check_case_{case}")() for case in selection]
     all_verified = all(r.verdict == "contradiction-verified" for r in reports)
     payload = {

@@ -17,8 +17,9 @@ linear algebra, not from the search history: the rows mu * g_i, by rising
 degree from deg(target - remainder), go one at a time into an elimination
 modulo a fixed prime (Lazard; Faugère's F4), which stops at the first row
 that puts target - remainder in their span.  The solution on the rows it
-uses is lifted to exact rationals by Dixon's p-adic iteration and rational
-reconstruction.  Nothing in that search is trusted:
+uses is lifted to exact rationals by Dixon's p-adic iteration, solving on
+that same elimination, and rational reconstruction: one echelon per prime
+drives both the stop and the lift.  Nothing in that search is trusted:
 ``MembershipCertificate.verify`` decides.
 
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
@@ -492,7 +493,8 @@ class _Echelon:
     stops at ``goal_lead``, its first term without a pivot, and resumes only
     when ``add`` makes a pivot with that lead.  So with a goal,
     ``goal_lead`` turns None at the first row that puts the goal in the
-    span, and ``combination(goal_steps)`` then gives its input rows.
+    span, and ``solve`` then gives its input rows, as it gives each step of
+    the Dixon lift on the same echelon.
     """
 
     def __init__(self, prime: int, goal: dict[int, int] | None = None):
@@ -504,14 +506,12 @@ class _Echelon:
         self.scales: list[int] = []  # pivot -> inverse of its reduced lead
         self.steps: list[list[tuple[int, int]]] = []  # pivot -> (earlier pivot, multiple)
         self.goal = goal  # the goal row, reduced up to goal_lead
-        self.goal_steps: list[tuple[int, int]] = []
         self.goal_lead = None
         if goal is not None:
             self._resume_goal()
 
     def _resume_goal(self) -> None:
-        steps, self.goal_lead, a = self._reduce(self.goal)
-        self.goal_steps += steps
+        _, self.goal_lead, a = self._reduce(self.goal)
         if self.goal_lead is not None:
             self.goal[self.goal_lead] = a  # _reduce popped it
 
@@ -563,10 +563,8 @@ class _Echelon:
         with every dependent row's unknown zero.
         """
         steps, lead, _ = self._reduce(work)
-        return None if lead is not None else self.combination(steps)
-
-    def combination(self, steps: list[tuple[int, int]]) -> dict[int, int]:
-        """Input-row coefficients of a row that the reduction ``steps`` cancel to zero."""
+        if lead is not None:
+            return None
         prime = self.prime
         weight = [0] * len(self.rows)
         for k, a in steps:
@@ -613,28 +611,27 @@ def _reconstruct(values: list[int], modulus: int) -> list[Fraction] | None:
     return out
 
 
-def _dixon(rows: list[dict[int, int]], target: dict[int, int], prime: int):
+def _dixon(echelon: _Echelon, rows: dict[int, dict[int, int]], target: dict[int, int]):
     """Candidate rational y with sum(y_j * rows[j]) == target, by p-adic lifting.
 
-    Each step solves for the current residual modulo the prime and divides
+    ``rows`` maps the support, input rows of the echelon, to their exact rows.
+    Each step solves the residual on the echelon modulo its prime and divides
     what is left by the prime, so the running solution is exact modulo
-    prime**steps.  A candidate is yielded whenever every entry reconstructs
-    as a rational; the caller checks it.  The steps stop at a Hadamard bound past which
-    the true solution would have reconstructed, or when a residual leaves
-    the span modulo the prime (the prime or the row set was unlucky).
+    prime**steps.  A candidate, keyed like ``rows``, is yielded whenever every
+    entry reconstructs as a rational; the caller checks it.  The steps stop at
+    a Hadamard bound past which the true solution would have reconstructed, or
+    when a residual needs a row outside the support (the prime was unlucky).
     """
-    echelon = _Echelon(prime)
-    for row in rows:
-        echelon.add({h: c % prime for h, c in row.items()})
+    prime = echelon.prime
     # |numerators|, denominators <= |target| * prod |row_j| (Cramer, Hadamard)
-    bits = (sum(sum(c * c for c in row.values()).bit_length() for row in rows)
+    bits = (sum(sum(c * c for c in row.values()).bit_length() for row in rows.values())
             + sum(c * c for c in target.values()).bit_length() + 2)
     residual = dict(target)
-    solution = [0] * len(rows)
+    solution = dict.fromkeys(rows, 0)
     modulus = 1
     while modulus.bit_length() <= bits + prime.bit_length():
         step = echelon.solve({h: v % prime for h, v in residual.items()})
-        if step is None:
+        if step is None or not step.keys() <= rows.keys():
             return
         for j, c in step.items():
             solution[j] += c * modulus
@@ -650,11 +647,11 @@ def _dixon(rows: list[dict[int, int]], target: dict[int, int], prime: int):
         residual = carried
         modulus *= prime
         if not residual:
-            yield [Fraction(s) for s in solution]
+            yield {j: Fraction(s) for j, s in solution.items()}
             return
-        candidate = _reconstruct(solution, modulus)
+        candidate = _reconstruct(list(solution.values()), modulus)
         if candidate is not None:
-            yield candidate
+            yield dict(zip(solution, candidate))
 
 
 def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...],
@@ -668,13 +665,15 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
     smaller rows first gives smaller certificates than the reverse order.
     The elimination tracks the difference and stops at the first row that
     puts it in the span.  The solution modulo the prime, with the unknowns
-    of dependent rows zero, picks its support rows, and Dixon lifting on
-    them gives the exact cofactors.  Whether a row becomes a pivot depends
-    only on the rows before it, so the pivots at the stop are a prefix of
-    those of any longer run; pivot rows are independent, so the solution
-    over them is unique, and no row after the stop could change it.  A
-    candidate is returned only once ``verify()`` accepts it; an unlucky
-    prime makes the search start over with the next one.
+    of dependent rows zero, picks its support rows, and Dixon lifting over
+    them gives the exact cofactors, solving on the same elimination: one
+    echelon per prime drives both the stop and the lift.  Whether a row
+    becomes a pivot depends only on the rows before it, so the pivots at
+    the stop are a prefix of those of any longer run; pivot rows are
+    independent, so the solution over them is unique, and no row after the
+    stop, nor any row outside the support, could change it.  A candidate is
+    returned only once ``verify()`` accepts it; an unlucky prime makes the
+    search start over with the next one.
     """
     vars = target.vars
 
@@ -720,13 +719,13 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
                     if echelon.goal_lead is None:
                         break
                 built, degree = degree, degree + 1
-            combination = echelon.combination(echelon.goal_steps)
-            support = [rows[j] for j in sorted(combination)]
-            exact = [{mu + h: c for h, c in gens[i].items()} for i, mu in support]
-            for values in _dixon(exact, goal, prime):
+            support = sorted(echelon.solve({h: c % prime for h, c in goal.items()}))
+            exact = {j: {rows[j][1] + h: c for h, c in gens[rows[j][0]].items()} for j in support}
+            for values in _dixon(echelon, exact, goal):
                 cofactors = [{} for _ in generators]
-                for (i, mu), y in zip(support, values):
+                for j, y in values.items():
                     if y:
+                        i, mu = rows[j]
                         cofactors[i][mu] = y * dens[i] / goal_den
                 found = certificate([_unpacked(pk, vars, k) for k in cofactors])
                 if found.verify():

@@ -171,9 +171,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(monomial_degree(e) == 0 for e in self.terms)
-
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
         if not self.terms:

@@ -462,6 +462,25 @@ def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
     assert report["case"] == "VII" and report["verdict"] != "contradiction-verified"
 
 
+def test_check_cases_extracts_case_vii_once(certify_artifact_path, monkeypatch, capsys):
+    """check-cases VII extracts its system once: case VII checks the system
+    that was compared with the paper's."""
+    import birot4.cases
+    import birot4.cli
+
+    extract, calls = birot4.cli.extract_system, []
+
+    def counting_extract(profile, case_tag):
+        calls.append(case_tag)
+        return extract(profile, case_tag)
+
+    monkeypatch.setattr(birot4.cli, "extract_system", counting_extract)
+    monkeypatch.setattr(birot4.cases, "extract_system", counting_extract)
+    assert main(["check-cases", "VII", "--certificate", str(certify_artifact_path)]) == 0
+    assert "1/1 cases verified" in capsys.readouterr().out
+    assert calls == ["VII"]
+
+
 def test_check_cases_payload_is_pinned(tmp_path, certify_artifact_path, capsys):
     out = tmp_path / "cases.json"
     assert main(["check-cases", "--certificate", str(certify_artifact_path),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -15,9 +16,12 @@ from birot4.certificate import (
 )
 from birot4.constraints import NORMALIZED_VARS
 from birot4.groebner import (
+    _PRIMES,
     IdealPresentation,
     _Echelon,
+    _dixon,
     _find_unit_pivot,
+    _reconstruct,
     basis_from_document,
     basis_to_document,
     buchberger,
@@ -296,9 +300,9 @@ def _span_holds(rows, goal, prime):
 
 def test_echelon_stops_at_the_first_row_that_spans_the_goal():
     """A tracked goal leaves ``goal_lead`` None exactly at the first prefix of
-    rows whose span holds it; its combination there reproduces it and equals
-    what ``solve`` gives after every row.  A goal with a term that no row
-    has never enters."""
+    rows whose span holds it; what ``solve`` gives there reproduces it and
+    equals what ``solve`` gives after every row.  A goal with a term that no
+    row has never enters."""
     rng = random.Random(707)
     prime = 101
     seen = {"at start": 0, "midway": 0, "at the end": 0, "never": 0}
@@ -317,11 +321,11 @@ def test_echelon_stops_at_the_first_row_that_spans_the_goal():
             goal[width] = 1
         echelon = _Echelon(prime, dict(goal))
         entered = 0 if echelon.goal_lead is None else None
-        combination = echelon.combination(echelon.goal_steps) if entered == 0 else None
+        combination = echelon.solve(dict(goal)) if entered == 0 else None
         for n, row in enumerate(rows, 1):
             echelon.add(dict(row))
             if entered is None and echelon.goal_lead is None:
-                entered, combination = n, echelon.combination(echelon.goal_steps)
+                entered, combination = n, echelon.solve(dict(goal))
         first = next((n for n in range(len(rows) + 1) if _span_holds(rows[:n], goal, prime)),
                      None)
         assert entered == first
@@ -340,25 +344,100 @@ def test_echelon_stops_at_the_first_row_that_spans_the_goal():
     assert min(seen.values()) > 0, seen
 
 
+def test_dixon_lifts_the_rational_solution_over_the_support_rows():
+    """On an echelon that also holds other independent rows, the lift of a
+    target planted on some support rows ends with exactly the planted
+    rational solution over them; a target that needs a row outside the
+    support yields no candidate."""
+    rng = random.Random(1982)
+    prime = _PRIMES[0]
+    seen = {"extra rows": 0, "fractions": 0, "needs another row": 0}
+    for _ in range(60):
+        width = rng.randint(3, 9)
+        rows = [{h: rng.choice([-1, 1]) * rng.randint(1, 9)
+                 for h in rng.sample(range(width), rng.randint(1, width))}
+                for _ in range(rng.randint(2, width))]
+        echelon = _Echelon(prime)
+        pivots = [j for j, row in enumerate(rows)
+                  if echelon.add({h: c % prime for h, c in row.items()})]
+        planted = {j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 12))
+                   for j in sorted(rng.sample(pivots, rng.randint(1, len(pivots))))}
+        total = {}
+        for j, y in planted.items():
+            for h, v in rows[j].items():
+                total[h] = total.get(h, 0) + y * v
+        scale = lcm(*(v.denominator for v in total.values()))
+        target = {h: int(v * scale) for h, v in total.items() if v}
+        if len(planted) > 1:
+            left_out = rng.choice(list(planted))
+            assert list(_dixon(echelon, {j: rows[j] for j in planted if j != left_out},
+                               target)) == []
+            seen["needs another row"] += 1
+        candidates = list(_dixon(echelon, {j: rows[j] for j in planted}, target))
+        assert candidates and candidates[-1] == {j: y * scale for j, y in planted.items()}
+        seen["extra rows"] += len(planted) < len(pivots)
+        seen["fractions"] += any((y * scale).denominator > 1 for y in planted.values())
+    assert min(seen.values()) > 0, seen
+
+
+def test_dixon_stops_when_a_later_residual_needs_another_row():
+    """Modulo p, a = (1, p) alone spans the target (1, 0), but exactly it is
+    a - p*b: the second step needs b, so the lift ends after the first
+    candidate."""
+    prime = _PRIMES[0]
+    a, b = {0: 1, 1: prime}, {1: 1}
+    echelon = _Echelon(prime)
+    assert echelon.add({h: c % prime for h, c in a.items()}) and echelon.add(dict(b))
+    assert list(_dixon(echelon, {0: a}, {0: 1})) == [{0: Fraction(1)}]
+    assert list(_dixon(echelon, {0: a, 1: b}, {0: 1}))[-1] == {0: 1, 1: -prime}
+
+
+def test_reconstruct_stops_at_its_bound():
+    """Values k_i/d with |k_i|, d <= sqrt(modulus/2) reconstruct; a fraction
+    whose denominator is past that bound gives None."""
+    rng = random.Random(30)
+    modulus = _PRIMES[0]
+    bound = isqrt(modulus // 2)
+
+    def residue(y):
+        return y.numerator * pow(y.denominator, -1, modulus) % modulus
+
+    assert _reconstruct([residue(Fraction(-bound))], modulus) == [Fraction(-bound)]
+    assert _reconstruct([residue(Fraction(1, bound))], modulus) == [Fraction(1, bound)]
+    assert _reconstruct([residue(Fraction(1, bound + 1))], modulus) is None
+    for _ in range(200):
+        den = rng.randint(1, bound)
+        inside = [Fraction(rng.randint(-bound, bound), den) for _ in range(3)]
+        assert _reconstruct([residue(y) for y in inside], modulus) == inside
+        # |n| <= 1000 and den <= bound + 1000 leave no other fraction within the bound
+        past = Fraction(rng.randint(-1000, 1000) or 1, rng.randint(bound + 1, bound + 1000))
+        if past.denominator > bound:
+            assert _reconstruct([residue(past)], modulus) is None
+
+
 def test_flagship_elimination_stops_at_row_1256(flagship_basis, monkeypatch):
     """p*t^4 enters the span of the flagship's Macaulay rows at row 1256 of
     the 2167 up to degree 10.  The first prime's elimination adds exactly
-    those rows, 32 of which reduce to zero; Dixon's own elimination adds the
-    297 support rows."""
+    those rows, 32 of which reduce to zero, and is the only echelon built:
+    the Dixon lift solves on it."""
     added = {}
-    add = _Echelon.add
+    init, add = _Echelon.__init__, _Echelon.add
+
+    def counting_init(self, *args):
+        init(self, *args)
+        added[self] = [0, 0]
 
     def counting_add(self, work):
         pivot = add(self, work)
-        counts = added.setdefault(self, [0, 0])
-        counts[0] += 1
-        counts[1] += not pivot
+        added[self][0] += 1
+        added[self][1] += not pivot
         return pivot
 
+    monkeypatch.setattr(_Echelon, "__init__", counting_init)
     monkeypatch.setattr(_Echelon, "add", counting_add)
     target = parse_polynomial("p*t^4", NORMALIZED_VARS)
     certificate = certify_membership(flagship_basis.presentation, target, basis=flagship_basis)
-    assert list(added.values()) == [[1256, 32], [297, 0]]
+    assert list(added.values()) == [[1256, 32]]
     assert certificate.verify() and certificate.is_member
     assert sum(len(k.terms) for k in certificate.cofactors) == 297
 

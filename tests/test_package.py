@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, each CLI subcommand
-imports only the layers it runs, and no module imports a name it never reads."""
+imports only the layers it runs, no module imports a name it never reads,
+and no private helper is left without a caller."""
 
 from __future__ import annotations
 
@@ -128,3 +129,24 @@ def test_no_module_imports_a_name_it_never_reads():
     package = Path(birot4.__file__).resolve().parent
     unused = [entry for path in sorted(package.glob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level function and method named ``_x`` (dunders aside) is
+    referenced in the package outside its own definition, so a helper that a
+    refactor leaves behind fails here."""
+    package = Path(birot4.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    helpers = [node for tree in trees for top in tree.body
+               for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert helpers
+    uncalled = []
+    for helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        if not any(id(node) not in own
+                   and helper.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for tree in trees for node in ast.walk(tree)):
+            uncalled.append(f"{helper.name} (line {helper.lineno})")
+    assert uncalled == []
