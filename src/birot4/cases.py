@@ -395,28 +395,30 @@ def check_case_V() -> CaseReport:
 
     # regime 3: the curvature function is proportional to its derivative
     point = {"alpha": alpha, "c": c0, "cd": sigma * c0, "r": rho, "rd": rho1}
-    g0 = at_zero(0, point)
-    coeff, rest = linear_split(g0.num, "rho1")
-    c.equal("regime 3: G(0) is linear in rho1 with coefficient sigma*c0", coeff, sigma * c0)
+    rest = big_a * rho * rho + c0 * rho
+    c.equal("regime 3: G(0) equals sigma*c0*rho1 + (alpha^2 + c0^2)*rho^2 + c0*rho",
+            at_zero(0, point), RationalFunction(sigma * c0 * rho1 + rest))
     c.hypothesis("regime 3: sigma^2 = 1 and c0 nonzero make sigma*c0 invertible, so rho1 "
                  "solves out of G(0)")
-    rho1_v = replace_square(RationalFunction(-rest * sigma, c0), "sigma", one)
-    point = dict(point, rd=rho1_v)
+    rho1_num = -sigma * rest
+    point = dict(point, rd=RationalFunction(rho1_num, c0))
     g1 = replace_square(at_zero(1, point), "sigma", one)
     linear = 2 * big_a ** 2 * rho + c0 * (c0 * c0 + 4 * alpha * alpha)
-    c.equal("regime 3: the reduced first derivative's numerator factors as "
-            "-sigma*c0^2*rho^2*(2*A^2*rho + c0*(c0^2 + 4*alpha^2))",
-            g1.num, -sigma * c0 * c0 * rho * rho * linear)
+    c.equal("regime 3: the reduced first derivative equals "
+            "-sigma*rho^2*(2*A^2*rho + c0*(c0^2 + 4*alpha^2))/c0",
+            g1, RationalFunction(-sigma * rho * rho * linear, c0))
+    c.sign("regime 3: c0^2 is strictly positive for nonzero c0, so the divisor c0 is nonzero "
+           "and the first derivative vanishes exactly where its numerator does",
+           SignFact(c0 * c0, Region({"c0": VariableCondition.nonzero_only()}), "positive",
+                    PositiveCombination.from_polynomial(c0 * c0)))
     c.hypothesis("regime 3: r(0) > 0 discards the double root rho = 0, and the remaining "
                  "factor is linear in rho, so it pins r(0) uniquely")
     rho_v = RationalFunction(-c0 * (c0 * c0 + 4 * alpha * alpha), 2 * big_a ** 2)
     full = {name: Polynomial.variable(params, name) for name in params.names}
-    root_check = evaluate_rational(g1.num, dict(full, rho=rho_v), params)
+    at_root = dict(full, rho=rho_v)
     c.check("regime 3: r(0) = -c0*(c0^2 + 4*alpha^2)/(2*(alpha^2 + c0^2)^2) is that root",
-            replace_square(root_check, "sigma", one).is_zero())
-    rho1_full = replace_square(evaluate_rational(rho1_v.num, dict(full, rho=rho_v), params)
-                               / evaluate_rational(rho1_v.den, dict(full, rho=rho_v), params),
-                               "sigma", one)
+            evaluate_rational(linear, at_root, params).is_zero())
+    rho1_full = replace_square(evaluate_rational(rho1_num, at_root, params) / c0, "sigma", one)
     display_rho1 = RationalFunction(
         sigma * c0 * (c0 * c0 - 2 * alpha * alpha) * (c0 * c0 + 4 * alpha * alpha),
         4 * big_a ** 3)

@@ -589,10 +589,15 @@ def _monomials_of_degree(pk: _Packing, degree: int) -> list[int]:
 
 
 def _reconstruct(values: list[int], modulus: int) -> list[Fraction] | None:
-    """Rationals n/d with |n|, d <= sqrt(modulus/2) congruent to values, or None.
+    """Rationals y_i congruent to values, or None; the result depends on the order.
 
-    Each value is first multiplied by the product of the denominators found
-    so far, which usually leaves an integer and skips the Euclid steps.
+    Let b = sqrt(modulus/2) and D_i the lcm of the denominators of y_0, ...,
+    y_(i-1) (D_0 = 1).  Value i is multiplied by D_i, which usually leaves an
+    integer and skips the Euclid steps, and read back as n/s in lowest terms
+    with |n| <= b; then y_i = n/(D_i*s).  The list reconstructs only when every
+    D_i*y_i has such a numerator and the lcm of all denominators is at most b.
+    So with modulus 1073741789 (b = 23170), [1/6, 23170] gives None (6*23170 >
+    b) while [23170, 1/6] reconstructs.
     """
     bound = isqrt(modulus // 2)
     den = 1

@@ -69,11 +69,6 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     """a / b; caller guarantees divisibility."""
     out = tuple(x - y for x, y in zip(a, b))
@@ -381,35 +376,6 @@ def primitive_normalize(f: Polynomial, order: MonomialOrder = LEX) -> tuple[Poly
     if f.leading_coefficient(order) < 0:
         scalar = -scalar
     return f * scalar, scalar
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return f
-    f._check_same_vars(g)
-    order = LEX
-    lm_g = g.leading_monomial(order)
-    lc_g = g.terms[lm_g]
-    quotient: dict[Exponents, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        lm_w = max(work, key=order.key)
-        if not monomial_divides(lm_g, lm_w):
-            raise ValueError("not an exact multiple")
-        q_mono = monomial_div(lm_w, lm_g)
-        q_coeff = work[lm_w] / lc_g
-        quotient[q_mono] = q_coeff
-        for e, c in g.terms.items():
-            key = monomial_mul(q_mono, e)
-            acc = work.get(key, Fraction(0)) - q_coeff * c
-            if acc:
-                work[key] = acc
-            else:
-                work.pop(key, None)
-    return Polynomial(f.vars, quotient)
 
 
 def eliminate_linear(f: Polynomial, name: str, den: Polynomial, num: Polynomial) -> Polynomial:

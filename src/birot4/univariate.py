@@ -4,8 +4,8 @@ Root counting works on polynomials that are univariate in fact (a single
 variable occurs), whatever the ambient variable set.  Intervals are open,
 with rational endpoints or +/- infinity (floats).  Resultants treat one
 designated variable as the main one and the remaining variables as
-coefficient symbols; the subresultant polynomial remainder sequence keeps
-all arithmetic in the polynomial ring.
+coefficient symbols; the resultant is the Sylvester determinant, expanded
+by minors so that all arithmetic stays in the polynomial ring.
 
 This module is part of the trusted core and imports only ``birot4.poly``.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, exact_divide, monomial_degree
+from .poly import Polynomial
 
 NEG_INFINITY = float("-inf")
 POS_INFINITY = float("inf")
@@ -35,18 +35,10 @@ def univariate_name(f: Polynomial) -> str | None:
 
 def dense_coefficients(f: Polynomial, name: str) -> list[Fraction]:
     """[a0, a1, ..., an] with f = sum a_k name^k; [] for the zero polynomial."""
-    if f.is_zero():
-        return []
-    idx = f.vars.index(name)
-    coeffs = [Fraction(0)] * (max(e[idx] for e in f.terms) + 1)
-    for exps, coeff in f.terms.items():
-        rest = exps[:idx] + (0,) + exps[idx + 1:]
-        if monomial_degree(rest):
-            raise ValueError(f"not univariate in {name!r}: {f}")
-        coeffs[exps[idx]] += coeff
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    coeffs = f.as_univariate_in(name)
+    if any(c.occurring_variables() for c in coeffs):
+        raise ValueError(f"not univariate in {name!r}: {f}")
+    return [c.evaluate({}) for c in coeffs]
 
 
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -133,80 +125,43 @@ def count_real_roots(f: Polynomial, interval=REAL_LINE) -> int:
 
 # -- resultants --------------------------------------------------------
 
-def _strip(coeffs: list[Polynomial]) -> list[Polynomial]:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _pseudo_rem(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + r."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    power = da - db + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        shift = len(r) - 1 - db
-        r = [lead * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + shift] = r[i + shift] - top * bc
-        _strip(r)
-        power -= 1
-    if power > 0:
-        factor = lead ** power
-        r = [factor * c for c in r]
-    return r
-
-
 def resultant_univariate(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
-    """Resultant of f and g with respect to one variable.
+    """Resultant of f and g with respect to one variable: det Syl(f, g).
 
-    Computed by the subresultant polynomial remainder sequence; the result is
-    returned un-normalized (callers primitive-normalize before comparing up
-    to rational multiples).
+    The Sylvester matrix (Cox, Little and O'Shea, Ch. 3 section 5) has
+    deg g rows holding f's coefficients, leading first, each one column
+    right of the one before, then deg f rows holding g's the same way.  Its
+    determinant is expanded column by column: the minor on the first k
+    columns and a set of k rows is computed once, from the minors on k - 1
+    of those rows, so no step divides.  That is at most n*2^n polynomial
+    products for n = deg f + deg g.  The result is not normalized (callers
+    primitive-normalize before comparing up to rational multiples).  A zero
+    input gives zero; two inputs constant in ``name`` raise ValueError.
     """
     f._check_same_vars(g)
-    a = _strip(f.as_univariate_in(name))
-    b = _strip(g.as_univariate_in(name))
+    a = f.as_univariate_in(name)
+    b = g.as_univariate_in(name)
+    zero = Polynomial.zero(f.vars)
     if not a or not b:
-        return Polynomial.zero(f.vars)
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
+        return zero
+    size = len(a) + len(b) - 2
+    if not size:
         raise ValueError(f"both inputs constant in {name!r}")
-    sign = 1
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if (da * db) % 2:
-            sign = -sign
-    one = Polynomial.constant(f.vars, 1)
-    if db == 0:
-        return sign * b[0] ** da
-    g_coef = one
-    h_coef = one
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        if ((len(a) - 1) % 2) and ((len(b) - 1) % 2):
-            sign = -sign
-        rem = _pseudo_rem(a, b)
-        if not rem:
-            return Polynomial.zero(f.vars)
-        divisor = g_coef * h_coef ** delta
-        a = b
-        b = [exact_divide(c, divisor) for c in rem]
-        g_coef = a[-1]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h_coef = g_coef
-        else:
-            h_coef = exact_divide(g_coef ** delta, h_coef ** (delta - 1))
-        if len(b) - 1 == 0:
-            break
-    q = len(a) - 1
-    if q == 1:
-        res = b[0]
-    else:
-        res = exact_divide(b[0] ** q, h_coef ** (q - 1))
-    return sign * res
+    matrix = [[zero] * shift + coeffs[::-1] + [zero] * (size - shift - len(coeffs))
+              for coeffs, other in ((a, b), (b, a)) for shift in range(len(other) - 1)]
+    minors = {frozenset(): Polynomial.constant(f.vars, 1)}
+    for column in range(size):
+        grown: dict[frozenset[int], Polynomial] = {}
+        for rows, minor in minors.items():
+            for row in range(size):
+                entry = matrix[row][column]
+                if row in rows or entry.is_zero():
+                    continue
+                # the permutation gains one inversion per chosen row below this one
+                term = entry * minor
+                if sum(r > row for r in rows) % 2:
+                    term = -term
+                key = rows | {row}
+                grown[key] = grown.get(key, zero) + term
+        minors = grown
+    return minors.get(frozenset(range(size)), zero)

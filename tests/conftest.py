@@ -83,6 +83,11 @@ def case7_reference_system() -> dict[str, Polynomial]:
 # -- randomized small ideals and the brute-force membership oracle ------
 
 
+def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True when the monomial a divides b, exponent by exponent."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def monomials_up_to(vars: VariableSet, degree: int) -> list[tuple[int, ...]]:
     """Every exponent tuple of total degree at most ``degree``."""
     out: list[tuple[int, ...]] = []

@@ -7,11 +7,12 @@ import json
 import random
 from fractions import Fraction
 
+from birot4 import cases
 from birot4.cases import CASE_IDS, check_case_VII, report_to_document, summarize_report
 from birot4.constraints import NORMALIZED_VARS, extract_system
 from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
 from birot4.certificate import MembershipCertificate
-from birot4.poly import Polynomial, parse_polynomial, variables
+from birot4.poly import Polynomial, RationalFunction, parse_polynomial, variables
 from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
 from birot4.univariate import resultant_univariate
 from birot4.witness import (
@@ -36,6 +37,28 @@ def test_every_branch_report_is_verified(case_reports):
     for report in case_reports:
         assert report.verdict == "contradiction-verified", report.case_id
         assert report.failed_steps() == ()
+
+
+def test_verdicts_do_not_depend_on_how_a_rational_function_is_stored(monkeypatch,
+                                                                    flagship_certificate):
+    """Every value that evaluate_rational returns to the case checks is stored
+    as (num*h)/(den*h), h = 1 + v^2 for the ring's first variable v: the same
+    rational function, with no zero of h on the reals.  A step that reads the
+    numerator or the denominator instead of the value fails here."""
+    original = cases.evaluate_rational
+    padded_calls = []
+
+    def padded(f, point, vars):
+        value = original(f, point, vars)
+        v = Polynomial.variable(vars, vars.names[0])
+        padded_calls.append(f)
+        return RationalFunction(value.num * (1 + v * v), value.den * (1 + v * v))
+
+    monkeypatch.setattr(cases, "evaluate_rational", padded)
+    reports = cases.check_all_cases(flagship_certificate)
+    assert padded_calls
+    assert {r.case_id: r.verdict for r in reports} == dict.fromkeys(CASE_IDS,
+                                                                     "contradiction-verified")
 
 
 def test_every_step_is_well_formed(case_reports):

@@ -45,7 +45,7 @@ BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench
 # in CHANGES.md.  Re-checking the stored certify artifact gives the same payload
 # as computing the certificate afresh.
 CHECK_CASES_PAYLOAD_DIGEST = (
-    "sha256:4004e79771997317aa14f47031b75384483f6cdb6f8c62f89c6de527b1b26a54")
+    "sha256:b542b29e932a1fa2e341dfe3f50845a87ee58fedc8389f7eda0e0107064af697")
 # Payload digest of `birot4 simulate --sweep` on its default grid.  The sweep
 # table prints every float of every row, so a change of the integrator's
 # arithmetic or of a point's stopping rule moves this pin; such a change must

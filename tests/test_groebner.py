@@ -8,7 +8,7 @@ from math import isqrt, lcm
 
 import pytest
 
-from conftest import oracle_is_member, random_polynomial, random_small_ideal
+from conftest import monomial_divides, oracle_is_member, random_polynomial, random_small_ideal
 from birot4.certificate import (
     MembershipCertificate,
     certificate_from_document,
@@ -35,7 +35,6 @@ from birot4.poly import (
     LEX,
     Polynomial,
     monomial_div,
-    monomial_divides,
     monomial_mul,
     parse_polynomial,
     primitive_normalize,
@@ -394,7 +393,8 @@ def test_dixon_stops_when_a_later_residual_needs_another_row():
 
 def test_reconstruct_stops_at_its_bound():
     """Values k_i/d with |k_i|, d <= sqrt(modulus/2) reconstruct; a fraction
-    whose denominator is past that bound gives None."""
+    whose denominator is past that bound gives None.  Each value is scaled by
+    the denominators found before it, so the outcome depends on the order."""
     rng = random.Random(30)
     modulus = _PRIMES[0]
     bound = isqrt(modulus // 2)
@@ -405,6 +405,9 @@ def test_reconstruct_stops_at_its_bound():
     assert _reconstruct([residue(Fraction(-bound))], modulus) == [Fraction(-bound)]
     assert _reconstruct([residue(Fraction(1, bound))], modulus) == [Fraction(1, bound)]
     assert _reconstruct([residue(Fraction(1, bound + 1))], modulus) is None
+    assert bound == 23170
+    assert _reconstruct([residue(Fraction(1, 6)), bound], modulus) is None
+    assert _reconstruct([bound, residue(Fraction(1, 6))], modulus) == [bound, Fraction(1, 6)]
     for _ in range(200):
         den = rng.randint(1, bound)
         inside = [Fraction(rng.randint(-bound, bound), den) for _ in range(3)]

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, each CLI subcommand
 imports only the layers it runs, no module imports a name it never reads,
-and no private helper is left without a caller."""
+no private helper is left without a caller, and the trusted core has no
+public function that nothing uses."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -131,6 +133,14 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == []
 
 
+def _referenced_elsewhere(function: ast.FunctionDef, trees) -> bool:
+    """Some name or attribute in ``trees`` outside ``function`` itself reads it."""
+    own = {id(node) for node in ast.walk(function)}
+    return any(id(node) not in own
+               and function.name in (getattr(node, "id", None), getattr(node, "attr", None))
+               for tree in trees for node in ast.walk(tree))
+
+
 def test_every_private_helper_has_a_caller():
     """Each module-level function and method named ``_x`` (dunders aside) is
     referenced in the package outside its own definition, so a helper that a
@@ -142,11 +152,26 @@ def test_every_private_helper_has_a_caller():
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert helpers
-    uncalled = []
-    for helper in helpers:
-        own = {id(node) for node in ast.walk(helper)}
-        if not any(id(node) not in own
-                   and helper.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                   for tree in trees for node in ast.walk(tree)):
-            uncalled.append(f"{helper.name} (line {helper.lineno})")
+    uncalled = [f"{helper.name} (line {helper.lineno})" for helper in helpers
+                if not _referenced_elsewhere(helper, trees)]
     assert uncalled == []
+
+
+def test_every_public_function_of_the_trusted_core_has_a_user():
+    """Each public module-level function of ``poly``, ``univariate``,
+    ``certificate`` and ``witness`` is referenced in the package outside its
+    own definition, or named in ``perfbench/``.  The strings of
+    ``__init__``'s export table are not references, so a function that only
+    tests call fails here."""
+    package = Path(birot4.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    bench_text = "\n".join(path.read_text() for path in sorted(perfbench.glob("*.py")))
+    functions = [node for module in ("poly", "univariate", "certificate", "witness")
+                 for node in trees[module].body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert functions
+    unused = [f"{function.name} (line {function.lineno})" for function in functions
+              if not (_referenced_elsewhere(function, trees.values())
+                      or re.search(rf"\b{function.name}\b", bench_text))]
+    assert unused == []

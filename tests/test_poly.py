@@ -1,4 +1,4 @@
-"""Polynomial kernel: ring laws, orders, text format, exact division helpers."""
+"""Polynomial kernel: ring laws, orders, text format, monomial and elimination helpers."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from birot4.poly import (
     RationalFunction,
     eliminate_linear,
     evaluate_rational,
-    exact_divide,
     format_polynomial,
     format_rational,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     parse_polynomial,
     parse_rational,
@@ -56,8 +54,6 @@ def test_variable_set_lookup():
 
 
 def test_monomial_helpers():
-    assert monomial_divides((1, 0, 2), (2, 0, 2))
-    assert not monomial_divides((1, 1, 0), (2, 0, 2))
     assert monomial_div((2, 3, 1), (1, 1, 0)) == (1, 2, 1)
     with pytest.raises(ValueError):
         monomial_div((1, 0, 0), (2, 0, 0))
@@ -263,25 +259,6 @@ def test_primitive_normalize_detects_proportionality():
     f = 6 * x - 4 * y
     g = Fraction(-9, 2) * x + 3 * y
     assert primitive_normalize(f)[0] == primitive_normalize(g)[0]
-
-
-def test_exact_divide_round_trip():
-    rng = random.Random(17)
-    done = 0
-    while done < 25:
-        f, g = _random_poly(rng), _random_poly(rng)
-        if g.is_zero():
-            continue
-        assert exact_divide(f * g, g) == f
-        done += 1
-
-
-def test_exact_divide_rejects_non_multiples():
-    x, y, _ = _symbols()
-    with pytest.raises(ValueError):
-        exact_divide(x * x + y, x + 1)
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(x, Polynomial.zero(XYZ))
 
 
 def test_eliminate_linear_is_a_scaled_substitution():

@@ -1,8 +1,9 @@
-"""Sturm chains, real-root counting, and the subresultant resultant.
+"""Sturm chains, real-root counting, and the Sylvester resultant.
 
 Root counts are validated against products with planted rational roots;
-resultants are validated against an exact Sylvester determinant computed
-by fraction-free Bareiss elimination over the coefficient ring.
+resultants, which the package expands by minors, are validated against the
+same Sylvester determinant computed independently by fraction-free Bareiss
+elimination over the coefficient ring.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from birot4.poly import Polynomial, exact_divide, variables
+from birot4.groebner import reduce
+from birot4.poly import LEX, Polynomial, variables
 from birot4.univariate import (
     EndpointRootError,
     NEG_INFINITY,
@@ -51,6 +53,12 @@ def test_dense_coefficients_round_trip():
     f = 2 * T ** 3 - T + Fraction(1, 2)
     assert dense_coefficients(f, "t") == [Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(2)]
     assert dense_coefficients(Polynomial.zero(TV), "t") == []
+    vars2 = variables("s", "t")
+    s, t = (Polynomial.variable(vars2, n) for n in ("s", "t"))
+    assert dense_coefficients(3 * t * t - 1, "t") == [Fraction(-1), Fraction(0), Fraction(3)]
+    for mixed in (s * t + 1, s + t * t, s):
+        with pytest.raises(ValueError):
+            dense_coefficients(mixed, "t")
 
 
 def test_count_real_roots_with_planted_roots():
@@ -124,7 +132,12 @@ def _bareiss_determinant(matrix):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 numerator = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = numerator if prev is None else exact_divide(numerator, prev)
+                if prev is None:
+                    m[i][j] = numerator
+                    continue
+                remainder, (quotient,) = reduce(numerator, [prev], LEX)
+                assert remainder.is_zero()  # Bareiss divisions are exact
+                m[i][j] = quotient
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
@@ -206,22 +219,22 @@ def test_resultant_vanishes_iff_common_factor():
     assert resultant_univariate(f, g, "t").is_zero()
     # (t + a)(t + 1) shares the factor t + 1 with f, so its resultant vanishes too
     assert resultant_univariate(f, (t + a) * (t + 1), "t").is_zero()
-    # (t + a)(t + 2) is coprime to f: res = h(a)*h(-1) = 2a(a + 2)(a - 1) up to sign
+    # (t + a)(t + 2) is coprime to f and f is monic: res = h(a)*h(-1) = 2a(a + 2)(a - 1)
     h = (t + a) * (t + 2)
     res = resultant_univariate(f, h, "t")
     assert not res.is_zero()
     assert res == _sylvester_resultant(f, h, "t")
     expected = 2 * a * (a + 2) * (a - 1)
-    assert res == expected or res == -expected
+    assert res == expected
 
 
 def test_resultant_of_linear_pair_is_cross_difference():
     a = Polynomial.variable(ST, "a")
     b = Polynomial.variable(ST, "b")
     t = Polynomial.variable(ST, "t")
-    # res(t - a, t - b) = b - a up to the subresultant sign convention
+    # res(t - a, t - b) = det [[1, -a], [1, -b]] = a - b
     res = resultant_univariate(t - a, t - b, "t")
-    assert res == b - a or res == a - b
+    assert res == a - b
     assert res == _sylvester_resultant(t - a, t - b, "t")
 
 
@@ -230,3 +243,25 @@ def test_resultant_rejects_doubly_constant_input():
     b = Polynomial.variable(ST, "b")
     with pytest.raises(ValueError):
         resultant_univariate(a, b, "t")
+
+
+def test_resultant_with_one_input_constant_in_the_variable():
+    """Res(c, g) = Res(g, c) = c^deg g: deg g rows of c on the diagonal."""
+    a = Polynomial.variable(ST, "a")
+    b = Polynomial.variable(ST, "b")
+    t = Polynomial.variable(ST, "t")
+    c = a * b + 2
+    for g in (t - a, (a + 1) * t ** 3 + b * t + 5):
+        want = c ** g.degree_in("t")
+        for first, second in ((c, g), (g, c)):
+            res = resultant_univariate(first, second, "t")
+            assert res == want == _sylvester_resultant(first, second, "t")
+
+
+def test_resultant_of_a_zero_input_is_zero():
+    a = Polynomial.variable(ST, "a")
+    t = Polynomial.variable(ST, "t")
+    zero = Polynomial.zero(ST)
+    for g in (t * t - a, a, Polynomial.constant(ST, 3)):
+        assert resultant_univariate(zero, g, "t").is_zero()
+        assert resultant_univariate(g, zero, "t").is_zero()
