@@ -172,8 +172,8 @@ def linear_split(f: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
     return buckets[1], buckets[0]
 
 
-def _normalize_coefficient(raw: Polynomial, tau_order: int, label: str,
-                           mapping: NormalizationMap):
+def _normalize_coefficient(raw: Polynomial, tau_order: int, mapping: NormalizationMap):
+    label = f"E{tau_order}"
     if raw.is_zero():
         raise ExtractionError(f"series coefficient for {label} vanished identically")
     mapped, r0_power = mapping.apply(raw)
@@ -199,9 +199,7 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
     compat = compatibility_series(profile, case_tag)
     alpha = Polynomial.variable(vars, "alpha")
     eliminated: dict[str, RationalFunction] = {}
-    equations = []
-    origins = []
-
+    coeffs = compat.coefficients
     if case_tag == "VII":
         beta = Polynomial.variable(vars, "beta")
         c0r1 = Polynomial.variable(vars, "c0") * Polynomial.variable(vars, "r1")
@@ -209,58 +207,33 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
             raise ExtractionError("order-0 compatibility coefficient has unexpected shape")
         _require_divisor("beta", case_tag)
         eliminated["y1"] = RationalFunction(-c0r1, beta)
-
-        x1_coeff, x1_rest = linear_split(compat[1], "x1")
-        if x1_coeff != alpha:
-            raise ExtractionError("order-1 compatibility coefficient is not monic in x1 over alpha")
-        _require_divisor("alpha", case_tag)
-        eliminated["x1"] = RationalFunction(-x1_rest, alpha)
-
-        arc0 = arc_defect_series(profile)[0]
-        arc0 = eliminate_linear(arc0, "y1", beta, c0r1)
-        arc0 = eliminate_linear(arc0, "x1", alpha, x1_rest)
-        eq, origin = _normalize_coefficient(arc0, 0, "E0", mapping)
-        equations.append(eq)
-        origins.append(origin)
-        for n in range(2, 7):
-            eq, origin = _normalize_coefficient(compat[n], n, f"E{n}", mapping)
-            equations.append(eq)
-            origins.append(origin)
-
     elif case_tag == "VI":
         if compat[0] != Polynomial.variable(vars, "c0") * Polynomial.variable(vars, "r1"):
             raise ExtractionError("order-0 compatibility coefficient has unexpected shape")
         _require_divisor("c0", case_tag)
         eliminated["r1"] = RationalFunction(Polynomial.zero(vars))
-        coeffs = [f.substitute({"r1": 0}) for f in compat.coefficients]
+        coeffs = [f.substitute({"r1": 0}) for f in coeffs]
 
-        x1_coeff, x1_rest = linear_split(coeffs[1], "x1")
-        if x1_coeff != alpha:
-            raise ExtractionError("order-1 compatibility coefficient is not monic in x1 over alpha")
-        _require_divisor("alpha", case_tag)
-        eliminated["x1"] = RationalFunction(-x1_rest, alpha)
-        for n in range(2, 7):
-            eq, origin = _normalize_coefficient(coeffs[n], n, f"E{n}", mapping)
-            equations.append(eq)
-            origins.append(origin)
+    # case V consumes x1 at order 0; VI and VII have spent order 0 on r1 and y1
+    x1_order = 0 if case_tag == "V" else 1
+    x1_coeff, x1_rest = linear_split(coeffs[x1_order], "x1")
+    if x1_coeff != alpha:
+        raise ExtractionError(
+            f"order-{x1_order} compatibility coefficient is not monic in x1 over alpha")
+    _require_divisor("alpha", case_tag)
+    eliminated["x1"] = RationalFunction(-x1_rest, alpha)
 
-    else:
-        x1_coeff, x1_rest = linear_split(compat[0], "x1")
-        if x1_coeff != alpha:
-            raise ExtractionError("order-0 compatibility coefficient is not monic in x1 over alpha")
-        _require_divisor("alpha", case_tag)
-        eliminated["x1"] = RationalFunction(-x1_rest, alpha)
-        for n in range(1, 7):
-            eq, origin = _normalize_coefficient(compat[n], n, f"E{n}", mapping)
-            equations.append(eq)
-            origins.append(origin)
-
+    raw = {n: coeffs[n] for n in range(x1_order + 1, 7)}
+    if case_tag == "VII":
+        arc0 = eliminate_linear(arc_defect_series(profile)[0], "y1", beta, c0r1)
+        raw = {0: eliminate_linear(arc0, "x1", alpha, x1_rest), **raw}
+    normalized = [_normalize_coefficient(f, n, mapping) for n, f in raw.items()]
     return ConstraintSystem(
         case_tag=case_tag,
         hypotheses=CASE_HYPOTHESES[case_tag],
         eliminated=eliminated,
-        equations=tuple(equations),
-        origins=dict(origins),
+        equations=tuple(eq for eq, _ in normalized),
+        origins=dict(origin for _, origin in normalized),
     )
 
 

@@ -11,6 +11,11 @@ coefficients, ``*`` between factors, ``^`` for powers >= 2.  Printing sorts
 terms descending under a chosen order and parsing is exact, so print/parse
 round-trips are bit-identical.
 
+Substitution has one rule, ``_substitute``, behind ``Polynomial.substitute``,
+``evaluate_rational`` and ``eliminate_linear``: with images v = num_v/den_v,
+each term of f is brought to the one denominator D = prod den_v^deg_v(f) and
+the numerators are summed in one pass.  ``replace_square`` shares its powers.
+
 This module is part of the trusted core (with ``birot4.univariate``,
 ``birot4.certificate`` and ``birot4.witness``) and imports no other
 ``birot4`` module.
@@ -209,12 +214,7 @@ class Polynomial:
             return NotImplemented
         self._check_same_vars(other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out[exps] + coeff if exps in out else coeff
-            if acc:
-                out[exps] = acc
-            else:
-                del out[exps]
+        _accumulate(out, other.terms.items())
         return Polynomial._clean(self.vars, out)
 
     __radd__ = __add__
@@ -257,13 +257,8 @@ class Polynomial:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = Polynomial.constant(self.vars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -308,26 +303,10 @@ class Polynomial:
 
         Unbound variables map to themselves.
         """
-        vars = self.vars
-        images: dict[str, Polynomial] = {}
-        for name in vars:
-            if name in bindings:
-                image = bindings[name]
-                if isinstance(image, (int, Fraction)):
-                    image = Polynomial.constant(vars, image)
-                if image.vars != vars:
-                    raise ValueError(f"image of {name!r} lives in {image.vars.names}, not {vars.names}")
-                images[name] = image
-            else:
-                images[name] = Polynomial.variable(vars, name)
-        out = Polynomial.zero(vars)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(vars, coeff)
-            for name, e in zip(vars, exps):
-                if e:
-                    term = term * images[name] ** e
-            out = out + term
-        return out
+        one = Polynomial.constant(self.vars, 1)
+        # one * image turns a rational into a constant and refuses a foreign ring
+        images = {name: (one * bindings[name], one) for name in self.vars if name in bindings}
+        return _substitute(self, images, self.vars)[0]
 
     # -- univariate views ---------------------------------------------
 
@@ -382,20 +361,59 @@ def eliminate_linear(f: Polynomial, name: str, den: Polynomial, num: Polynomial)
     """Clear a linear relation den*v + num = 0 out of f.
 
     v = ``name`` must not occur in den or num.  Returns den^d * f with v
-    replaced by -num/den, where d = deg_v(f); this is a polynomial identity,
-    valid on the locus den != 0.
+    replaced by -num/den, where d = deg_v(f): the numerator N of the
+    substitution rule, exactly; a polynomial identity, valid where den != 0.
     """
     if den.degree_in(name) > 0 or num.degree_in(name) > 0:
         raise ValueError(f"relation for {name!r} mentions {name!r}")
-    coeffs = f.as_univariate_in(name)
-    if not coeffs:
-        return f
-    degree = len(coeffs) - 1
-    out = Polynomial.zero(f.vars)
-    minus_num = -num
-    for k, coeff in enumerate(coeffs):
-        out = out + coeff * (minus_num ** k) * (den ** (degree - k))
-    return out
+    return _substitute(f, {name: (-num, den)}, f.vars)[0]
+
+
+def _accumulate(out: dict[Exponents, Fraction], terms) -> None:
+    """Add (exponents, coefficient) pairs into out in place, dropping zero sums."""
+    for exps, coeff in terms:
+        acc = out[exps] + coeff if exps in out else coeff
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+
+
+def _powers(num: Polynomial, den: Polynomial, degree: int) -> list[Polynomial]:
+    """[num^j * den^(degree - j) for j = 0..degree], each power built once."""
+    nums, dens = [num ** 0], [den ** 0]
+    for _ in range(degree):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
+    return [nums[j] * dens[degree - j] for j in range(degree + 1)]
+
+
+def _substitute(f: Polynomial, images: Mapping[str, tuple[Polynomial, Polynomial]],
+                vars: VariableSet) -> tuple[Polynomial, Polynomial]:
+    """The substitution rule: (N, D) with N/D = f at v = num_v/den_v.
+
+    ``images`` maps variables of f to (num_v, den_v) over ``vars``; one that
+    occurs in f without an image stays itself, which needs f's ring to be
+    ``vars``.  D = prod den_v^deg_v(f); every term is brought to D, also in
+    the variables it lacks, and the terms are summed in one pass.
+    """
+    one = den = Polynomial.constant(vars, 1)
+    tables = []
+    for index, name in enumerate(f.vars):
+        degree = max((exps[index] for exps in f.terms), default=0)
+        if degree:
+            num_v, den_v = images.get(name) or (Polynomial.variable(vars, name), one)
+            table = _powers(num_v, den_v, degree)
+            tables.append((index, table, den_v == one))
+            den = den * table[0]
+    out: dict[Exponents, Fraction] = {}
+    for exps, coeff in f.terms.items():
+        term = Polynomial.constant(vars, coeff)
+        for index, table, unit in tables:
+            if exps[index] or not unit:  # a unit denominator's table starts with 1
+                term = term * table[exps[index]]
+        _accumulate(out, term.terms.items())
+    return Polynomial._clean(vars, out), den
 
 
 # -- text format -------------------------------------------------------
@@ -505,12 +523,7 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
                 exps[vars.index(name)] += int(power) if power else 1
             except KeyError:
                 raise ValueError(f"unknown variable {name!r} in {text!r}") from None
-        key = tuple(exps)
-        acc = terms.get(key, Fraction(0)) + coeff
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
+        _accumulate(terms, [(tuple(exps), coeff)])
     return Polynomial(vars, terms)
 
 
@@ -520,7 +533,9 @@ class RationalFunction:
     """A quotient num/den of polynomials, compared by cross-multiplication.
 
     No gcd reduction is attempted beyond rational-content scaling; equality
-    and zero tests are exact regardless.
+    and zero tests are exact regardless.  Division is the one arithmetic
+    operation: sums and products of quotients are formed over one
+    denominator by the substitution rule.
     """
 
     __slots__ = ("num", "den")
@@ -550,39 +565,13 @@ class RationalFunction:
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        return RationalFunction(Polynomial.constant(self.num.vars, other))
-
-    def __add__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        return RationalFunction(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        return RationalFunction(self.num * rhs.num, self.den * rhs.den)
-
-    __rmul__ = __mul__
+        return RationalFunction(*_quotient(other, self.num.vars))
 
     def __truediv__(self, other) -> "RationalFunction":
         rhs = self._coerce(other)
         if rhs.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * rhs.den, self.den * rhs.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
@@ -597,6 +586,16 @@ class RationalFunction:
         return f"<RationalFunction ({self.num}) / ({self.den})>"
 
 
+def _quotient(value: "RationalFunction | Polynomial | Coefficient",
+              vars: VariableSet) -> tuple[Polynomial, Polynomial]:
+    """(num, den) of a rational function, a polynomial or a rational over vars."""
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    if not isinstance(value, Polynomial):
+        value = Polynomial.constant(vars, value)
+    return value, Polynomial.constant(vars, 1)
+
+
 def evaluate_rational(f: Polynomial, point: Mapping[str, "RationalFunction | Polynomial | Coefficient"],
                       vars: VariableSet) -> RationalFunction:
     """Evaluate f at a point whose components may be rational functions.
@@ -604,19 +603,12 @@ def evaluate_rational(f: Polynomial, point: Mapping[str, "RationalFunction | Pol
     Every variable that occurs in some term of f must be bound; ring
     variables absent from f need no value.  The result lives over ``vars``.
     """
-    total = RationalFunction(Polynomial.zero(vars))
-    images: dict[str, RationalFunction] = {}
+    images = {}
     for name in f.occurring_variables():
         if name not in point:
             raise ValueError(f"no value for variable {name!r}")
-        images[name] = total._coerce(point[name])
-    for exps, coeff in f.terms.items():
-        term = RationalFunction(Polynomial.constant(vars, coeff))
-        for name, e in zip(f.vars, exps):
-            for _ in range(e):
-                term = term * images[name]
-        total = total + term
-    return total
+        images[name] = _quotient(point[name], vars)
+    return RationalFunction(*_substitute(f, images, vars))
 
 
 def replace_square(value: RationalFunction, name: str,
@@ -625,18 +617,20 @@ def replace_square(value: RationalFunction, name: str,
 
     ``square`` is what name^2 equals on the locus at hand (1 - cs^2 for a
     sine, 1 for a sign variable, c1^2/alpha^4 for a solved radius), over
-    value's ring.  Both parts of value are rewritten exactly.
+    value's ring.  Both parts of value are rewritten exactly and brought to
+    the one denominator den^J of square^J, J the larger half-degree, which
+    then cancels from the quotient.
     """
-    v = Polynomial.variable(value.num.vars, name)
+    vars = value.num.vars
+    v = Polynomial.variable(vars, name)
+    parts = [value.num.as_univariate_in(name), value.den.as_univariate_in(name)]
+    table = _powers(*_quotient(square, vars), max(len(p) - 1 for p in parts) // 2)
 
-    def lift(f: Polynomial) -> RationalFunction:
-        total = RationalFunction(Polynomial.zero(f.vars))
-        power = RationalFunction(Polynomial.constant(f.vars, 1))
-        buckets = f.as_univariate_in(name)
+    def lift(buckets: list[Polynomial]) -> Polynomial:
+        out: dict[Exponents, Fraction] = {}
         for j in range(0, len(buckets), 2):
             odd = buckets[j + 1] * v if j + 1 < len(buckets) else 0
-            total = total + power * (buckets[j] + odd)
-            power = power * square
-        return total
+            _accumulate(out, ((buckets[j] + odd) * table[j // 2]).terms.items())
+        return Polynomial._clean(vars, out)
 
-    return lift(value.num) / lift(value.den)
+    return RationalFunction(lift(parts[0]), lift(parts[1]))

@@ -41,22 +41,25 @@ def test_every_branch_report_is_verified(case_reports):
 
 def test_verdicts_do_not_depend_on_how_a_rational_function_is_stored(monkeypatch,
                                                                     flagship_certificate):
-    """Every value that evaluate_rational returns to the case checks is stored
-    as (num*h)/(den*h), h = 1 + v^2 for the ring's first variable v: the same
-    rational function, with no zero of h on the reals.  A step that reads the
-    numerator or the denominator instead of the value fails here."""
-    original = cases.evaluate_rational
+    """Every value that evaluate_rational or replace_square returns to the
+    case checks is stored as (num*h)/(den*h), h = 1 + v^2 for the ring's first
+    variable v: the same rational function, with no zero of h on the reals.
+    A step that reads the numerator or the denominator instead of the value
+    fails here."""
     padded_calls = []
 
-    def padded(f, point, vars):
-        value = original(f, point, vars)
-        v = Polynomial.variable(vars, vars.names[0])
-        padded_calls.append(f)
-        return RationalFunction(value.num * (1 + v * v), value.den * (1 + v * v))
+    def padding(original):
+        def padded(*args):
+            value = original(*args)
+            v = Polynomial.variable(value.num.vars, value.num.vars.names[0])
+            padded_calls.append(original.__name__)
+            return RationalFunction(value.num * (1 + v * v), value.den * (1 + v * v))
+        return padded
 
-    monkeypatch.setattr(cases, "evaluate_rational", padded)
+    for name in ("evaluate_rational", "replace_square"):
+        monkeypatch.setattr(cases, name, padding(getattr(cases, name)))
     reports = cases.check_all_cases(flagship_certificate)
-    assert padded_calls
+    assert set(padded_calls) == {"evaluate_rational", "replace_square"}
     assert {r.case_id: r.verdict for r in reports} == dict.fromkeys(CASE_IDS,
                                                                      "contradiction-verified")
 

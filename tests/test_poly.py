@@ -280,8 +280,8 @@ def test_eliminate_linear_is_a_scaled_substitution():
         for name in ("x", "y", "z"):
             bindings[name] = RationalFunction(Polynomial.variable(vars4, name))
         d = max(f.degree_in("v"), 0)
-        lhs = evaluate_rational(f, bindings, vars4) * RationalFunction(den ** d)
-        assert lhs == RationalFunction(out)
+        value = evaluate_rational(f, bindings, vars4)
+        assert RationalFunction(value.num * den ** d, value.den) == RationalFunction(out)
 
 
 def test_eliminate_linear_rejects_self_reference():
@@ -310,7 +310,7 @@ def test_replace_square():
 
 
 def test_rational_function_equality_is_cross_multiplied():
-    x, y, _ = _symbols()
+    x, y, z = _symbols()
     a = RationalFunction(x * y, y)
     b = RationalFunction(x * x, x)
     assert a == b
@@ -318,16 +318,10 @@ def test_rational_function_equality_is_cross_multiplied():
     assert a != RationalFunction(y)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(x, Polynomial.zero(XYZ))
-
-
-def test_rational_function_field_laws():
-    x, y, z = _symbols()
-    a = RationalFunction(x + 1, y)
-    b = RationalFunction(z, x + 2)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a - a == RationalFunction(Polynomial.zero(XYZ))
-    assert 1 / (a / a) == 1
+    c = RationalFunction(z, x + 2)
+    assert a / c == RationalFunction(x * (x + 2), z)
+    assert c / c == 1
+    assert a / x == 1
     with pytest.raises(ZeroDivisionError):
         a / RationalFunction(Polynomial.zero(XYZ), y)
 
@@ -347,3 +341,77 @@ def test_evaluate_rational_requires_the_variables_that_occur():
             evaluate(x * x - y, {"x": 1})
         # z is a ring variable absent from the polynomial, so it needs no value
         assert evaluate(x * x - y, {"x": 2, "y": 1}) == 3
+
+
+def test_evaluate_rational_brings_every_term_to_one_denominator():
+    """x + y + x*y at x = 1/a, y = 1/b has the denominator a*b, the product of
+    den_v^deg_v(f), and not the product of every term's denominator."""
+    ring = variables("a", "b", "x", "y")
+    a, b, x, y = (Polynomial.variable(ring, n) for n in ring.names)
+    one = Polynomial.constant(ring, 1)
+    point = {"x": RationalFunction(one, a), "y": RationalFunction(one, b)}
+    value = evaluate_rational(x + y + x * y, point, ring)
+    assert value == RationalFunction(a + b + 1, a * b)
+    assert primitive_normalize(value.den)[0] == a * b
+    assert value.den.total_degree() <= 1 * a.total_degree() + 1 * b.total_degree()
+
+
+def test_substitution_matches_sympy():
+    """substitute, evaluate_rational and eliminate_linear against sympy's
+    expansion of f.subs(...), brought over one denominator, on random f and
+    images over one ring."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    ring = variables("v", "x", "y", "z")
+    symbols = dict(zip(ring.names, sympy.symbols(ring.names)))
+
+    def to_sympy(p):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[symbols[n] ** e for n, e in zip(ring.names, mono)])
+                           for mono, c in p.terms.items()])
+
+    def expanded(value):
+        """sympy's expansion of a polynomial expression, or one of ours."""
+        if isinstance(value, Polynomial):
+            return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                         for m, c in value.terms.items()},
+                                        *symbols.values(), domain="QQ")
+        return sympy.Poly(value, *symbols.values(), domain="QQ")
+
+    def quotient(expr):
+        """(numerator, denominator) of a rational expression, expanded."""
+        return tuple(map(expanded, sympy.fraction(sympy.together(expr))))
+
+    def random_poly(max_exp, nonzero=False, without=None):
+        while True:
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                mono = [rng.randint(0, max_exp) for _ in ring.names]
+                if without is not None:
+                    mono[ring.index(without)] = 0
+                terms[tuple(mono)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p = Polynomial(ring, terms)
+            if not (nonzero and p.is_zero()):
+                return p
+
+    for _ in range(10):
+        f = random_poly(2)
+        images = {n: random_poly(1) for n in rng.sample(ring.names, rng.randint(1, 3))}
+        want = to_sympy(f).subs({symbols[n]: to_sympy(p) for n, p in images.items()},
+                                simultaneous=True)
+        assert expanded(f.substitute(images)) == expanded(want)
+
+        quotients = {n: RationalFunction(random_poly(1), random_poly(1, nonzero=True))
+                     for n in ring.names}
+        value = evaluate_rational(f, quotients, ring)
+        want_num, want_den = quotient(to_sympy(f).subs(
+            {symbols[n]: to_sympy(q.num) / to_sympy(q.den) for n, q in quotients.items()},
+            simultaneous=True))
+        assert expanded(value.num) * want_den == want_num * expanded(value.den)
+
+        den = random_poly(1, nonzero=True, without="v")
+        num = random_poly(1, without="v")
+        d = max(f.degree_in("v"), 0)
+        want_num, want_den = quotient(to_sympy(den) ** d * to_sympy(f).subs(
+            symbols["v"], -to_sympy(num) / to_sympy(den)))
+        assert expanded(eliminate_linear(f, "v", den, num)) * want_den == want_num
