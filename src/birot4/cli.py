@@ -275,8 +275,7 @@ def cmd_certify(args) -> int:
 
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
-    basis = groebner.staged_buchberger(presentation)
-    certificate = groebner.certify_membership(presentation, target, basis=basis)
+    basis, certificate = groebner.basis_and_certificate(presentation, target)
     payload = _certify_payload(target, basis, certificate)
     _emit(args, "certify", payload, started, search=basis.stats)
     print(f"basis elements: {len(basis.elements)}")

@@ -22,6 +22,15 @@ that same elimination, and rational reconstruction: one echelon per prime
 drives both the stop and the lift.  Nothing in that search is trusted:
 ``MembershipCertificate.verify`` decides.
 
+``basis_and_certificate`` runs the two searches at once when more than one
+CPU is available: a worker forked with ``os.fork`` (never
+``multiprocessing``) runs the Macaulay search as if the target were a
+member and sends the cofactors back as polynomial text, while the parent
+computes the basis and the target's normal form.  The parent uses the
+cofactors only when the normal form is zero and the certificate they make
+verifies; otherwise it runs the search itself.  The worker is killed and
+reaped on every way out, and it ends itself when its parent dies.
+
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
 rows) run on a kernel form instead of ``Fraction`` coefficients and
 exponent tuples:
@@ -42,6 +51,9 @@ public function takes and returns ``Polynomial`` values.
 from __future__ import annotations
 
 import heapq
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -458,16 +470,116 @@ def certify_membership(presentation: IdealPresentation, target: Polynomial,
     The identity target = sum(K_i * g_i) + remainder holds exactly, and the
     remainder, the target's normal form against the reduced basis, vanishes
     iff the target lies in the ideal.  ``basis`` is a reduced basis of the
-    presentation; without one, ``staged_buchberger`` computes it.
+    presentation; without one, ``basis_and_certificate`` computes it.  Then,
+    with more than one CPU, a forked worker searches for the cofactors while
+    the basis search runs; they are used only if the normal form is zero and
+    the certificate they make verifies, and the worker is killed and reaped
+    before this returns (it also dies with this process).
 
     The cofactors of target - remainder come from Macaulay rows, not from
     the basis search (``_macaulay_certificate``), so their degree is about
     the least any certificate needs.
     """
     if basis is None:
-        basis = staged_buchberger(presentation)
+        return basis_and_certificate(presentation, target)[1]
     normal_form, _ = _divide(target, basis.elements, basis.order, False)
     return _macaulay_certificate(target, basis.presentation.generators, normal_form)
+
+
+def basis_and_certificate(presentation: IdealPresentation, target: Polynomial
+                          ) -> tuple[GroebnerBasis, MembershipCertificate]:
+    """``staged_buchberger(presentation)`` and the target's certificate, searched at once.
+
+    When more than one CPU is available to this process (by its CPU
+    affinity, where the platform reports one), a forked worker (``_Worker``)
+    runs the Macaulay search for target = sum(K_i * g_i), betting that the
+    target is a member, while this process runs the basis search and the
+    target's normal form.  If the normal form is zero, the worker's
+    cofactors make the certificate, which is returned only once ``verify()``
+    accepts it here: nothing that came through the pipe is trusted.
+    Otherwise, or if the worker exited without a result, the worker is
+    killed and the same search runs in this process with the true
+    remainder.  The worker gets exactly the inputs of that call, so the
+    certificate is the same either way.  The worker is killed and reaped on
+    every way out of this function, and it dies with this process if this
+    process is killed first.
+    """
+    generators = presentation.generators
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    worker = _Worker(target, generators) if cpus > 1 else None
+    try:
+        basis = staged_buchberger(presentation)
+        remainder, _ = _divide(target, basis.elements, basis.order, False)
+        if worker is not None and remainder.is_zero():
+            found = worker.certificate(remainder)
+            if found is not None and found.verify():
+                return basis, found
+        return basis, _macaulay_certificate(target, generators, remainder)
+    finally:
+        if worker is not None:
+            worker.stop()
+
+
+class _Worker:
+    """The Macaulay search for target = sum(K_i * g_i) in a forked child process.
+
+    The child writes the cofactors to a pipe, one line of polynomial text
+    each, and leaves by ``os._exit``, so it never returns into the caller's
+    stack.  A daemon thread in the child reads a second pipe, the lifeline,
+    whose write end only the parent holds: its EOF ends the child, so the
+    child dies with the parent even when the parent is killed before
+    ``stop``.
+    """
+
+    def __init__(self, target: Polynomial, generators: tuple[Polynomial, ...]):
+        self.target, self.generators = target, generators
+        results, results_out = os.pipe()
+        lifeline_in, self.lifeline = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(results)
+                os.close(self.lifeline)
+                threading.Thread(target=_exit_at_eof, args=(lifeline_in,), daemon=True).start()
+                _send_cofactors(results_out, target, generators)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(results_out)
+        os.close(lifeline_in)
+        self.results = os.fdopen(results, "rb")
+
+    def certificate(self, remainder: Polynomial) -> MembershipCertificate | None:
+        """The certificate of the child's cofactors, unverified; None without them."""
+        text = self.results.read().decode()
+        if not text:
+            return None
+        _unlock_wide_integers()
+        try:
+            cofactors = [parse_polynomial(line, self.target.vars) for line in text.split("\n")]
+        except ValueError:
+            return None
+        return MembershipCertificate(self.target, self.generators, cofactors, remainder)
+
+    def stop(self) -> None:
+        """Kill and reap the child and close both pipes."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.results.close()
+        os.close(self.lifeline)
+
+
+def _exit_at_eof(lifeline: int) -> None:
+    os.read(lifeline, 1)  # the parent never writes: this returns when its end closes
+    os._exit(1)
+
+
+def _send_cofactors(out: int, target: Polynomial, generators: tuple[Polynomial, ...]) -> None:
+    found = _macaulay_certificate(target, generators, Polynomial.zero(target.vars))
+    _unlock_wide_integers()
+    with os.fdopen(out, "w") as pipe:
+        pipe.write("\n".join(format_polynomial(k) for k in found.cofactors))
 
 
 # -- low-degree certificates from Macaulay rows --------------------------
@@ -700,10 +812,16 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
         multipliers = {}
         for prime in _PRIMES:
             residues = [[(h, c % prime) for h, c in g.items()] for g in gens]
-            # Koszul: lc_i * lead_i * g_j = g_j * g_i - tail_i * g_j is a
-            # combination of rows m * g_i (m in g_j) and m * g_j (m in tail_i),
-            # all sorted before it, so a row mu * g_j with lead_i | mu (i < j)
-            # is never a pivot and is not built.
+            # A row mu * g_j is a combination of rows sorted before it, never a
+            # pivot, and is skipped when some monomial of koszul[j] divides mu:
+            # * Koszul: lc_i * lead_i * g_j = g_j * g_i - tail_i * g_j is a
+            #   combination of rows m * g_i (m in g_j) and m * g_j (m in
+            #   tail_i), all sorted before it, so koszul[j] starts with lead_i
+            #   (i < j).
+            # * Dependent rows (F5's rewritten rows): when mu * g_j reduces to
+            #   zero, nu * mu * g_j is nu times the earlier rows it depends on,
+            #   and each of those, multiplied, still sorts before it (leads and
+            #   degree blocks are kept under multiplication), so mu joins.
             koszul = [[pk.monomial(leads[i]) for i in range(j) if gens[i][leads[i]] % prime]
                       for j in range(len(gens))]
             echelon = _Echelon(prime, {h: c % prime for h, c in goal.items()})
@@ -715,11 +833,14 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
                     for m in range(max(built + 1 - d, 0), degree - d + 1):
                         if m not in multipliers:
                             multipliers[m] = _monomials_of_degree(pk, m)
-                        block += [(-(mu + leads[i]), i, mu) for mu in multipliers[m]
-                                  if all((pk.monomial(mu) - k) & pk.guard for k in koszul[i])]
+                        block += [(-(mu + leads[i]), i, mu) for mu in multipliers[m]]
                 block.sort()
                 for _, i, mu in block:
-                    echelon.add({mu + h: c for h, c in residues[i]})
+                    monomial = pk.monomial(mu)
+                    if not all((monomial - k) & pk.guard for k in koszul[i]):
+                        continue
+                    if not echelon.add({mu + h: c for h, c in residues[i]}):
+                        koszul[i].append(monomial)
                     rows.append((i, mu))
                     if echelon.goal_lead is None:
                         break

@@ -6,8 +6,10 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,13 @@ from birot4 import numeric
 from birot4.certificate import MembershipCertificate
 from birot4.cli import _certify_payload, build_parser, main
 from birot4.constraints import NORMALIZED_VARS
-from birot4.groebner import IdealPresentation, buchberger, certify_membership, staged_buchberger
+from birot4.groebner import (
+    IdealPresentation,
+    basis_and_certificate,
+    buchberger,
+    certify_membership,
+    staged_buchberger,
+)
 from birot4.poly import LEX, Polynomial, variables
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -320,11 +328,11 @@ def test_certify_names_a_failed_re_verification(tmp_path, monkeypatch, capsys):
     """A certificate that the search accepted but the final check rejects fails
     the run, and stderr names the re-verification step."""
     def search_then_break_verify(*args, **kwargs):
-        certificate = certify_membership(*args, **kwargs)
+        found = basis_and_certificate(*args, **kwargs)
         monkeypatch.setattr(MembershipCertificate, "verify", lambda self: False)
-        return certificate
+        return found
 
-    monkeypatch.setattr("birot4.groebner.certify_membership", search_then_break_verify)
+    monkeypatch.setattr("birot4.groebner.basis_and_certificate", search_then_break_verify)
     out = tmp_path / "certify.json"
     assert main(["certify", "--output", str(out)]) == 1
     captured = capsys.readouterr()
@@ -333,6 +341,129 @@ def test_certify_names_a_failed_re_verification(tmp_path, monkeypatch, capsys):
     assert "first failing step: certificate re-verification FAILED" in captured.err
     payload = _load(out)["payload"]
     assert payload["identity_holds"] is False and payload["remainder_zero"] is True
+
+
+# -- the certificate search's forked worker ------------------------------
+
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="the worker is forked only with two or more CPUs")
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record each fork's result in the parent."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu_without_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_certify_reaps_its_worker(monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    assert main(["certify"]) == 0
+    assert CERTIFY_PAYLOAD_DIGEST in capsys.readouterr().out
+    assert len(forks) == (len(os.sched_getaffinity(0)) > 1)
+    _assert_no_child()
+
+
+def test_certify_with_one_cpu_does_not_fork(monkeypatch, capsys):
+    _one_cpu_without_fork(monkeypatch)
+    assert main(["certify"]) == 0
+    assert CERTIFY_PAYLOAD_DIGEST in capsys.readouterr().out
+
+
+def test_certify_non_member_gives_the_in_process_payload(tmp_path, monkeypatch):
+    """The worker bets on membership; for ``t`` the bet is lost, the worker is
+    killed, and the search runs here with the true remainder."""
+    forks = _count_forks(monkeypatch)
+    assert main(["certify", "--target", "t", "--output", str(tmp_path / "forked.json")]) == 1
+    assert len(forks) == (len(os.sched_getaffinity(0)) > 1)
+    _assert_no_child()
+    _one_cpu_without_fork(monkeypatch)
+    assert main(["certify", "--target", "t", "--output", str(tmp_path / "here.json")]) == 1
+    assert _load(tmp_path / "forked.json")["payload"] == _load(tmp_path / "here.json")["payload"]
+
+
+@needs_two_cpus
+def test_certify_falls_back_when_the_worker_sends_nothing(monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr("birot4.groebner._send_cofactors", lambda *args: None)
+    assert main(["certify"]) == 0
+    assert CERTIFY_PAYLOAD_DIGEST in capsys.readouterr().out
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def _process_stat(pid: int) -> list[str] | None:
+    """The fields of /proc/PID/stat after the command name, or None when gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def _children(pid: int) -> list[tuple[int, str]]:
+    """(pid, start time) of each live child of pid."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _process_stat(int(entry))
+            if fields and fields[1] == str(pid) and fields[0] != "Z":
+                found.append((int(entry), fields[19]))
+    return found
+
+
+def _running(pid: int, start: str) -> bool:
+    """Whether the process pid, started at start, is alive and not a zombie."""
+    fields = _process_stat(pid)
+    return bool(fields) and fields[0] != "Z" and fields[19] == start
+
+
+@needs_two_cpus
+def test_the_worker_dies_with_a_killed_certify(tmp_path):
+    """SIGTERM to the certify process alone, while a worker searches for a
+    certificate of a non-member (which never ends), leaves no worker behind."""
+    src = str(Path(birot4.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-m", "birot4.cli", "certify", "--target", "t"],
+                            env=env, cwd=tmp_path, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        while not workers and proc.poll() is None:
+            workers = _children(proc.pid)
+        assert workers, "certify ended before its worker was seen"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        time.sleep(2)
+        assert [pid for pid, start in workers if _running(pid, start)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid, start in workers:  # a surviving worker climbs degrees without end
+            if _running(pid, start):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_certify_artifacts_in_the_first_format_still_load(tmp_path, certify_artifact, capsys):

@@ -21,6 +21,7 @@ from birot4.groebner import (
     _Echelon,
     _dixon,
     _find_unit_pivot,
+    _macaulay_certificate,
     _reconstruct,
     basis_from_document,
     basis_to_document,
@@ -420,9 +421,10 @@ def test_reconstruct_stops_at_its_bound():
 
 def test_flagship_elimination_stops_at_row_1256(flagship_basis, monkeypatch):
     """p*t^4 enters the span of the flagship's Macaulay rows at row 1256 of
-    the 2167 up to degree 10.  The first prime's elimination adds exactly
-    those rows, 32 of which reduce to zero, and is the only echelon built:
-    the Dixon lift solves on it."""
+    the 2167 up to degree 10.  The first prime's elimination skips 17 of
+    those rows, multiples of rows that reduced to zero before them, and adds
+    the other 1239, 15 of which reduce to zero.  It is the only echelon
+    built: the Dixon lift solves on it."""
     added = {}
     init, add = _Echelon.__init__, _Echelon.add
 
@@ -440,9 +442,54 @@ def test_flagship_elimination_stops_at_row_1256(flagship_basis, monkeypatch):
     monkeypatch.setattr(_Echelon, "add", counting_add)
     target = parse_polynomial("p*t^4", NORMALIZED_VARS)
     certificate = certify_membership(flagship_basis.presentation, target, basis=flagship_basis)
-    assert list(added.values()) == [[1256, 32]]
+    assert list(added.values()) == [[1239, 15]]
     assert certificate.verify() and certificate.is_member
     assert sum(len(k.terms) for k in certificate.cofactors) == 297
+
+
+def test_skipped_rows_are_rows_the_full_elimination_finds_dependent(monkeypatch):
+    """The search skips a row that is a multiple of a row that reduced to
+    zero.  On seeded small ideals, the same search told that no row ever
+    reduced to zero skips no row for that reason.  With the first prime, the
+    rows it adds and the skipping search leaves out all reduce to zero there,
+    both searches make the same pivots in the same order, and they find the
+    same certificate."""
+    log = []
+    add = _Echelon.add
+
+    def logging_add(self, work):
+        row = tuple(sorted(work.items()))
+        pivot = add(self, work)
+        if self.prime == _PRIMES[0]:
+            log.append((row, pivot))
+            # the skipping search adds a subset of the full search's rows,
+            # and neither needs many; one that skips a pivot row can climb
+            # degrees without end
+            assert len(log) <= bound
+        return pivot or not skip
+
+    monkeypatch.setattr(_Echelon, "add", logging_add)
+    rng = random.Random(1)
+    skipped = 0
+    for _ in range(20):
+        vars, gens = random_small_ideal(rng)
+        target = Polynomial.zero(vars)
+        while target.is_zero():
+            target = sum((random_polynomial(rng, vars, 3) * g for g in gens), target)
+        runs = {}
+        bound = 1000
+        for skip in (False, True):
+            log.clear()
+            certificate = _macaulay_certificate(target, gens, Polynomial.zero(vars))
+            runs[skip] = list(log), certificate.cofactors
+            bound = len(log)
+        (kept, cofactors), (full, reference) = runs[True], runs[False]
+        kept_rows = {row for row, _ in kept}
+        assert all(not pivot for row, pivot in full if row not in kept_rows)
+        assert [row for row, pivot in kept if pivot] == [row for row, pivot in full if pivot]
+        assert cofactors == reference
+        skipped += len(full) - len(kept)
+    assert skipped > 0
 
 
 def _check_pivot_route(presentation, targets):

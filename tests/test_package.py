@@ -56,10 +56,13 @@ def test_every_exported_name_resolves(tmp_path):
 
 def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_path):
     """Only ``certify`` without --verify-only loads the Groebner search; a stored
-    certificate is re-checked with ``birot4.certificate``, which needs only ``poly``."""
+    certificate is re-checked with ``birot4.certificate``, which needs only ``poly``.
+    The search's worker is forked by ``birot4.groebner`` alone: no run loads
+    ``multiprocessing``, and only that search loads ``signal``."""
     loaded = _fresh_interpreter(tmp_path, f"""
         import contextlib, io, json, sys
-        WATCHED = ("numpy", "birot4.numeric", "birot4.cases", "birot4.groebner")
+        WATCHED = ("numpy", "birot4.numeric", "birot4.cases", "birot4.groebner",
+                   "multiprocessing", "signal")
         STORED = {str(certify_artifact_path)!r}
 
         def snapshot():
@@ -86,7 +89,7 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["verify-only"] == [0, []]
     assert loaded["check-cases"] == [0, ["birot4.cases"]]
     assert loaded["check-cases VII"] == [0, ["birot4.cases"]]
-    assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner"]]
+    assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner", "signal"]]
 
 
 def test_sign_witnesses_load_only_the_trusted_core(tmp_path):
