@@ -105,7 +105,8 @@ def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
     den = 1
     for p in polys:
         for c in p.terms.values():
-            den = lcm(den, c.denominator)
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
     return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
              for e, c in p.terms.items()} for p in polys], den
 
@@ -149,10 +150,13 @@ class MembershipCertificate:
         generators, g = _scaled(pk, self.generators)
         (remainder, target), t = _scaled(pk, [self.remainder, self.target])
         acc: dict[int, int] = {}
+        get = acc.get
         for cof, gen in zip(cofactors, generators):
+            gen_items = list(gen.items())
             for e1, c1 in cof.items():
-                for e2, c2 in gen.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+                for e2, c2 in gen_items:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
         lhs = {e: c * t for e, c in acc.items() if c}
         rhs = {e: (target.get(e, 0) - remainder.get(e, 0)) * k * g
                for e in target.keys() | remainder.keys()}

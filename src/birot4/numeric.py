@@ -7,9 +7,10 @@ conditions.  Everything runs in the polynomial parametrization where the
 right-hand sides are x'' = alpha*tau*r^2, y'' = beta*r^2, r'' = r + c*r^2,
 with the curvature law c'' = c optionally frozen to a constant.
 
-A single trajectory (the catenoid and cylinder presets) integrates on
-Python floats.  The data sweep integrates all of its points together: the
-same RK4 step runs on a tuple of column arrays, one entry per point, so
+One array RK4 rule, ``_rk4_step``, serves both callers.  A single
+trajectory (the catenoid and cylinder presets) runs it on a stacked state
+of shape (8,); the data sweep integrates all of its points together on one
+of shape (8, P).  Every operation is elementwise, in the same order, so
 each point gets the float operations it would get alone.
 """
 
@@ -98,28 +99,37 @@ class ResidualReport:
 
 
 def _derivative_field(params: IntegrationParams):
+    """The right-hand side on a stacked state u = (x, x', y, y', r, r', c, c').
+
+    u has shape (8,) for one trajectory or (8, P) for P points at once, with
+    params.alpha and params.beta floats or arrays of length P.
+    """
     alpha = params.alpha
     beta = params.beta
     frozen = params.freeze_curvature
 
-    def field_at(tau: float, u: tuple[float, ...]) -> tuple[float, ...]:
-        x, xd, y, yd, r, rd, c, cd = u
+    def field_at(tau, u: np.ndarray) -> np.ndarray:
+        du = np.empty_like(u)
+        r, c = u[4], u[6]
         r2 = r * r
-        return (xd, alpha * tau * r2,
-                yd, beta * r2,
-                rd, r + c * r2,
-                cd if not frozen else 0.0, c if not frozen else 0.0)
+        du[0::2] = u[1::2]  # x', y', r' and c' are stored
+        du[1] = alpha * tau * r2
+        du[3] = beta * r2
+        du[5] = r + c * r2
+        du[7] = c
+        if frozen:
+            du[6:] = 0.0
+        return du
 
     return field_at
 
 
-def _rk4_step(field_at, tau: float, u: tuple[float, ...], h: float) -> tuple[float, ...]:
+def _rk4_step(field_at, tau, u: np.ndarray, h: float) -> np.ndarray:
     k1 = field_at(tau, u)
-    k2 = field_at(tau + h / 2, tuple(ui + h / 2 * ki for ui, ki in zip(u, k1)))
-    k3 = field_at(tau + h / 2, tuple(ui + h / 2 * ki for ui, ki in zip(u, k2)))
-    k4 = field_at(tau + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
-    return tuple(ui + h / 6 * (a + 2 * b + 2 * c + d)
-                 for ui, a, b, c, d in zip(u, k1, k2, k3, k4))
+    k2 = field_at(tau + h / 2, u + h / 2 * k1)
+    k3 = field_at(tau + h / 2, u + h / 2 * k2)
+    k4 = field_at(tau + h, u + h * k3)
+    return u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _check_start(initial: ProfileState, step: float) -> None:
@@ -137,7 +147,8 @@ def integrate_profile(initial: ProfileState, params: IntegrationParams,
 
     Integrates from the initial state to tau = initial.tau + t_end, sampling
     every step.  A radius at or below the floor truncates the trajectory
-    with a flag; a non-finite state raises.
+    with a flag; a non-finite state raises, and the float overflow on the
+    way there raises no warning.
     """
     _check_start(initial, step)
     count = int(round(abs(t_end) / step))
@@ -146,18 +157,19 @@ def integrate_profile(initial: ProfileState, params: IntegrationParams,
     h = step if t_end > 0 else -step
     field_at = _derivative_field(params)
     tau = initial.tau
-    u = initial.values()[1:]
+    u = np.array(initial.values()[1:])
     states = [initial]
-    for i in range(count):
-        u = _rk4_step(field_at, tau, u, h)
-        tau = initial.tau + (i + 1) * h
-        state = ProfileState(tau, *u)
-        if not state.is_finite():
-            raise NumericError(f"non-finite state at tau = {tau:.6f}")
-        if state.r <= FLOOR_RADIUS:
-            return Trajectory(params, step, tuple(states), truncated=True,
-                              flag="radius-floor")
-        states.append(state)
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            u = _rk4_step(field_at, tau, u, h)
+            tau = initial.tau + (i + 1) * h
+            state = ProfileState(tau, *u.tolist())
+            if not state.is_finite():
+                raise NumericError(f"non-finite state at tau = {tau:.6f}")
+            if state.r <= FLOOR_RADIUS:
+                return Trajectory(params, step, tuple(states), truncated=True,
+                                  flag="radius-floor")
+            states.append(state)
     return Trajectory(params, step, tuple(states))
 
 
@@ -425,8 +437,8 @@ def _integrate_together(initials: Sequence[ProfileState], params: IntegrationPar
     """integrate_profile for P initial states at once, on columns of length P.
 
     params holds one alpha and one beta per point, as arrays.  _rk4_step
-    runs unchanged on tuples of arrays, so each point gets the float
-    operations integrate_profile gives it.  Returns the samples as a
+    runs on the stacked (8, P) state, elementwise, so each point gets the
+    float operations integrate_profile gives it.  Returns the samples as a
     (STATE_COLUMNS x steps + 1 x P) array, and per point the number of
     samples kept and a status: "ok"; "radius-floor", where the samples end
     before the first state at or below the floor; or "non-finite".  A point
@@ -439,7 +451,7 @@ def _integrate_together(initials: Sequence[ProfileState], params: IntegrationPar
     samples = np.empty((len(STATE_COLUMNS), count + 1, len(initials)))
     samples[:, 0, :] = np.array([s.values() for s in initials]).T
     tau0 = tau = samples[0, 0]
-    u = tuple(samples[1:, 0])
+    u = samples[1:, 0]
     kept = [count + 1] * len(initials)
     status = ["ok"] * len(initials)
     running = np.ones(len(initials), dtype=bool)

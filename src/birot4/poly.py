@@ -487,33 +487,35 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = LEX) -> str:
 def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
     """Inverse of format_polynomial; accepts any ordering of terms.
 
+    One pass over the text: with spaces dropped and every "-" read as "+-",
+    splitting at "+" gives the signed terms.  Only the first piece may be
+    empty (text that starts with a sign); any other empty piece or bare "-"
+    is a dangling sign.  A term's coefficient is its parsed rational with
+    the sign put on it; numeric factors multiply only when there are several.
+
     Raises ValueError for malformed text and for a variable outside ``vars``.
     """
     cleaned = _normalize_minus(text)
     if not cleaned:
         raise ValueError("empty polynomial text")
-    # split into signed terms at top level (no parentheses in the format)
-    chunks = re.split(r"(?=[+-])", cleaned.replace(" ", ""))
+    pieces = cleaned.replace(" ", "").replace("-", "+-").split("+")
+    if not pieces[0]:
+        del pieces[0]
     terms: dict[Exponents, Fraction] = {}
     width = len(vars)
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        body = chunk
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
+    for piece in pieces:
+        negative = piece[:1] == "-"
+        body = piece[1:] if negative else piece
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
+        coeff = None
         exps = [0] * width
         for factor in body.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coeff *= parse_rational(factor)
+                value = parse_rational(factor)
+                coeff = value if coeff is None else coeff * value
                 continue
             match = _TERM_FACTOR.match(factor)
             if not match:
@@ -523,8 +525,12 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
                 exps[vars.index(name)] += int(power) if power else 1
             except KeyError:
                 raise ValueError(f"unknown variable {name!r} in {text!r}") from None
-        _accumulate(terms, [(tuple(exps), coeff)])
-    return Polynomial(vars, terms)
+        if coeff is None:
+            coeff = Fraction(-1 if negative else 1)
+        elif negative:
+            coeff = -coeff
+        _accumulate(terms, ((tuple(exps), coeff),))
+    return Polynomial._clean(vars, terms)
 
 
 # -- rational functions ------------------------------------------------

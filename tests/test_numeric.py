@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from birot4.numeric import (
     DEFAULT_STEP,
     DEFAULT_THRESHOLD,
+    FLOOR_RADIUS,
     IntegrationParams,
     NumericError,
     ProfileState,
@@ -151,6 +153,15 @@ def test_runaway_curvature_raises():
                          r=1.0, r_dot=0.0, c=1000.0, c_dot=0.0)
     with pytest.raises(NumericError):
         integrate_profile(state, IntegrationParams(freeze_curvature=True), 2.0)
+
+
+def test_blow_up_raises_without_float_warnings():
+    state = ProfileState(tau=0.0, x=0.0, x_dot=1.0, y=0.0, y_dot=0.0,
+                         r=1.0, r_dot=0.0, c=1000.0, c_dot=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            integrate_profile(state, IntegrationParams(freeze_curvature=True), 2.0)
 
 
 def test_residuals_need_enough_samples():
@@ -317,6 +328,81 @@ def test_sweep_rows_equal_single_point_runs(window):
         assert kept[p] == len(trajectory)
         for index, name in enumerate(STATE_COLUMNS):
             assert np.array_equal(samples[index, :kept[p], p], trajectory.column(name))
+
+
+# The float oracle: the RK4 rule on tuples of Python floats, one operation per
+# component.  The presets and the sweep share one array RK4 rule, so comparing
+# them with each other checks that rule against itself; both are held to this
+# copy bit for bit.
+
+def _oracle_field(params):
+    alpha, beta, frozen = params.alpha, params.beta, params.freeze_curvature
+
+    def field_at(tau, u):
+        x, xd, y, yd, r, rd, c, cd = u
+        r2 = r * r
+        return (xd, alpha * tau * r2,
+                yd, beta * r2,
+                rd, r + c * r2,
+                cd if not frozen else 0.0, c if not frozen else 0.0)
+
+    return field_at
+
+
+def _oracle_rk4_step(field_at, tau, u, h):
+    k1 = field_at(tau, u)
+    k2 = field_at(tau + h / 2, tuple(ui + h / 2 * ki for ui, ki in zip(u, k1)))
+    k3 = field_at(tau + h / 2, tuple(ui + h / 2 * ki for ui, ki in zip(u, k2)))
+    k4 = field_at(tau + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
+    return tuple(ui + h / 6 * (a + 2 * b + 2 * c + d)
+                 for ui, a, b, c, d in zip(u, k1, k2, k3, k4))
+
+
+def _oracle_samples(initial, params, t_end, step=DEFAULT_STEP):
+    """(samples x STATE_COLUMNS array, status) of integrate_profile's loop on floats."""
+    count = int(round(abs(t_end) / step))
+    h = step if t_end > 0 else -step
+    field_at = _oracle_field(params)
+    tau, u = initial.tau, initial.values()[1:]
+    rows = [initial.values()]
+    for i in range(count):
+        u = _oracle_rk4_step(field_at, tau, u, h)
+        tau = initial.tau + (i + 1) * h
+        row = (tau, *u)
+        if not all(map(math.isfinite, row)):
+            return np.array(rows), "non-finite"
+        if row[STATE_COLUMNS.index("r")] <= FLOOR_RADIUS:
+            return np.array(rows), "radius-floor"
+        rows.append(row)
+    return np.array(rows), "ok"
+
+
+@pytest.mark.parametrize("preset", [catenoid_state, cylinder_state])
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_integrate_profile_matches_the_float_oracle(preset, t_end):
+    state, params = preset()
+    expected, status = _oracle_samples(state, params, t_end)
+    trajectory = integrate_profile(state, params, t_end)
+    assert (trajectory.flag or "ok") == status == "ok"
+    samples = np.array([s.values() for s in trajectory.states])
+    assert samples.shape == expected.shape
+    assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("window", [1.0, -1.0])
+def test_integrate_together_matches_the_float_oracle(window):
+    prepared = [item for item in map(_enforced_initial_state, SWEEP_EDGE_POINTS)
+                if not isinstance(item, str)]
+    params = IntegrationParams(alpha=np.array([single.alpha for _, single in prepared]),
+                               beta=np.array([single.beta for _, single in prepared]))
+    samples, kept, status = _integrate_together([state for state, _ in prepared], params,
+                                                window, DEFAULT_STEP)
+    assert sorted(set(status)) == ["non-finite", "ok", "radius-floor"]
+    for p, (state, single) in enumerate(prepared):
+        expected, oracle_status = _oracle_samples(state, single, window)
+        assert status[p] == oracle_status
+        assert kept[p] == len(expected)
+        assert samples[:, :kept[p], p].T.tobytes() == expected.tobytes()
 
 
 def test_trajectory_table_layout(catenoid_forward):

@@ -220,6 +220,23 @@ def test_parse_accepts_flexible_spelling():
         parse_polynomial("", XYZ)
 
 
+@pytest.mark.parametrize("bad", ["x +", "x + - y", "++x", "x--y", "2**x", "x*", "x^",
+                                 "x^-1", "1/0*x", "5/", "3x"])
+def test_parse_rejects_malformed_terms(bad):
+    with pytest.raises(ValueError):
+        parse_polynomial(bad, XYZ)
+
+
+def test_parse_accepts_signs_products_and_cancellation():
+    x, y, z = _symbols()
+    assert parse_polynomial("+x", XYZ) == x
+    assert parse_polynomial("- x", XYZ) == -x
+    assert parse_polynomial("2*3*x", XYZ) == 6 * x
+    assert parse_polynomial("x - x", XYZ).is_zero()
+    assert parse_polynomial("x + x", XYZ) == 2 * x
+    assert parse_polynomial("0*y + z", XYZ) == z
+
+
 def test_parse_names_the_unknown_variable():
     with pytest.raises(ValueError, match="'q'"):
         parse_polynomial("x + 2*q^2", XYZ)
