@@ -601,15 +601,15 @@ class _Echelon:
     one backward sweep.  Values being reduced are taken modulo the prime only
     when they lead.
 
-    An optional goal row is reduced as the rows go in, one at a time: it
-    stops at ``goal_lead``, its first term without a pivot, and resumes only
-    when ``add`` makes a pivot with that lead.  So with a goal,
-    ``goal_lead`` turns None at the first row that puts the goal in the
-    span, and ``solve`` then gives its input rows, as it gives each step of
-    the Dixon lift on the same echelon.
+    The goal row is reduced as the rows go in, one at a time: it stops at
+    ``goal_lead``, its first term without a pivot, and resumes only when
+    ``add`` makes a pivot with that lead.  So ``goal_lead`` turns None at
+    the first row that puts the goal in the span (at once for the empty
+    goal {}), and ``solve`` then gives its input rows, as it gives each
+    step of the Dixon lift on the same echelon.
     """
 
-    def __init__(self, prime: int, goal: dict[int, int] | None = None):
+    def __init__(self, prime: int, goal: dict[int, int]):
         self.prime = prime
         self.added = 0
         self.pivot_at: dict[int, int] = {}  # lead handle -> pivot
@@ -618,9 +618,7 @@ class _Echelon:
         self.scales: list[int] = []  # pivot -> inverse of its reduced lead
         self.steps: list[list[tuple[int, int]]] = []  # pivot -> (earlier pivot, multiple)
         self.goal = goal  # the goal row, reduced up to goal_lead
-        self.goal_lead = None
-        if goal is not None:
-            self._resume_goal()
+        self._resume_goal()
 
     def _resume_goal(self) -> None:
         _, self.goal_lead, a = self._reduce(self.goal)

@@ -7,11 +7,13 @@ conditions.  Everything runs in the polynomial parametrization where the
 right-hand sides are x'' = alpha*tau*r^2, y'' = beta*r^2, r'' = r + c*r^2,
 with the curvature law c'' = c optionally frozen to a constant.
 
-One array RK4 rule, ``_rk4_step``, serves both callers.  A single
-trajectory (the catenoid and cylinder presets) runs it on a stacked state
-of shape (8,); the data sweep integrates all of its points together on one
-of shape (8, P).  Every operation is elementwise, in the same order, so
-each point gets the float operations it would get alone.
+One loop, ``_integrate``, serves both callers.  A single trajectory (the
+catenoid and cylinder presets) steps a stacked state of shape (8,); the
+data sweep steps all of its points together as one of shape (8, P).  Every
+operation of the RK4 rule is elementwise, in the same order, so each point
+gets the float operations it would get alone.  One stop rule then runs on
+the finished samples: a point ends at its first sample that is not finite
+or whose radius is at or below FLOOR_RADIUS.
 """
 
 from __future__ import annotations
@@ -77,8 +79,11 @@ class Trajectory:
     params: IntegrationParams
     step: float
     states: tuple[ProfileState, ...]
-    truncated: bool = False
     flag: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.flag is not None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -141,36 +146,63 @@ def _check_start(initial: ProfileState, step: float) -> None:
         raise NumericError("initial radius is at or below the floor")
 
 
+_EXIT_CHECK_STEPS = 64  # steps between the loop's tests for an all-non-finite state
+
+
+def _integrate(initial: np.ndarray, params: IntegrationParams, t_end: float,
+               step: float) -> tuple[np.ndarray, list[int], list[str]]:
+    """Fixed-step RK4 from initial, a (9,) state or P states as (9, P) columns.
+
+    Returns the samples as a (STATE_COLUMNS x steps + 1 [x P]) array and, per
+    point, the number of samples kept and a status.  The stop rule runs once,
+    on the finished samples: a point stops at its first sample after the
+    start that is not finite ("non-finite") or has r <= FLOOR_RADIUS
+    ("radius-floor"), and keeps the samples before it; a point that never
+    stops is "ok".  inf and NaN stay non-finite under RK4, so the loop ends
+    early once every point is non-finite; the rows it never reaches stay NaN.
+    The float overflow on the way there raises no warning.
+    """
+    count = int(round(abs(t_end) / step))
+    h = step if t_end > 0 else -step
+    field_at = _derivative_field(params)
+    samples = np.full((len(STATE_COLUMNS), count + 1) + initial.shape[1:], np.nan)
+    samples[:, 0] = initial
+    tau0 = tau = initial[0]
+    u = initial[1:]
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            u = _rk4_step(field_at, tau, u, h)
+            tau = tau0 + (i + 1) * h
+            samples[0, i + 1] = tau
+            samples[1:, i + 1] = u
+            if (i + 1) % _EXIT_CHECK_STEPS == 0 and not np.isfinite(u).all(axis=0).any():
+                break
+        columns = samples.reshape(len(STATE_COLUMNS), count + 1, -1)
+        finite = np.isfinite(columns).all(axis=0)
+        stop = ~finite | (columns[STATE_COLUMNS.index("r")] <= FLOOR_RADIUS)
+    stop[0] = False
+    first = stop.argmax(axis=0).tolist()  # 0 where a point never stops
+    kept = [k or count + 1 for k in first]
+    status = ["ok" if not k else "radius-floor" if finite[k, p] else "non-finite"
+              for p, k in enumerate(first)]
+    return samples, kept, status
+
+
 def integrate_profile(initial: ProfileState, params: IntegrationParams,
                       t_end: float, step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step fourth-order integration of the profile system.
 
     Integrates from the initial state to tau = initial.tau + t_end, sampling
     every step.  A radius at or below the floor truncates the trajectory
-    with a flag; a non-finite state raises, and the float overflow on the
-    way there raises no warning.
+    with a flag; a non-finite state raises.
     """
     _check_start(initial, step)
-    count = int(round(abs(t_end) / step))
-    if count == 0:
-        return Trajectory(params, step, (initial,))
-    h = step if t_end > 0 else -step
-    field_at = _derivative_field(params)
-    tau = initial.tau
-    u = np.array(initial.values()[1:])
-    states = [initial]
-    with np.errstate(all="ignore"):
-        for i in range(count):
-            u = _rk4_step(field_at, tau, u, h)
-            tau = initial.tau + (i + 1) * h
-            state = ProfileState(tau, *u.tolist())
-            if not state.is_finite():
-                raise NumericError(f"non-finite state at tau = {tau:.6f}")
-            if state.r <= FLOOR_RADIUS:
-                return Trajectory(params, step, tuple(states), truncated=True,
-                                  flag="radius-floor")
-            states.append(state)
-    return Trajectory(params, step, tuple(states))
+    samples, (kept,), (status,) = _integrate(np.array(initial.values()), params,
+                                             t_end, step)
+    if status == "non-finite":
+        raise NumericError(f"non-finite state at tau = {samples[0, kept]:.6f}")
+    states = tuple(ProfileState(*row) for row in zip(*samples[:, :kept].tolist()))
+    return Trajectory(params, step, states, None if status == "ok" else status)
 
 
 STENCIL_SPAN = 0.02
@@ -211,8 +243,6 @@ _RESIDUAL_INPUTS = ("tau", "x_dot", "y_dot", "r", "r_dot")
 def _layered_residuals(tau: np.ndarray, xd: np.ndarray, yd: np.ndarray,
                        r: np.ndarray, rd: np.ndarray, step: float):
     """Arc, compatibility and fourth-order layers from the _RESIDUAL_INPUTS columns."""
-    if len(tau) < 5:
-        raise NumericError("trajectory too short: the stencil needs 5 samples")
     if len(tau) < 9:
         raise NumericError("trajectory too short: the layered stencils need 9 samples")
     # sample spacing along the index axis; negative for backward runs so the
@@ -432,48 +462,6 @@ def _enforced_initial_state(data: Mapping[str, float]) -> tuple[ProfileState, In
     return state, IntegrationParams(alpha=alpha, beta=beta)
 
 
-def _integrate_together(initials: Sequence[ProfileState], params: IntegrationParams,
-                        t_end: float, step: float) -> tuple[np.ndarray, list[int], list[str]]:
-    """integrate_profile for P initial states at once, on columns of length P.
-
-    params holds one alpha and one beta per point, as arrays.  _rk4_step
-    runs on the stacked (8, P) state, elementwise, so each point gets the
-    float operations integrate_profile gives it.  Returns the samples as a
-    (STATE_COLUMNS x steps + 1 x P) array, and per point the number of
-    samples kept and a status: "ok"; "radius-floor", where the samples end
-    before the first state at or below the floor; or "non-finite".  A point
-    that stops early keeps integrating in the batch, and its later samples
-    are never read.
-    """
-    count = int(round(abs(t_end) / step))
-    h = step if t_end > 0 else -step
-    field_at = _derivative_field(params)
-    samples = np.empty((len(STATE_COLUMNS), count + 1, len(initials)))
-    samples[:, 0, :] = np.array([s.values() for s in initials]).T
-    tau0 = tau = samples[0, 0]
-    u = samples[1:, 0]
-    kept = [count + 1] * len(initials)
-    status = ["ok"] * len(initials)
-    running = np.ones(len(initials), dtype=bool)
-    r_index = STATE_COLUMNS.index("r")
-    with np.errstate(all="ignore"):
-        for i in range(count):
-            if not running.any():
-                break
-            u = _rk4_step(field_at, tau, u, h)
-            tau = tau0 + (i + 1) * h
-            row = samples[:, i + 1]
-            row[0] = tau
-            row[1:] = u
-            finite = np.isfinite(row).all(axis=0)
-            stopped = running & ~(finite & (row[r_index] > FLOOR_RADIUS))
-            for p in np.flatnonzero(stopped):
-                kept[p] = i + 1
-                status[p] = "radius-floor" if finite[p] else "non-finite"
-            running &= ~stopped
-    return samples, kept, status
-
-
 def sweep_nonminimal(points: Iterable[Mapping[str, float]],
                      window: float = DEFAULT_WINDOW,
                      step: float = DEFAULT_STEP,
@@ -485,8 +473,8 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     recorded, not skipped.  A violation_tau of None means the trajectory
     stayed within the threshold over the whole window.
 
-    The points that admit initial data integrate together as one batch of
-    column arrays; each row is the one integrate_profile and
+    The points that admit initial data integrate together in one _integrate
+    call on (9, P) columns; each row is the one integrate_profile and
     residual_profile give that point alone.
     """
     data_rows = [dict(data) for data in points]
@@ -509,7 +497,8 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
         betas.append(params.beta)
     if batch:
         params = IntegrationParams(alpha=np.array(alphas), beta=np.array(betas))
-        samples, kept, status = _integrate_together(initials, params, window, step)
+        initial = np.array([state.values() for state in initials]).T
+        samples, kept, status = _integrate(initial, params, window, step)
         inputs = [samples[STATE_COLUMNS.index(name)] for name in _RESIDUAL_INPUTS]
         for p, index in enumerate(batch):
             data = data_rows[index]

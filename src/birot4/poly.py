@@ -418,7 +418,8 @@ def _substitute(f: Polynomial, images: Mapping[str, tuple[Polynomial, Polynomial
 
 # -- text format -------------------------------------------------------
 
-_TERM_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_TERM_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
+_OPERATORS = "+-*/^"
 _MINUS_VARIANTS = ("−", "–")  # unicode minus / en-dash, seen in display text
 
 
@@ -484,11 +485,26 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = LEX) -> str:
     return " ".join(pieces)
 
 
+def _drop_whitespace(cleaned: str, text: str) -> str:
+    """cleaned without whitespace, which may sit only next to an operator.
+
+    A function of its own, so the tokens are freed before the caller copies
+    the text again: a stored certificate holds texts of about a megabyte.
+    """
+    tokens = cleaned.split()
+    for left, right in zip(tokens, tokens[1:]):
+        if left[-1] not in _OPERATORS and right[0] not in _OPERATORS:
+            raise ValueError(f"whitespace between {left!r} and {right!r} in {text!r}")
+    return "".join(tokens)
+
+
 def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
     """Inverse of format_polynomial; accepts any ordering of terms.
 
-    One pass over the text: with spaces dropped and every "-" read as "+-",
-    splitting at "+" gives the signed terms.  Only the first piece may be
+    Whitespace may sit next to an operator (+ - * / ^) or at either end of
+    the text; anywhere else, as in "1 2*x" or "x y", it is an error.  With
+    whitespace dropped and every "-" read as "+-", splitting at "+" gives
+    the signed terms.  Only the first piece may be
     empty (text that starts with a sign); any other empty piece or bare "-"
     is a dangling sign.  A term's coefficient is its parsed rational with
     the sign put on it; numeric factors multiply only when there are several.
@@ -498,7 +514,7 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
     cleaned = _normalize_minus(text)
     if not cleaned:
         raise ValueError("empty polynomial text")
-    pieces = cleaned.replace(" ", "").replace("-", "+-").split("+")
+    pieces = _drop_whitespace(cleaned, text).replace("-", "+-").split("+")
     if not pieces[0]:
         del pieces[0]
     terms: dict[Exponents, Fraction] = {}
@@ -517,7 +533,7 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
                 value = parse_rational(factor)
                 coeff = value if coeff is None else coeff * value
                 continue
-            match = _TERM_FACTOR.match(factor)
+            match = _TERM_FACTOR.fullmatch(factor)
             if not match:
                 raise ValueError(f"bad factor {factor!r} in {text!r}")
             name, power = match.group(1), match.group(2)

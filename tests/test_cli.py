@@ -60,6 +60,13 @@ CHECK_CASES_PAYLOAD_DIGEST = (
 # update it and say so in CHANGES.md.
 SIMULATE_SWEEP_PAYLOAD_DIGEST = (
     "sha256:782ac657786a63c374da960ee0b1ced10607413db7ed0f5aa9e0ceb7b0b2f71c")
+# Payload digests of `birot4 simulate --preset P` at the default window and
+# step.  Each trajectory row prints twelve digits of every sample, so the same
+# rule as for the sweep pin holds.
+SIMULATE_PRESET_PAYLOAD_DIGESTS = {
+    "catenoid": "sha256:b5ab35504e3f615e6a58270876e2d913c869ef01d66e12968113ed142821af0c",
+    "cylinder": "sha256:a6464ca056df4ec184e2ef9d7fb3e4949dd085a04a0f239208f7ca325b296031",
+}
 # Payload digests of `birot4 derive --case C` at the default order: the series,
 # the extracted system and the fixture diff of each case.  A change of the
 # series solver, the extraction or the diff entries moves these pins; such a
@@ -187,6 +194,7 @@ def test_simulate_catenoid_preset(tmp_path):
     assert main(["simulate", "--preset", "catenoid", "--output", str(out)]) == 0
     document = _load(out)
     _check_manifest(document, "simulate")
+    assert document["manifest"]["payload_digest"] == SIMULATE_PRESET_PAYLOAD_DIGESTS["catenoid"]
     # the parser leaves these unset; the manifest records the values used
     parameters = document["manifest"]["parameters"]
     assert parameters["window"] == numeric.DEFAULT_WINDOW
@@ -209,7 +217,10 @@ def test_simulate_catenoid_preset(tmp_path):
 def test_simulate_cylinder_preset(tmp_path):
     out = tmp_path / "cylinder.json"
     assert main(["simulate", "--preset", "cylinder", "--output", str(out)]) == 0
-    payload = _load(out)["payload"]
+    document = _load(out)
+    _check_manifest(document, "simulate")
+    assert document["manifest"]["payload_digest"] == SIMULATE_PRESET_PAYLOAD_DIGESTS["cylinder"]
+    payload = document["payload"]
     # the frozen curvature constant misses c'' = c by exactly one
     assert abs(payload["residuals"]["biharmonic"] - 1.0) < 1e-6
     assert payload["within_thresholds"] is False

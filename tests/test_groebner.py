@@ -292,7 +292,7 @@ def test_non_member_certificate_needs_a_higher_degree():
 
 def _span_holds(rows, goal, prime):
     """Whether goal lies in the span of rows modulo prime, from a fresh elimination."""
-    echelon = _Echelon(prime)
+    echelon = _Echelon(prime, {})
     for row in rows:
         echelon.add(dict(row))
     return echelon.solve(dict(goal)) is not None
@@ -357,7 +357,7 @@ def test_dixon_lifts_the_rational_solution_over_the_support_rows():
         rows = [{h: rng.choice([-1, 1]) * rng.randint(1, 9)
                  for h in rng.sample(range(width), rng.randint(1, width))}
                 for _ in range(rng.randint(2, width))]
-        echelon = _Echelon(prime)
+        echelon = _Echelon(prime, {})
         pivots = [j for j, row in enumerate(rows)
                   if echelon.add({h: c % prime for h, c in row.items()})]
         planted = {j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 12))
@@ -386,7 +386,7 @@ def test_dixon_stops_when_a_later_residual_needs_another_row():
     candidate."""
     prime = _PRIMES[0]
     a, b = {0: 1, 1: prime}, {1: 1}
-    echelon = _Echelon(prime)
+    echelon = _Echelon(prime, {})
     assert echelon.add({h: c % prime for h, c in a.items()}) and echelon.add(dict(b))
     assert list(_dixon(echelon, {0: a}, {0: 1})) == [{0: Fraction(1)}]
     assert list(_dixon(echelon, {0: a, 1: b}, {0: 1}))[-1] == {0: 1, 1: -prime}

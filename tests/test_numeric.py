@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from birot4 import numeric
 from birot4.numeric import (
     DEFAULT_STEP,
     DEFAULT_THRESHOLD,
@@ -21,7 +23,7 @@ from birot4.numeric import (
     SurfaceProfile,
     SweepRow,
     _enforced_initial_state,
-    _integrate_together,
+    _integrate,
     biharmonic_residual,
     catenoid_state,
     catenoid_surface,
@@ -288,6 +290,11 @@ def test_sweep_statuses():
     assert empty.rows == () and len(empty.table()) == 1
 
 
+def _stacked(states) -> np.ndarray:
+    """Initial states as the (STATE_COLUMNS x P) columns the sweep integrates."""
+    return np.array([state.values() for state in states]).T
+
+
 def _sweep_row_alone(data, window: float) -> SweepRow:
     """The sweep row of one point, integrated on its own as the presets are."""
     prepared = _enforced_initial_state(data)
@@ -316,8 +323,8 @@ def test_sweep_rows_equal_single_point_runs(window):
                 if not isinstance(item, str)]
     params = IntegrationParams(alpha=np.array([single.alpha for _, single in prepared]),
                                beta=np.array([single.beta for _, single in prepared]))
-    samples, kept, status = _integrate_together([state for state, _ in prepared], params,
-                                                window, DEFAULT_STEP)
+    samples, kept, status = _integrate(_stacked(state for state, _ in prepared), params,
+                                       window, DEFAULT_STEP)
     for p, (state, single) in enumerate(prepared):
         try:
             trajectory = integrate_profile(state, single, window)
@@ -389,14 +396,59 @@ def test_integrate_profile_matches_the_float_oracle(preset, t_end):
     assert samples.tobytes() == expected.tobytes()
 
 
+def _frozen_start(c: float) -> tuple[ProfileState, IntegrationParams]:
+    """Unit radius at rest with the curvature frozen at c: c = -3 pinches the
+    radius to the floor, c = 1000 overflows before tau = 0.1."""
+    state = ProfileState(tau=0.0, x=0.0, x_dot=1.0, y=0.0, y_dot=0.0,
+                         r=1.0, r_dot=0.0, c=c, c_dot=0.0)
+    return state, IntegrationParams(freeze_curvature=True)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0])
+def test_integrate_profile_stops_where_the_float_oracle_stops(t_end):
+    state, params = _frozen_start(-3.0)
+    expected, status = _oracle_samples(state, params, t_end)
+    trajectory = integrate_profile(state, params, t_end)
+    assert trajectory.flag == status == "radius-floor"
+    samples = np.array([s.values() for s in trajectory.states])
+    assert samples.shape == expected.shape
+    assert samples.tobytes() == expected.tobytes()
+
+    state, params = _frozen_start(1000.0)
+    expected, status = _oracle_samples(state, params, t_end)
+    assert status == "non-finite"
+    tau = state.tau + len(expected) * math.copysign(DEFAULT_STEP, t_end)
+    with pytest.raises(NumericError, match=re.escape(f"non-finite state at tau = {tau:.6f}")):
+        integrate_profile(state, params, t_end)
+
+
+def test_a_blow_up_ends_the_loop_early(monkeypatch):
+    """inf and NaN stay non-finite, so the loop stops at its next exit check
+    instead of stepping through the rest of the window."""
+    state, params = _frozen_start(1000.0)
+    first_non_finite = len(_oracle_samples(state, params, 1000.0)[0])
+    calls = 0
+    step_once = numeric._rk4_step
+
+    def counting_step(*args):
+        nonlocal calls
+        calls += 1
+        return step_once(*args)
+
+    monkeypatch.setattr(numeric, "_rk4_step", counting_step)
+    with pytest.raises(NumericError):
+        integrate_profile(state, params, 1000.0)
+    assert first_non_finite <= calls <= first_non_finite + 64
+
+
 @pytest.mark.parametrize("window", [1.0, -1.0])
 def test_integrate_together_matches_the_float_oracle(window):
     prepared = [item for item in map(_enforced_initial_state, SWEEP_EDGE_POINTS)
                 if not isinstance(item, str)]
     params = IntegrationParams(alpha=np.array([single.alpha for _, single in prepared]),
                                beta=np.array([single.beta for _, single in prepared]))
-    samples, kept, status = _integrate_together([state for state, _ in prepared], params,
-                                                window, DEFAULT_STEP)
+    samples, kept, status = _integrate(_stacked(state for state, _ in prepared), params,
+                                       window, DEFAULT_STEP)
     assert sorted(set(status)) == ["non-finite", "ok", "radius-floor"]
     for p, (state, single) in enumerate(prepared):
         expected, oracle_status = _oracle_samples(state, single, window)

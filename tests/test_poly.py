@@ -221,10 +221,17 @@ def test_parse_accepts_flexible_spelling():
 
 
 @pytest.mark.parametrize("bad", ["x +", "x + - y", "++x", "x--y", "2**x", "x*", "x^",
-                                 "x^-1", "1/0*x", "5/", "3x"])
+                                 "x^-1", "1/0*x", "5/", "3x", "1 2*x", "x y"])
 def test_parse_rejects_malformed_terms(bad):
     with pytest.raises(ValueError):
         parse_polynomial(bad, XYZ)
+
+
+@pytest.mark.parametrize("text", ["x\t+ y", "x\n+ y", "p * t^4", "2\t*x"])
+def test_parse_allows_whitespace_next_to_operators(text):
+    names = variables("p", "t", "x", "y")
+    spelled = parse_polynomial("".join(text.split()), names)
+    assert parse_polynomial(text, names) == spelled
 
 
 def test_parse_accepts_signs_products_and_cancellation():
