@@ -41,8 +41,7 @@ _EXPORTS = {
     "numeric": (
         "IntegrationParams", "NumericError", "ProfileState", "ResidualReport",
         "SurfaceProfile", "Trajectory", "biharmonic_residual",
-        "integrate_profile", "residual_profile", "surface_laplacian_gap",
-        "sweep_nonminimal",
+        "integrate_profile", "surface_laplacian_gap", "sweep_nonminimal",
     ),
     "poly": (
         "GREVLEX", "LEX", "MonomialOrder", "Polynomial", "RationalFunction",

@@ -379,9 +379,16 @@ def cmd_simulate(args) -> int:
     if not math.isfinite(args.threshold):
         print("error: threshold must be finite", file=sys.stderr)
         return EXIT_USAGE
+    grid = _default_sweep_grid()
+    points = len(grid) if args.sweep else 1
+    # in floats, so that a ratio that overflows to inf is rejected too
+    if (args.window / args.step + 1) * points > numeric.MAX_SAMPLES:
+        print(f"error: window and step ask for (window / step + 1) x {points} samples; "
+              f"at most {numeric.MAX_SAMPLES} are allowed", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.sweep:
-        summary = numeric.sweep_nonminimal(_default_sweep_grid(), window=args.window,
+        summary = numeric.sweep_nonminimal(grid, window=args.window,
                                            step=args.step, threshold=args.threshold)
         clean = sum(1 for row in summary.rows
                     if row.status == "ok" and row.violation_tau is None)
@@ -414,7 +421,6 @@ def cmd_simulate(args) -> int:
     except numeric.NumericError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    report = dataclasses.replace(report, surface_laplacian_gap=gap)
     within = all(v <= args.threshold for v in
                  (report.arc_defect, report.compatibility, report.biharmonic))
     payload = {
@@ -430,7 +436,7 @@ def cmd_simulate(args) -> int:
             "arc_defect": report.arc_defect,
             "compatibility": report.compatibility,
             "biharmonic": report.biharmonic,
-            "surface_laplacian_gap": report.surface_laplacian_gap,
+            "surface_laplacian_gap": gap,
         },
         "within_thresholds": within,
         "trajectory": numeric.trajectory_table(trajectory),

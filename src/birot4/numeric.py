@@ -13,7 +13,9 @@ data sweep steps all of its points together as one of shape (8, P).  Every
 operation of the RK4 rule is elementwise, in the same order, so each point
 gets the float operations it would get alone.  One stop rule then runs on
 the finished samples: a point ends at its first sample that is not finite
-or whose radius is at or below FLOOR_RADIUS.
+or whose radius is at or below FLOOR_RADIUS.  The loop's sample array is
+the trajectory: the residuals and the trajectory table read that one array,
+and no per-sample record is built on the way to the payload.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ FLOOR_RADIUS = 1e-9
 DEFAULT_STEP = 1e-3
 DEFAULT_WINDOW = 2.0
 DEFAULT_THRESHOLD = 1e-6
+# Most samples, (window / step + 1) x points, that the command line lets one
+# run allocate: 2**22 samples of 9 float64 columns are about 300 MB.
+MAX_SAMPLES = 2**22
 
 STATE_COLUMNS = ("tau", "x", "x_dot", "y", "y_dot", "r", "r_dot", "c", "c_dot")
 
@@ -72,25 +77,33 @@ class IntegrationParams:
     freeze_curvature: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Equally spaced profile samples plus how the run ended."""
+    """Equally spaced profile samples plus how the run ended.
+
+    samples is the read-only (STATE_COLUMNS x n) array of the integrator's
+    kept samples.  eq=False: == on arrays gives an array, not a truth value.
+    """
 
     params: IntegrationParams
     step: float
-    states: tuple[ProfileState, ...]
+    samples: np.ndarray
     flag: str | None = None
 
     @property
     def truncated(self) -> bool:
         return self.flag is not None
 
+    @property
+    def states(self) -> tuple[ProfileState, ...]:
+        """The samples as ProfileState records, built on each access."""
+        return tuple(ProfileState(*row) for row in self.samples.T.tolist())
+
     def __len__(self) -> int:
-        return len(self.states)
+        return self.samples.shape[1]
 
     def column(self, name: str) -> np.ndarray:
-        idx = STATE_COLUMNS.index(name)
-        return np.array([s.values()[idx] for s in self.states])
+        return self.samples[STATE_COLUMNS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,6 @@ class ResidualReport:
     arc_defect: float
     compatibility: float
     biharmonic: float
-    surface_laplacian_gap: float | None = None
 
 
 def _derivative_field(params: IntegrationParams):
@@ -137,9 +149,7 @@ def _rk4_step(field_at, tau, u: np.ndarray, h: float) -> np.ndarray:
     return u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _check_start(initial: ProfileState, step: float) -> None:
-    if step <= 0:
-        raise NumericError("step must be positive")
+def _check_start(initial: ProfileState) -> None:
     if not initial.is_finite():
         raise NumericError("initial state is not finite")
     if initial.r <= FLOOR_RADIUS:
@@ -160,8 +170,11 @@ def _integrate(initial: np.ndarray, params: IntegrationParams, t_end: float,
     ("radius-floor"), and keeps the samples before it; a point that never
     stops is "ok".  inf and NaN stay non-finite under RK4, so the loop ends
     early once every point is non-finite; the rows it never reaches stay NaN.
-    The float overflow on the way there raises no warning.
+    The float overflow on the way there raises no warning.  A step that is
+    not positive and finite, or a non-finite abs(t_end) / step, raises.
     """
+    if not (0 < step < math.inf and math.isfinite(abs(t_end) / step)):
+        raise NumericError("step and t_end / step must be positive and finite")
     count = int(round(abs(t_end) / step))
     h = step if t_end > 0 else -step
     field_at = _derivative_field(params)
@@ -196,13 +209,15 @@ def integrate_profile(initial: ProfileState, params: IntegrationParams,
     every step.  A radius at or below the floor truncates the trajectory
     with a flag; a non-finite state raises.
     """
-    _check_start(initial, step)
+    _check_start(initial)
     samples, (kept,), (status,) = _integrate(np.array(initial.values()), params,
                                              t_end, step)
     if status == "non-finite":
         raise NumericError(f"non-finite state at tau = {samples[0, kept]:.6f}")
-    states = tuple(ProfileState(*row) for row in zip(*samples[:, :kept].tolist()))
-    return Trajectory(params, step, states, None if status == "ok" else status)
+    # a copy when the run stopped early, so the unused window is freed
+    samples = np.ascontiguousarray(samples[:, :kept])
+    samples.flags.writeable = False
+    return Trajectory(params, step, samples, None if status == "ok" else status)
 
 
 STENCIL_SPAN = 0.02
@@ -237,12 +252,13 @@ def _second_layer_stride(n_first: int, step: float) -> int:
     return max(1, min(stride, (n_first - 1) // 4))
 
 
-_RESIDUAL_INPUTS = ("tau", "x_dot", "y_dot", "r", "r_dot")
+# the sample rows the residuals read; a list, not a tuple, so that it indexes rows
+_RESIDUAL_ROWS = [STATE_COLUMNS.index(name) for name in ("tau", "x_dot", "y_dot", "r", "r_dot")]
 
 
 def _layered_residuals(tau: np.ndarray, xd: np.ndarray, yd: np.ndarray,
                        r: np.ndarray, rd: np.ndarray, step: float):
-    """Arc, compatibility and fourth-order layers from the _RESIDUAL_INPUTS columns."""
+    """Arc, compatibility and fourth-order layers from the _RESIDUAL_ROWS samples."""
     if len(tau) < 9:
         raise NumericError("trajectory too short: the layered stencils need 9 samples")
     # sample spacing along the index axis; negative for backward runs so the
@@ -267,20 +283,12 @@ def _layered_residuals(tau: np.ndarray, xd: np.ndarray, yd: np.ndarray,
     return arc, compat, fourth, deep
 
 
-def residual_profile(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+def _joint_residual(tau, xd, yd, r, rd, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise joint residual max(|arc|, |compatibility|, |fourth-order|).
 
     Returns the tau values where both stencil layers exist and the joint
     residual there.
     """
-    return _joint_residual(*_trajectory_inputs(trajectory), trajectory.step)
-
-
-def _trajectory_inputs(trajectory: Trajectory) -> list[np.ndarray]:
-    return [trajectory.column(name) for name in _RESIDUAL_INPUTS]
-
-
-def _joint_residual(tau, xd, yd, r, rd, step: float) -> tuple[np.ndarray, np.ndarray]:
     arc, compat, fourth, deep = _layered_residuals(tau, xd, yd, r, rd, step)
     joint = np.maximum.reduce([arc[deep], compat[deep - 2], fourth])
     return tau[deep], joint
@@ -294,7 +302,7 @@ def biharmonic_residual(trajectory: Trajectory) -> ResidualReport:
     stencils), then reports the worst arc-length defect, compatibility
     defect, and fourth-order defect max(|a''|, |b''|, |c'' - c|).
     """
-    arc, compat, fourth, deep = _layered_residuals(*_trajectory_inputs(trajectory),
+    arc, compat, fourth, deep = _layered_residuals(*trajectory.samples[_RESIDUAL_ROWS],
                                                    trajectory.step)
     return ResidualReport(
         arc_defect=float(arc.max()),
@@ -342,41 +350,30 @@ def surface_laplacian_gap(profile: SurfaceProfile, s_span: tuple[float, float] =
         raise NumericError("degenerate grid: theta spacing must be below pi/8")
     h_s = (s_hi - s_lo) / (n_s - 1)
     s_values = [s_lo + i * h_s for i in range(n_s)]
-    radii = [profile.r(s) for s in s_values]
-    if min(radii) <= FLOOR_RADIUS:
+    xs, ys, rs = (np.array([f(s) for s in s_values]) for f in (profile.x, profile.y, profile.r))
+    # a, b and c are compared on the interior rows only
+    a, b, c = (np.array([f(s) for s in s_values[1:-1]]) for f in (profile.a, profile.b, profile.c))
+    if not all(np.isfinite(v).all() for v in (xs, ys, rs, a, b, c)):
+        raise NumericError("profile samples must be finite on the span")
+    if rs.min() <= FLOOR_RADIUS:
         raise NumericError("profile radius must stay positive on the span")
     theta = np.array([j * h_theta for j in range(n_theta)])
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    xs = np.array([profile.x(s) for s in s_values])
-    ys = np.array([profile.y(s) for s in s_values])
-    rs = np.array(radii)
-    worst = 0.0
-    for i in range(1, n_s - 1):
-        r_here = rs[i]
-        r_prime = (rs[i + 1] - rs[i - 1]) / (2 * h_s)
-        planes = (
-            (xs, np.ones_like(theta)),
-            (ys, np.ones_like(theta)),
-            (rs, cos_t),
-            (rs, sin_t),
-        )
-        lap = []
-        for axis_values, angular in planes:
-            f_ss = (axis_values[i + 1] - 2 * axis_values[i] + axis_values[i - 1]) / (h_s * h_s)
-            f_s = (axis_values[i + 1] - axis_values[i - 1]) / (2 * h_s)
-            row = axis_values[i] * angular
-            f_tt = (np.roll(row, -1) - 2 * row + np.roll(row, 1)) / (h_theta * h_theta)
-            lap.append(f_ss * angular + (r_prime / r_here) * (f_s * angular)
-                       + f_tt / (r_here * r_here))
-        target = (
-            np.full_like(theta, profile.a(s_values[i])),
-            np.full_like(theta, profile.b(s_values[i])),
-            profile.c(s_values[i]) * cos_t,
-            profile.c(s_values[i]) * sin_t,
-        )
-        gap = np.sqrt(sum((l - t) ** 2 for l, t in zip(lap, target)))
-        worst = max(worst, float(gap.max()))
-    return worst
+    ones = np.ones_like(theta)
+    # the four coordinates of X, each a profile function times an angular
+    # factor; axes are (coordinate, interior s row, theta)
+    angular = np.array([ones, ones, np.cos(theta), np.sin(theta)])[:, None, :]
+    values = np.array([xs, ys, rs, rs])
+    f_ss = (values[:, 2:] - 2 * values[:, 1:-1] + values[:, :-2]) / (h_s * h_s)
+    f_s = (values[:, 2:] - values[:, :-2]) / (2 * h_s)
+    rows = values[:, 1:-1, None] * angular
+    f_tt = (np.roll(rows, -1, axis=2) - 2 * rows + np.roll(rows, 1, axis=2)) / (h_theta * h_theta)
+    r_here = rs[1:-1]
+    r_prime = (rs[2:] - rs[:-2]) / (2 * h_s)
+    lap = (f_ss[..., None] * angular + (r_prime / r_here)[:, None] * (f_s[..., None] * angular)
+           + f_tt / (r_here * r_here)[:, None])
+    target = np.array([a, b, c, c])[..., None] * angular
+    gap = np.sqrt(sum((lap - target) ** 2))
+    return float(gap.max())
 
 
 # -- presets ------------------------------------------------------------
@@ -474,8 +471,9 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     stayed within the threshold over the whole window.
 
     The points that admit initial data integrate together in one _integrate
-    call on (9, P) columns; each row is the one integrate_profile and
-    residual_profile give that point alone.
+    call on (9, P) columns; each row is the one integrate_profile and the
+    joint residual give that point alone.  A step that is not positive and
+    finite, or a window that is not finite in steps, raises NumericError.
     """
     data_rows = [dict(data) for data in points]
     rows: list[SweepRow | None] = [None] * len(data_rows)
@@ -487,7 +485,7 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
             continue
         state, params = prepared
         try:
-            _check_start(state, step)
+            _check_start(state)
         except NumericError:
             rows[index] = SweepRow(data, "non-finite")
             continue
@@ -499,14 +497,13 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
         params = IntegrationParams(alpha=np.array(alphas), beta=np.array(betas))
         initial = np.array([state.values() for state in initials]).T
         samples, kept, status = _integrate(initial, params, window, step)
-        inputs = [samples[STATE_COLUMNS.index(name)] for name in _RESIDUAL_INPUTS]
         for p, index in enumerate(batch):
             data = data_rows[index]
             if status[p] == "non-finite":
                 rows[index] = SweepRow(data, status[p])
                 continue
             try:
-                taus, joint = _joint_residual(*(column[:kept[p], p] for column in inputs), step)
+                taus, joint = _joint_residual(*samples[_RESIDUAL_ROWS, :kept[p], p], step)
             except NumericError:
                 rows[index] = SweepRow(data, "too-short")
                 continue
@@ -517,11 +514,9 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
 
 
 def trajectory_table(trajectory: Trajectory) -> list[str]:
-    """Delimited text rows for a trajectory: a header, then one row per state."""
-    lines = [",".join(STATE_COLUMNS)]
-    for state in trajectory.states:
-        lines.append(",".join(f"{v:.12g}" for v in state.values()))
-    return lines
+    """Delimited text rows for a trajectory: a header, then one row per sample."""
+    return [",".join(STATE_COLUMNS)] + [",".join(f"{v:.12g}" for v in row)
+                                        for row in trajectory.samples.T.tolist()]
 
 
 __all__ = [
@@ -529,6 +524,7 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DEFAULT_WINDOW",
     "FLOOR_RADIUS",
+    "MAX_SAMPLES",
     "STENCIL_SPAN",
     "IntegrationParams",
     "NumericError",
@@ -546,7 +542,6 @@ __all__ = [
     "cylinder_state",
     "cylinder_surface",
     "integrate_profile",
-    "residual_profile",
     "stencil_second_derivative",
     "surface_laplacian_gap",
     "sweep_nonminimal",

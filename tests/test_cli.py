@@ -252,6 +252,55 @@ def _argv_id(argv: list[str]) -> str:
     return "_".join(arg.lstrip("-") for arg in argv)
 
 
+class _Integrated(Exception):
+    """Raised in place of integrating, so that a test allocates no samples."""
+
+
+@pytest.fixture
+def no_integration(monkeypatch):
+    def refuse(*args):
+        raise _Integrated
+
+    monkeypatch.setattr(numeric, "_integrate", refuse)
+
+
+@pytest.mark.parametrize("mode", [["--preset", "catenoid"], ["--sweep"]], ids=_argv_id)
+@pytest.mark.parametrize("bad", [["--window", "1e300", "--step", "1e-300"],
+                                 ["--window", "1e5"]], ids=_argv_id)
+def test_simulate_bounds_its_sample_count(tmp_path, capsys, no_integration, mode, bad):
+    out = tmp_path / "simulate.json"
+    assert main(["simulate", *mode, *bad, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(numeric.MAX_SAMPLES) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, window", [(["--preset", "catenoid"], numeric.MAX_SAMPLES - 1),
+                                          (["--sweep"], numeric.MAX_SAMPLES // 32 - 1)],
+                         ids=["preset", "sweep"])
+def test_simulate_admits_runs_at_the_sample_bound(no_integration, mode, window):
+    with pytest.raises(_Integrated):
+        main(["simulate", *mode, "--window", str(window), "--step", "1"])
+
+
+def test_simulate_builds_no_per_sample_records(tmp_path, monkeypatch):
+    """The preset's one initial state is the only ProfileState on the way to
+    the payload; the samples stay one array."""
+    built = 0
+    init = numeric.ProfileState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(numeric.ProfileState, "__init__", counting_init)
+    assert main(["simulate", "--preset", "catenoid",
+                 "--output", str(tmp_path / "catenoid.json")]) == 0
+    assert built == 1
+
+
 @pytest.mark.parametrize("mode", [["--preset", "catenoid"], ["--sweep"]], ids=_argv_id)
 @pytest.mark.parametrize("bad", [["--window", "inf"], ["--window", "nan"],
                                  ["--step", "nan"], ["--step", "inf"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import warnings
@@ -22,15 +23,16 @@ from birot4.numeric import (
     SWEEP_FIELDS,
     SurfaceProfile,
     SweepRow,
+    _RESIDUAL_ROWS,
     _enforced_initial_state,
     _integrate,
+    _joint_residual,
     biharmonic_residual,
     catenoid_state,
     catenoid_surface,
     cylinder_state,
     cylinder_surface,
     integrate_profile,
-    residual_profile,
     stencil_first_derivative,
     stencil_second_derivative,
     surface_laplacian_gap,
@@ -69,7 +71,6 @@ def test_catenoid_residuals_both_directions(catenoid_forward, catenoid_backward)
         assert report.arc_defect < 1e-8
         assert report.compatibility < 1e-8
         assert report.biharmonic < 1e-6
-        assert report.surface_laplacian_gap is None
 
 
 def test_cylinder_keeps_unit_radius_and_shows_its_curvature_gap():
@@ -136,10 +137,14 @@ def test_radius_floor_truncates_with_a_flag():
 
 def test_integrator_input_validation():
     state, params = catenoid_state()
-    with pytest.raises(NumericError):
-        integrate_profile(state, params, 1.0, step=0.0)
-    with pytest.raises(NumericError):
-        integrate_profile(state, params, 1.0, step=-1e-3)
+    # the step must be positive and finite, and so must the window in steps
+    for t_end, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+                        (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3),
+                        (1e300, 1e-300), (1.0, 5e-324)):
+        with pytest.raises(NumericError):
+            integrate_profile(state, params, t_end, step=step)
+        with pytest.raises(NumericError):
+            sweep_nonminimal(SWEEP_EDGE_POINTS, window=t_end, step=step)
     bad = ProfileState(tau=0.0, x=math.nan, x_dot=1.0, y=0.0, y_dot=0.0,
                        r=1.0, r_dot=0.0, c=0.0, c_dot=0.0)
     with pytest.raises(NumericError):
@@ -225,7 +230,8 @@ def test_two_sided_exponential_curvature():
 
 
 def test_residual_profile_shape(catenoid_forward):
-    taus, joint = residual_profile(catenoid_forward)
+    taus, joint = _joint_residual(*catenoid_forward.samples[_RESIDUAL_ROWS],
+                                  catenoid_forward.step)
     assert len(taus) == len(joint) > 0
     assert all(v >= 0.0 for v in joint)
     assert taus[0] >= catenoid_forward.states[0].tau
@@ -252,6 +258,13 @@ def test_surface_laplacian_grid_validation():
     pinched = SurfaceProfile(x=lambda s: s, y=lambda s: 0.0, r=lambda s: s)
     with pytest.raises(NumericError):
         surface_laplacian_gap(pinched)
+    # one NaN sample would make the gap NaN; a row loop's max() would drop it
+    def nan_at_zero(s):
+        return math.nan if abs(s) < 1e-9 else 1.0
+
+    for name in ("x", "y", "r", "a", "b", "c"):
+        with pytest.raises(NumericError, match="finite"):
+            surface_laplacian_gap(dataclasses.replace(cylinder_surface(), **{name: nan_at_zero}))
 
 
 # One batch that reaches every sweep status, with ok points between the others.
@@ -305,7 +318,7 @@ def _sweep_row_alone(data, window: float) -> SweepRow:
     except NumericError:
         return SweepRow(dict(data), "non-finite")
     try:
-        taus, joint = residual_profile(trajectory)
+        taus, joint = _joint_residual(*trajectory.samples[_RESIDUAL_ROWS], trajectory.step)
     except NumericError:
         return SweepRow(dict(data), "too-short")
     exceed = np.nonzero(joint > DEFAULT_THRESHOLD)[0]
@@ -391,9 +404,8 @@ def test_integrate_profile_matches_the_float_oracle(preset, t_end):
     expected, status = _oracle_samples(state, params, t_end)
     trajectory = integrate_profile(state, params, t_end)
     assert (trajectory.flag or "ok") == status == "ok"
-    samples = np.array([s.values() for s in trajectory.states])
-    assert samples.shape == expected.shape
-    assert samples.tobytes() == expected.tobytes()
+    assert trajectory.samples.T.shape == expected.shape
+    assert trajectory.samples.T.tobytes() == expected.tobytes()
 
 
 def _frozen_start(c: float) -> tuple[ProfileState, IntegrationParams]:
@@ -410,9 +422,8 @@ def test_integrate_profile_stops_where_the_float_oracle_stops(t_end):
     expected, status = _oracle_samples(state, params, t_end)
     trajectory = integrate_profile(state, params, t_end)
     assert trajectory.flag == status == "radius-floor"
-    samples = np.array([s.values() for s in trajectory.states])
-    assert samples.shape == expected.shape
-    assert samples.tobytes() == expected.tobytes()
+    assert trajectory.samples.T.shape == expected.shape
+    assert trajectory.samples.T.tobytes() == expected.tobytes()
 
     state, params = _frozen_start(1000.0)
     expected, status = _oracle_samples(state, params, t_end)
@@ -455,6 +466,73 @@ def test_integrate_together_matches_the_float_oracle(window):
         assert status[p] == oracle_status
         assert kept[p] == len(expected)
         assert samples[:, :kept[p], p].T.tobytes() == expected.tobytes()
+
+
+# The Laplacian's float oracle: the grid walked one s row at a time, each
+# element getting the float operations surface_laplacian_gap gives it.
+
+def _oracle_laplacian_gap(profile, s_span, grid):
+    n_s, n_theta = grid
+    s_lo, s_hi = s_span
+    h_theta = 2 * math.pi / n_theta
+    h_s = (s_hi - s_lo) / (n_s - 1)
+    s_values = [s_lo + i * h_s for i in range(n_s)]
+    theta = np.array([j * h_theta for j in range(n_theta)])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    xs = np.array([profile.x(s) for s in s_values])
+    ys = np.array([profile.y(s) for s in s_values])
+    rs = np.array([profile.r(s) for s in s_values])
+    worst = 0.0
+    for i in range(1, n_s - 1):
+        r_here = rs[i]
+        r_prime = (rs[i + 1] - rs[i - 1]) / (2 * h_s)
+        planes = ((xs, np.ones_like(theta)), (ys, np.ones_like(theta)),
+                  (rs, cos_t), (rs, sin_t))
+        lap = []
+        for axis_values, angular in planes:
+            f_ss = (axis_values[i + 1] - 2 * axis_values[i] + axis_values[i - 1]) / (h_s * h_s)
+            f_s = (axis_values[i + 1] - axis_values[i - 1]) / (2 * h_s)
+            row = axis_values[i] * angular
+            f_tt = (np.roll(row, -1) - 2 * row + np.roll(row, 1)) / (h_theta * h_theta)
+            lap.append(f_ss * angular + (r_prime / r_here) * (f_s * angular)
+                       + f_tt / (r_here * r_here))
+        target = (np.full_like(theta, profile.a(s_values[i])),
+                  np.full_like(theta, profile.b(s_values[i])),
+                  profile.c(s_values[i]) * cos_t, profile.c(s_values[i]) * sin_t)
+        gap = np.sqrt(sum((l - t) ** 2 for l, t in zip(lap, target)))
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
+# nonzero a, b and c and a radius that varies along s
+_WAVY_SURFACE = SurfaceProfile(x=math.sin, y=lambda s: 0.3 * s * s,
+                               r=lambda s: 1.5 + 0.4 * math.cos(2 * s),
+                               a=lambda s: 0.2 * s, b=lambda s: -0.7, c=math.exp)
+
+
+@pytest.mark.parametrize("surface", [catenoid_surface(), cylinder_surface(), _WAVY_SURFACE],
+                         ids=["catenoid", "cylinder", "wavy"])
+@pytest.mark.parametrize("grid", [(41, 64), (81, 128), (3, 17), (7, 33)])
+@pytest.mark.parametrize("s_span", [(-1.0, 1.0), (0.5, 2.5)])
+def test_surface_laplacian_matches_the_float_oracle(surface, grid, s_span):
+    assert (surface_laplacian_gap(surface, s_span, grid)
+            == _oracle_laplacian_gap(surface, s_span, grid))
+
+
+def test_trajectory_holds_one_read_only_array(catenoid_forward):
+    assert catenoid_forward.samples.shape == (len(STATE_COLUMNS), len(catenoid_forward))
+    with pytest.raises(ValueError):
+        catenoid_forward.samples[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        catenoid_forward.column("r")[0] = 1.0
+    # an early stop keeps a copy of its kept samples, not a view of the window
+    floored = integrate_profile(*_frozen_start(-3.0), 20.0)
+    assert floored.flag == "radius-floor"
+    assert floored.samples.base is None
+    assert floored.samples.shape == (len(STATE_COLUMNS), len(floored))
+    assert floored.samples.flags.c_contiguous and not floored.samples.flags.writeable
+    # the records are built on demand from the same floats
+    assert [list(state.values()) for state in floored.states] == floored.samples.T.tolist()
 
 
 def test_trajectory_table_layout(catenoid_forward):
