@@ -10,6 +10,7 @@ needs this module and ``birot4.poly`` only.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from math import lcm
@@ -17,7 +18,9 @@ from operator import lshift
 
 from .poly import LEX, MonomialOrder, Polynomial, VariableSet, format_polynomial, parse_polynomial
 
-CERTIFICATE_FORMAT = "birot4/membership-certificate@1"
+CERTIFICATE_FORMAT = "birot4/membership-certificate@2"
+# @1 wrote each cofactor over its own rational coefficients; still read
+CERTIFICATE_FORMAT_1 = "birot4/membership-certificate@1"
 
 
 # -- packed monomials ---------------------------------------------------
@@ -100,13 +103,19 @@ class _Packing:
         return v + sum(self.exponents(v)) * self.degree_unit
 
 
-def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators keyed by handle over one common denominator."""
+def _common_denominator(polys) -> int:
+    """The lcm of the denominators of every coefficient of polys; 1 for none."""
     den = 1
     for p in polys:
         for c in p.terms.values():
             if den % c.denominator:
                 den = lcm(den, c.denominator)
+    return den
+
+
+def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
+    """Integer numerators keyed by handle over one common denominator."""
+    den = _common_denominator(polys)
     return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
              for e, c in p.terms.items()} for p in polys], den
 
@@ -183,27 +192,56 @@ def _unlock_wide_integers() -> None:
 
 
 def certificate_to_document(cert: MembershipCertificate) -> dict:
+    """The @2 document: each cofactor K_i written once as the integer
+    polynomial N_i = k * K_i, and k, the lcm of the denominators of every
+    cofactor coefficient, written once as "denominator"."""
     _unlock_wide_integers()
     vars = cert.target.vars
+    k = _common_denominator(cert.cofactors)
+    # ints in place of Fractions: format_polynomial reads only the sign,
+    # the magnitude and its numerator and denominator
+    scaled = [Polynomial._clean(vars, {e: c.numerator * (k // c.denominator)
+                                       for e, c in cofactor.terms.items()})
+              for cofactor in cert.cofactors]
     return {
         "format": CERTIFICATE_FORMAT,
         "variables": list(vars.names),
         "target": format_polynomial(cert.target),
         "generators": [format_polynomial(g) for g in cert.generators],
-        "cofactors": [format_polynomial(c) for c in cert.cofactors],
+        "denominator": str(k),
+        "cofactors": [format_polynomial(n) for n in scaled],
         "remainder": format_polynomial(cert.remainder),
         "is_member": cert.remainder.is_zero(),
     }
 
 
+def _document_denominator(doc: dict) -> int:
+    """k of a certificate document: its "denominator" under @2, 1 under @1."""
+    fmt = doc.get("format")
+    if fmt == CERTIFICATE_FORMAT_1:
+        if "denominator" in doc:
+            raise ValueError(f"a {fmt} document has no denominator")
+        return 1
+    if fmt != CERTIFICATE_FORMAT:
+        raise ValueError(f"unsupported document format: {fmt!r}")
+    text = doc.get("denominator")
+    if not (isinstance(text, str) and re.fullmatch("[0-9]+", text) and int(text)):
+        raise ValueError(f"denominator is not a positive base-10 integer: {text!r}")
+    return int(text)
+
+
 def certificate_from_document(doc: dict) -> MembershipCertificate:
+    """Read an @2 document, or an @1 one as the document with k = 1."""
     _unlock_wide_integers()
-    if doc.get("format") != CERTIFICATE_FORMAT:
-        raise ValueError(f"unsupported document format: {doc.get('format')!r}")
+    k = _document_denominator(doc)
     vars = VariableSet(tuple(doc["variables"]))
+    cofactors = [parse_polynomial(t, vars) for t in doc["cofactors"]]
+    if k != 1:
+        cofactors = [Polynomial._clean(vars, {e: c / k for e, c in n.terms.items()})
+                     for n in cofactors]
     return MembershipCertificate(
         target=parse_polynomial(doc["target"], vars),
         generators=tuple(parse_polynomial(t, vars) for t in doc["generators"]),
-        cofactors=[parse_polynomial(t, vars) for t in doc["cofactors"]],
+        cofactors=cofactors,
         remainder=parse_polynomial(doc["remainder"], vars),
     )

@@ -14,7 +14,7 @@ and emits the resulting labeled polynomial system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -181,6 +181,18 @@ def _normalize_coefficient(raw: Polynomial, tau_order: int, mapping: Normalizati
     return (label, normalized), (label, EquationOrigin(tau_order, scalar, r0_power))
 
 
+_LAST_ORDER = 6  # the highest compatibility order an equation reads (E6)
+
+
+def _cut(profile: ProfileSolution, order: int) -> ProfileSolution:
+    """The profile with each component series cut after ``order``."""
+    def cut(f: TruncatedSeries) -> TruncatedSeries:
+        return TruncatedSeries(f.vars, f.coefficients[:order + 1])
+
+    return replace(profile, x=cut(profile.x), y=cut(profile.y), r=cut(profile.r),
+                   c=cut(profile.c))
+
+
 def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
     """Eliminate the free first-order data and emit the normalized system.
 
@@ -190,13 +202,14 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
     coefficients into E2..E6.  Case VI forces r1 = 0 at order 0, consumes
     x1 at order 1, and emits E2..E6.  Case V consumes x1 at order 0 and
     emits E1..E6.  Every divisor used is checked against the case's
-    nonzero hypotheses.
+    nonzero hypotheses.  No equation reads past compatibility order 6, so
+    the component series are cut after order 7, before any product forms.
     """
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
     vars = INITIAL_DATA_VARS
     mapping = NormalizationMap()
-    compat = compatibility_series(profile, case_tag)
+    compat = compatibility_series(_cut(profile, _LAST_ORDER + 1), case_tag)
     alpha = Polynomial.variable(vars, "alpha")
     eliminated: dict[str, RationalFunction] = {}
     coeffs = compat.coefficients
@@ -223,9 +236,12 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
     _require_divisor("alpha", case_tag)
     eliminated["x1"] = RationalFunction(-x1_rest, alpha)
 
-    raw = {n: coeffs[n] for n in range(x1_order + 1, 7)}
+    raw = {n: coeffs[n] for n in range(x1_order + 1, _LAST_ORDER + 1)}
     if case_tag == "VII":
-        arc0 = eliminate_linear(arc_defect_series(profile)[0], "y1", beta, c0r1)
+        # order 0 of arc_defect_series: x'^2 + y'^2 + r'^2 - r^2 at tau = 0
+        x, y, r = profile.x, profile.y, profile.r
+        arc0 = eliminate_linear(x[1] * x[1] + y[1] * y[1] + r[1] * r[1] - r[0] * r[0],
+                                "y1", beta, c0r1)
         raw = {0: eliminate_linear(arc0, "x1", alpha, x1_rest), **raw}
     normalized = [_normalize_coefficient(f, n, mapping) for n, f in raw.items()]
     return ConstraintSystem(

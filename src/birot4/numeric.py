@@ -156,6 +156,13 @@ def _check_start(initial: ProfileState) -> None:
         raise NumericError("initial radius is at or below the floor")
 
 
+def _check_grid(t_end: float, step: float) -> None:
+    """The one rule for a run's grid: a positive, finite step, and a finite
+    number of steps, abs(t_end) / step."""
+    if not (0 < step < math.inf and math.isfinite(abs(t_end) / step)):
+        raise NumericError("step and t_end / step must be positive and finite")
+
+
 _EXIT_CHECK_STEPS = 64  # steps between the loop's tests for an all-non-finite state
 
 
@@ -170,11 +177,9 @@ def _integrate(initial: np.ndarray, params: IntegrationParams, t_end: float,
     ("radius-floor"), and keeps the samples before it; a point that never
     stops is "ok".  inf and NaN stay non-finite under RK4, so the loop ends
     early once every point is non-finite; the rows it never reaches stay NaN.
-    The float overflow on the way there raises no warning.  A step that is
-    not positive and finite, or a non-finite abs(t_end) / step, raises.
+    The float overflow on the way there raises no warning.  The caller has
+    checked the grid (``_check_grid``).
     """
-    if not (0 < step < math.inf and math.isfinite(abs(t_end) / step)):
-        raise NumericError("step and t_end / step must be positive and finite")
     count = int(round(abs(t_end) / step))
     h = step if t_end > 0 else -step
     field_at = _derivative_field(params)
@@ -207,8 +212,10 @@ def integrate_profile(initial: ProfileState, params: IntegrationParams,
 
     Integrates from the initial state to tau = initial.tau + t_end, sampling
     every step.  A radius at or below the floor truncates the trajectory
-    with a flag; a non-finite state raises.
+    with a flag; a non-finite state raises, and so do a step that is not
+    positive and finite and a window that is not finite in steps.
     """
+    _check_grid(t_end, step)
     _check_start(initial)
     samples, (kept,), (status,) = _integrate(np.array(initial.values()), params,
                                              t_end, step)
@@ -473,8 +480,10 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     The points that admit initial data integrate together in one _integrate
     call on (9, P) columns; each row is the one integrate_profile and the
     joint residual give that point alone.  A step that is not positive and
-    finite, or a window that is not finite in steps, raises NumericError.
+    finite, or a window that is not finite in steps, raises NumericError,
+    whether or not any point can be integrated.
     """
+    _check_grid(window, step)
     data_rows = [dict(data) for data in points]
     rows: list[SweepRow | None] = [None] * len(data_rows)
     batch, initials, alphas, betas = [], [], [], []

@@ -18,7 +18,7 @@ from birot4.constraints import NORMALIZED_VARS, extract_system
 from birot4.certificate import certificate_from_document
 from birot4.fixtures import CASE7_SYSTEM_TEXT, PROFILE_R_SERIES, PROFILE_X_SERIES, PROFILE_Y_SERIES
 from birot4.groebner import basis_from_document
-from birot4.poly import Polynomial, VariableSet, parse_polynomial, variables
+from birot4.poly import Polynomial, VariableSet, format_polynomial, parse_polynomial, variables
 from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
 
 
@@ -38,6 +38,25 @@ def certify_artifact(certify_artifact_path):
 @pytest.fixture(scope="session")
 def flagship_certificate(certify_artifact):
     return certificate_from_document(certify_artifact["payload"]["certificate"])
+
+
+@pytest.fixture(scope="session")
+def certify_artifact_v1(certify_artifact, flagship_certificate):
+    """The certify artifact with its certificate in the @1 document format:
+    each cofactor over its own rational coefficients, and no denominator."""
+    artifact = json.loads(json.dumps(certify_artifact))
+    document = artifact["payload"]["certificate"]
+    document["format"] = "birot4/membership-certificate@1"
+    del document["denominator"]
+    document["cofactors"] = [format_polynomial(k) for k in flagship_certificate.cofactors]
+    return artifact
+
+
+@pytest.fixture(scope="session")
+def certify_artifact_v1_path(certify_artifact_v1, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifacts") / "certify-v1.json"
+    path.write_text(json.dumps(certify_artifact_v1))
+    return path
 
 
 @pytest.fixture(scope="session")

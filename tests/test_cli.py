@@ -36,16 +36,18 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # alone must not move this pin.  A change of the certificate or of the payload
 # format must update it and say so in CHANGES.md.
 CERTIFY_PAYLOAD_DIGEST = (
-    "sha256:1a04740f2cdab50df56987a25a3de7d99317b245767bc77b8ca1a55c79fe81bf")
+    "sha256:9a9b44bfd78724a03f4e4029a875371a61506f6d06dedcea75f853b9035aa53f")
 # The reduced lex basis is fixed by the ideal and the order, so no route change
 # may move BASIS_DIGEST.  The certificate document is fixed by the certificate
-# finder: the low-degree Macaulay certificate (rows mu*E_i up to degree 10,
-# eliminated modulo the first prime of a fixed list, lifted by Dixon
-# iteration).  A change of that finder's row order, primes or solution rule
-# moves CERTIFICATE_DIGEST and must say so in CHANGES.md; a change of the
-# basis search alone must not.
+# finder and the document format (@2: integer cofactors over one denominator).
+# The finder gives the low-degree Macaulay certificate (rows mu*E_i up to
+# degree 10, eliminated modulo the first prime of a fixed list, lifted by
+# Dixon iteration).  A change of that finder's row order, primes or solution
+# rule, or of the format, moves CERTIFICATE_DIGEST and must say so in
+# CHANGES.md; a change of the basis search alone must not.  The certificate
+# itself is pinned apart from its format in tests/test_certificate.py.
 CERTIFICATE_DIGEST = (
-    "sha256:da8a26002ffa3e60d4cb56791e1204b88d5672d1f384a9445ccc620759a1ebdd")
+    "sha256:03f6313e53924c5a39017702d31ea9014057ea14eaefe63faa8b53b03934d2df")
 BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench gates it
 # Payload digest of `birot4 check-cases` over all seven cases.  The reports are
 # the proof's text: a refactor of the checking core must leave this pin alone,
@@ -341,7 +343,7 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, system_vii, c
     assert (search["stage2"]["pairs_considered"], search["stage2"]["pairs_reduced"]) == (528, 17)
     presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system_vii.polynomials()))
     assert search == staged_buchberger(presentation).stats
-    assert payload["certificate"]["format"] == "birot4/membership-certificate@1"
+    assert payload["certificate"]["format"] == "birot4/membership-certificate@2"
     assert payload["certificate"]["is_member"] is True
     assert certify_artifact["manifest"]["payload_digest"] == CERTIFY_PAYLOAD_DIGEST
     certificate = hashlib.sha256(_canonical(payload["certificate"]).encode()).hexdigest()
@@ -577,7 +579,7 @@ def test_verify_only_manifest_records_only_what_it_read(tmp_path, certify_artifa
 
 
 @pytest.mark.parametrize("forgery, step", [
-    ({"generators": ["p*t^4"], "cofactors": ["1"]},
+    ({"generators": ["p*t^4"], "cofactors": ["1"], "denominator": "1"},
      "the certificate is stated over this extraction's generators"),
     ({"target": "0", "cofactors": ["0"] * 6}, "the certificate's target is p*t^4"),
 ], ids=["other-generators", "zero-target"])
@@ -651,6 +653,48 @@ def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
     assert "first failing step (case VII)" in err and "identity" in err
     (report,) = _load(out)["payload"]["reports"]
     assert report["case"] == "VII" and report["verdict"] != "contradiction-verified"
+
+
+def _write_tampered(tmp_path, certify_artifact, **certificate) -> Path:
+    """A copy of the certify artifact with fields of its certificate document
+    replaced; a field given as None is dropped."""
+    tampered = json.loads(json.dumps(certify_artifact))
+    document = tampered["payload"]["certificate"]
+    document.update(certificate)
+    for field, value in certificate.items():
+        if value is None:
+            del document[field]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tampered))
+    return path
+
+
+@pytest.mark.parametrize("denominator", [None, "0", "-1", "1.5"],
+                         ids=["missing", "zero", "negative", "decimal-point"])
+def test_a_bad_stored_denominator_is_a_usage_error(tmp_path, certify_artifact, capsys,
+                                                   denominator):
+    """An @2 certificate without a positive base-10 denominator is no
+    certificate document: both commands that re-check one exit with status 2."""
+    path = _write_tampered(tmp_path, certify_artifact, denominator=denominator)
+    for argv in (["certify", "--verify-only", str(path)],
+                 ["check-cases", "VII", "--certificate", str(path)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read a certificate from {path}" in err and "denominator" in err
+
+
+def test_a_changed_stored_denominator_fails_re_verification(tmp_path, certify_artifact, capsys):
+    """k + 1 in place of k scales every cofactor: the document still reads,
+    and the identity no longer re-expands."""
+    k = int(certify_artifact["payload"]["certificate"]["denominator"])
+    path = _write_tampered(tmp_path, certify_artifact, denominator=str(k + 1))
+    assert main(["certify", "--verify-only", str(path)]) == 1
+    assert "first failing step: certificate re-verification FAILED" in capsys.readouterr().err
+    assert main(["check-cases", "VII", "--certificate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "first failing step (case VII)" in err and "identity" in err
 
 
 def test_check_cases_extracts_case_vii_once(certify_artifact_path, monkeypatch, capsys):

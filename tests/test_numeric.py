@@ -137,14 +137,16 @@ def test_radius_floor_truncates_with_a_flag():
 
 def test_integrator_input_validation():
     state, params = catenoid_state()
-    # the step must be positive and finite, and so must the window in steps
+    # the step must be positive and finite, and so must the window in steps;
+    # the sweep checks that up front, also when no point reaches the integrator
     for t_end, step in ((1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
                         (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3),
                         (1e300, 1e-300), (1.0, 5e-324)):
         with pytest.raises(NumericError):
             integrate_profile(state, params, t_end, step=step)
-        with pytest.raises(NumericError):
-            sweep_nonminimal(SWEEP_EDGE_POINTS, window=t_end, step=step)
+        for points in (SWEEP_EDGE_POINTS, [{"r0": 0.0}], []):
+            with pytest.raises(NumericError):
+                sweep_nonminimal(points, window=t_end, step=step)
     bad = ProfileState(tau=0.0, x=math.nan, x_dot=1.0, y=0.0, y_dot=0.0,
                        r=1.0, r_dot=0.0, c=0.0, c_dot=0.0)
     with pytest.raises(NumericError):

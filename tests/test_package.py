@@ -54,9 +54,11 @@ def test_every_exported_name_resolves(tmp_path):
     assert seen["unbound"] == [], "from birot4 import * misses exported names"
 
 
-def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_path):
+def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_path,
+                                                   certify_artifact_v1_path):
     """Only ``certify`` without --verify-only loads the Groebner search; a stored
-    certificate is re-checked with ``birot4.certificate``, which needs only ``poly``.
+    certificate, in the @2 or the older @1 document format, is re-checked with
+    ``birot4.certificate``, which needs only ``poly``.
     The search's worker is forked by ``birot4.groebner`` alone: no run loads
     ``multiprocessing``, and only that search loads ``signal``."""
     loaded = _fresh_interpreter(tmp_path, f"""
@@ -64,6 +66,7 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
         WATCHED = ("numpy", "birot4.numeric", "birot4.cases", "birot4.groebner",
                    "multiprocessing", "signal")
         STORED = {str(certify_artifact_path)!r}
+        STORED_1 = {str(certify_artifact_v1_path)!r}
 
         def snapshot():
             return [name for name in WATCHED if name in sys.modules]
@@ -77,8 +80,10 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
             for label, argv in (
                     ("derive", ["derive", "--case", "V"]),
                     ("verify-only", ["certify", "--verify-only", STORED]),
+                    ("verify-only @1", ["certify", "--verify-only", STORED_1]),
                     ("check-cases", ["check-cases", "I"]),
                     ("check-cases VII", ["check-cases", "VII", "--certificate", STORED]),
+                    ("check-cases VII @1", ["check-cases", "VII", "--certificate", STORED_1]),
                     ("certify", ["certify"])):
                 seen[label] = (birot4.cli.main(argv), snapshot())
         print(json.dumps(seen))
@@ -86,9 +91,9 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["trusted"] == ["birot4", "birot4.certificate", "birot4.poly"]
     assert loaded["import"] == []
     assert loaded["derive"] == [0, []]
-    assert loaded["verify-only"] == [0, []]
+    assert loaded["verify-only"] == loaded["verify-only @1"] == [0, []]
     assert loaded["check-cases"] == [0, ["birot4.cases"]]
-    assert loaded["check-cases VII"] == [0, ["birot4.cases"]]
+    assert loaded["check-cases VII"] == loaded["check-cases VII @1"] == [0, ["birot4.cases"]]
     assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner", "signal"]]
 
 
