@@ -1,9 +1,9 @@
 """Membership certificates: the trusted check and the document format.
 
 A certificate states target = sum(K_i * g_i) + remainder over generators
-g_i.  ``MembershipCertificate.verify`` re-expands that identity exactly on
-packed monomials (``_Packing``, also the search kernel's layout) and
-decides.  Nothing that found the certificate is trusted, and the search
+g_i.  ``MembershipCertificate.verify`` re-expands that identity exactly, on
+monomials written as integers by Kronecker substitution, and decides.
+Nothing that found the certificate is trusted, and the search
 (``birot4.groebner``) is not imported: re-checking a stored certificate
 needs this module and ``birot4.poly`` only.
 """
@@ -14,94 +14,16 @@ import re
 import sys
 from dataclasses import dataclass
 from math import lcm
-from operator import lshift
+from operator import mul
 
-from .poly import LEX, MonomialOrder, Polynomial, VariableSet, format_polynomial, parse_polynomial
+from .poly import Polynomial, VariableSet, format_polynomial, parse_polynomial
 
 CERTIFICATE_FORMAT = "birot4/membership-certificate@2"
 # @1 wrote each cofactor over its own rational coefficients; still read
 CERTIFICATE_FORMAT_1 = "birot4/membership-certificate@1"
 
 
-# -- packed monomials ---------------------------------------------------
-
-class _Overflow(Exception):
-    """A packed exponent outgrew its field; the caller widens and retries."""
-
-
-_MIN_WIDTH = 8  # bits per field at least, so small inputs rarely restart
-
-
-class _Packing:
-    """Exponent tuples packed into one int, laid out for a monomial order.
-
-    Each variable owns a field of ``width`` bits.  Packed inputs and every
-    factor of a product have exponents below ``2**(width - 2)`` (``fits``),
-    so a product's fields stay below the field's top bit, its guard:
-    multiplying monomials is adding ints, and ``a`` divides ``b`` iff
-    ``(b - a) & guard == 0``, because a field of ``b`` smaller than ``a``'s
-    borrows into its own guard bit.  An exponent that would break the bound
-    raises ``_Overflow``; the caller then doubles the width and starts over,
-    so nothing ever wraps.
-
-    Under lex the first variable takes the top field and packed ints compare
-    as the monomials do.  Under grevlex the fields run from the last variable
-    (highest) down to the first, below an unbounded field holding the total
-    degree; the sort key is the degree part minus the variable part.
-
-    The kernel keys terms by their *handle*, the negated sort key: heapq pops
-    the smallest handle first, which is the leading term, and the key is
-    additive, so the handle of a product is the sum of the two handles.
-    """
-
-    def __init__(self, order: MonomialOrder, n: int, width: int):
-        self.order, self.n, self.width = order, n, width
-        graded = order.kind == "grevlex"
-        self.offsets = [(i if graded else n - 1 - i) * width for i in range(n)]
-        self.split = n * width if graded else 0  # the degree field starts here
-        self.degree_unit = 1 << self.split if graded else 0
-        self.variables = (1 << n * width) - 1
-        self.guard = sum(1 << off + width - 1 for off in self.offsets)
-        self.field = (1 << width - 1) - 1
-
-    @classmethod
-    def fitting(cls, order: MonomialOrder, n: int, polys) -> "_Packing":
-        top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
-        return cls(order, n, max(_MIN_WIDTH, top.bit_length() + 2))
-
-    def wider(self) -> "_Packing":
-        return _Packing(self.order, self.n, 2 * self.width)
-
-    def pack(self, exps) -> int:
-        if max(exps, default=0) >> self.width - 2:
-            raise _Overflow
-        return sum(map(lshift, exps, self.offsets)) + sum(exps) * self.degree_unit
-
-    def exponents(self, m: int) -> tuple[int, ...]:
-        return tuple(m >> off & self.field for off in self.offsets)
-
-    def fits(self, m: int) -> bool:
-        """True when m may be a factor of a product: no field at half range."""
-        return not m & self.guard >> 1
-
-    def handle(self, m: int) -> int:
-        low = m & (1 << self.split) - 1
-        return 2 * low - m
-
-    def monomial(self, h: int) -> int:
-        return h - (h >> self.split << self.split + 1)
-
-    def degree(self, m: int) -> int:
-        return m >> self.split if self.degree_unit else sum(self.exponents(m))
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum; a field of (a | guard) - b keeps its guard iff a >= b."""
-        a, b = a & self.variables, b & self.variables
-        a_wins = ((a | self.guard) - b & self.guard) >> self.width - 1
-        mask = a_wins * self.field
-        v = a & mask | b & ~mask
-        return v + sum(self.exponents(v)) * self.degree_unit
-
+# -- the certificate and its exact check ---------------------------------
 
 def _common_denominator(polys) -> int:
     """The lcm of the denominators of every coefficient of polys; 1 for none."""
@@ -113,14 +35,13 @@ def _common_denominator(polys) -> int:
     return den
 
 
-def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators keyed by handle over one common denominator."""
+def _encoded(polys, weights: list[int]) -> tuple[list[dict[int, int]], int]:
+    """Integer numerators over one common denominator, each term keyed by its
+    Kronecker code sum(e_i * weights[i])."""
     den = _common_denominator(polys)
-    return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
+    return [{sum(map(mul, e, weights)): c.numerator * (den // c.denominator)
              for e, c in p.terms.items()} for p in polys], den
 
-
-# -- the certificate and its exact check ---------------------------------
 
 @dataclass
 class MembershipCertificate:
@@ -144,9 +65,11 @@ class MembershipCertificate:
         written over its common denominator: the cofactors as K_i/k, the
         generators as G_i/g, the remainder and the target as R/t and T/t.
         The identity holds iff t * sum(K_i * G_i) == k * g * (T - R), term
-        by term.  Monomials are packed with fields wide enough for every
-        product (``_Packing.fitting``), so the packing is one-to-one and
-        multiplying two monomials is adding two ints.
+        by term.  A monomial x^e is the integer sum(e_i * B**i) (Kronecker
+        substitution), where B is one more than any exponent that a
+        product K_i * G_i, the target or the remainder can reach.  Every
+        exponent is then a base-B digit, so the code is one-to-one on those
+        monomials and multiplying two monomials is adding two ints.
         """
         if len(self.cofactors) != len(self.generators):
             return False
@@ -154,10 +77,14 @@ class MembershipCertificate:
         polys = [*self.cofactors, *self.generators, self.remainder]
         if any(p.vars != vars for p in polys):
             raise ValueError("certificate polynomials use different variable sets")
-        pk = _Packing.fitting(LEX, len(vars), polys + [self.target])
-        cofactors, k = _scaled(pk, self.cofactors)
-        generators, g = _scaled(pk, self.generators)
-        (remainder, target), t = _scaled(pk, [self.remainder, self.target])
+        # the largest exponent in the cofactors, the generators, and R and T
+        top = [max((max(e, default=0) for p in ps for e in p.terms), default=0)
+               for ps in (self.cofactors, self.generators, [self.remainder, self.target])]
+        base = 1 + max(top[0] + top[1], top[2])
+        weights = [base ** i for i in range(len(vars))]
+        cofactors, k = _encoded(self.cofactors, weights)
+        generators, g = _encoded(self.generators, weights)
+        (remainder, target), t = _encoded([self.remainder, self.target], weights)
         acc: dict[int, int] = {}
         get = acc.get
         for cof, gen in zip(cofactors, generators):
@@ -230,18 +157,26 @@ def _document_denominator(doc: dict) -> int:
     return int(text)
 
 
+def _texts(doc: dict, name: str, kind: type = list):
+    """doc[name], refused unless it is a string (kind=str) or an array of strings."""
+    value = doc.get(name)
+    if not isinstance(value, kind) or kind is list and not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{name} is not {'a string' if kind is str else 'an array of strings'}")
+    return value
+
+
 def certificate_from_document(doc: dict) -> MembershipCertificate:
     """Read an @2 document, or an @1 one as the document with k = 1."""
     _unlock_wide_integers()
     k = _document_denominator(doc)
-    vars = VariableSet(tuple(doc["variables"]))
-    cofactors = [parse_polynomial(t, vars) for t in doc["cofactors"]]
+    vars = VariableSet(tuple(_texts(doc, "variables")))
+    cofactors = [parse_polynomial(t, vars) for t in _texts(doc, "cofactors")]
     if k != 1:
         cofactors = [Polynomial._clean(vars, {e: c / k for e, c in n.terms.items()})
                      for n in cofactors]
     return MembershipCertificate(
-        target=parse_polynomial(doc["target"], vars),
-        generators=tuple(parse_polynomial(t, vars) for t in doc["generators"]),
+        target=parse_polynomial(_texts(doc, "target", str), vars),
+        generators=tuple(parse_polynomial(t, vars) for t in _texts(doc, "generators")),
         cofactors=cofactors,
-        remainder=parse_polynomial(doc["remainder"], vars),
+        remainder=parse_polynomial(_texts(doc, "remainder", str), vars),
     )

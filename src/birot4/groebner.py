@@ -33,16 +33,10 @@ reaped on every way out, and it ends itself when its parent dies.
 
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
 rows) run on a kernel form instead of ``Fraction`` coefficients and
-exponent tuples:
-
-* Monomials are packed into one int (``birot4.certificate._Packing``), one
-  guarded bit field per variable, so a product is an addition and
-  divisibility one masked subtraction.  An exponent that outgrows its field
-  raises ``_Overflow`` and the computation starts over with fields twice as
-  wide, so no exponent ever wraps.
-* Coefficients are integer numerators over one common denominator.  The
-  division (``_reduce_terms``) scales the remainder by lc/gcd(a, lc) where
-  a step needs it and then divides out the remainder's content.
+exponent tuples: monomials packed into one int (``_Packing``) and integer
+numerators over one common denominator.  The division (``_reduce_terms``)
+scales the remainder by lc/gcd(a, lc) where a step needs it and then
+divides out the remainder's content.
 
 Polynomials are packed on the way in and unpacked on the way out, so every
 public function takes and returns ``Polynomial`` values.
@@ -58,19 +52,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
+from operator import lshift
 
-from .certificate import MembershipCertificate, _Overflow, _Packing, _scaled, _unlock_wide_integers
+from .certificate import MembershipCertificate, _common_denominator, _unlock_wide_integers
 # Unused here, kept for the benchmark: perfbench/workloads.py calls the certificate
 # codec as groebner.certificate_*_document and perfbench/perftrace.py traces it there.
 from .certificate import certificate_from_document, certificate_to_document  # noqa: F401
 from .poly import (
     GREVLEX,
+    Exponents,
     MonomialOrder,
     Polynomial,
     VariableSet,
     format_polynomial,
-    monomial_div,
-    monomial_lcm,
     parse_polynomial,
     primitive_normalize,
 )
@@ -95,6 +89,91 @@ class IdealPresentation:
 
 
 # -- the integer, packed-monomial kernel -------------------------------
+
+
+class _Overflow(Exception):
+    """A packed exponent outgrew its field; the caller widens and retries."""
+
+
+_MIN_WIDTH = 8  # bits per field at least, so small inputs rarely restart
+
+
+class _Packing:
+    """Exponent tuples packed into one int, laid out for a monomial order.
+
+    Each variable owns a field of ``width`` bits.  Packed inputs and every
+    factor of a product have exponents below ``2**(width - 2)`` (``fits``),
+    so a product's fields stay below the field's top bit, its guard:
+    multiplying monomials is adding ints, and ``a`` divides ``b`` iff
+    ``(b - a) & guard == 0``, because a field of ``b`` smaller than ``a``'s
+    borrows into its own guard bit.  An exponent that would break the bound
+    raises ``_Overflow``; the caller then doubles the width and starts over,
+    so nothing ever wraps.
+
+    Under lex the first variable takes the top field and packed ints compare
+    as the monomials do.  Under grevlex the fields run from the last variable
+    (highest) down to the first, below an unbounded field holding the total
+    degree; the sort key is the degree part minus the variable part.
+
+    The kernel keys terms by their *handle*, the negated sort key: heapq pops
+    the smallest handle first, which is the leading term, and the key is
+    additive, so the handle of a product is the sum of the two handles.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        self.order, self.n, self.width = order, n, width
+        graded = order.kind == "grevlex"
+        self.offsets = [(i if graded else n - 1 - i) * width for i in range(n)]
+        self.split = n * width if graded else 0  # the degree field starts here
+        self.degree_unit = 1 << self.split if graded else 0
+        self.variables = (1 << n * width) - 1
+        self.guard = sum(1 << off + width - 1 for off in self.offsets)
+        self.field = (1 << width - 1) - 1
+
+    @classmethod
+    def fitting(cls, order: MonomialOrder, n: int, polys) -> "_Packing":
+        top = max((max(e, default=0) for p in polys for e in p.terms), default=0)
+        return cls(order, n, max(_MIN_WIDTH, top.bit_length() + 2))
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.order, self.n, 2 * self.width)
+
+    def pack(self, exps) -> int:
+        if max(exps, default=0) >> self.width - 2:
+            raise _Overflow
+        return sum(map(lshift, exps, self.offsets)) + sum(exps) * self.degree_unit
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> off & self.field for off in self.offsets)
+
+    def fits(self, m: int) -> bool:
+        """True when m may be a factor of a product: no field at half range."""
+        return not m & self.guard >> 1
+
+    def handle(self, m: int) -> int:
+        low = m & (1 << self.split) - 1
+        return 2 * low - m
+
+    def monomial(self, h: int) -> int:
+        return h - (h >> self.split << self.split + 1)
+
+    def degree(self, m: int) -> int:
+        return m >> self.split if self.degree_unit else sum(self.exponents(m))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum; a field of (a | guard) - b keeps its guard iff a >= b."""
+        a, b = a & self.variables, b & self.variables
+        a_wins = ((a | self.guard) - b & self.guard) >> self.width - 1
+        mask = a_wins * self.field
+        v = a & mask | b & ~mask
+        return v + sum(self.exponents(v)) * self.degree_unit
+
+
+def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
+    """Integer numerators keyed by handle over one common denominator."""
+    den = _common_denominator(polys)
+    return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in polys], den
 
 
 def _with_room(pk: _Packing, attempt):
@@ -261,6 +340,18 @@ def _divide(f: Polynomial, basis: list[Polynomial], order: MonomialOrder,
                 quotients and [_unpacked(pk, f.vars, q) for q in quotients])
 
     return _with_room(_Packing.fitting(order, len(f.vars), [f, *basis]), attempt)
+
+
+def monomial_div(a: Exponents, b: Exponents) -> Exponents:
+    """a / b; caller guarantees divisibility."""
+    out = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in out):
+        raise ValueError(f"monomial {b} does not divide {a}")
+    return out
+
+
+def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

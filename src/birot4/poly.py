@@ -74,18 +74,6 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    """a / b; caller guarantees divisibility."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError(f"monomial {b} does not divide {a}")
-    return out
-
-
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """A total multiplicative order on exponent tuples with 1 minimal.
 

@@ -49,6 +49,7 @@ from birot4.fixtures import (
 from birot4.groebner import (
     IdealPresentation,
     buchberger,
+    monomial_div,
     reduce,
     s_polynomial,
     staged_buchberger,
@@ -66,7 +67,6 @@ from birot4.poly import (
     LEX,
     Polynomial,
     RationalFunction,
-    monomial_div,
     parse_polynomial,
     primitive_normalize,
 )

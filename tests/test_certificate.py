@@ -1,16 +1,19 @@
 """The certificate document format: @2 writes integer cofactors over one
 denominator, @1 documents stay readable, and the flagship certificate is the
-same certificate in either format."""
+same certificate in either format.  The exact check, ``verify``, is held at
+the edge of its Kronecker base and against sympy's expansion."""
 
 from __future__ import annotations
 
 import gzip
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import random_polynomial
 
 from birot4.certificate import (
     MembershipCertificate,
@@ -87,8 +90,19 @@ def test_cofactors_are_divided_by_the_denominator():
       for text in ("0", "-1", "1.5", "", " 12", "+12", "1e3", "１２")),
     {"format": FORMAT_2, "denominator": 12},
     {"format": FORMAT_2, "denominator": None},
+    # the polynomial fields: a string where an array belongs would otherwise
+    # be read character by character, "xy" as the variables x and y
+    {"variables": "xy"},
+    {"variables": {"x": 0, "y": 1}},
+    {"cofactors": "00"},
+    {"cofactors": None},
+    {"generators": ["x + y", 2]},
+    {"target": ["x^2 - 2"]},
+    {"remainder": 0},
 ], ids=["@2-without", "@1-with", "zero", "negative", "decimal-point", "empty", "space",
-        "plus", "exponent", "non-ascii-digits", "json-number", "null"])
+        "plus", "exponent", "non-ascii-digits", "json-number", "null",
+        "variables-string", "variables-object", "cofactors-string", "cofactors-null",
+        "generators-number-item", "target-array", "remainder-number"])
 def test_a_bad_denominator_field_is_refused(change):
     with pytest.raises(ValueError):
         certificate_from_document({**HAND_WRITTEN_1, **change})
@@ -114,3 +128,102 @@ def test_committed_benchmark_artifact_re_verifies():
     cert = certificate_from_document(document)
     assert cert.target == parse_polynomial(CERTIFICATE_TARGET_TEXT, NORMALIZED_VARS)
     assert cert.is_member and cert.verify()
+
+
+# -- the Kronecker base of verify ------------------------------------------
+
+
+def _certificate(target, generators, cofactors, remainder=None) -> MembershipCertificate:
+    return MembershipCertificate(target=target, generators=tuple(generators),
+                                 cofactors=list(cofactors),
+                                 remainder=Polynomial.zero(target.vars) if remainder is None
+                                 else remainder)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_the_kronecker_base_leaves_no_room_to_alias(m):
+    """K*g = x^(m+1) reaches the exponent B - 1, B = m + 2.  Under a base one
+    smaller, x^(m+1) and y would have the same code and y = x * x^m would pass."""
+    x, y = (Polynomial.variable(XY, n) for n in "xy")
+    assert not _certificate(y, [x ** m], [x]).verify()
+    assert _certificate(x ** (m + 1), [x ** m], [x]).verify()
+
+
+def test_the_kronecker_base_covers_the_target_and_remainder():
+    """The product reaches exponent 1 only; the target or the remainder
+    reaches x^3, which has x*y's code under any base sized by the product
+    alone and y's code under B = 3, one smaller than the base of x^3."""
+    x, y = (Polynomial.variable(XY, n) for n in "xy")
+    one = Polynomial.constant(XY, 1)
+    assert not _certificate(x ** 3 + y, [y], [one]).verify()
+    assert not _certificate(x ** 3 + x * y, [x * y], [one]).verify()
+    assert not _certificate(2 * x * y, [x * y], [one], remainder=x ** 3).verify()
+
+
+def test_a_product_at_the_top_of_the_base_verifies():
+    """(x + 2)*(x^4 - y) reaches x^5, the exponent B - 1 for B = 6."""
+    x, y = (Polynomial.variable(XY, n) for n in "xy")
+    one = Polynomial.constant(XY, 1)
+    assert _certificate(x ** 5 + 2 * x ** 4 - x * y - 2 * y + 1, [x ** 4 - y], [x + 2],
+                        remainder=one).verify()
+    assert not _certificate(x ** 5 + 2 * x ** 4 - x * y - 2 * y, [x ** 4 - y], [x + 2],
+                            remainder=one).verify()
+
+
+def test_verify_beyond_any_small_base():
+    """Exponents near 70000 re-expand exactly: the verify-side twin of
+    test_groebner's test_reduce_beyond_the_packing_width."""
+    def mono(i, j):  # x^i * y^j, built directly: Polynomial.__pow__ multiplies i times
+        return Polynomial(XY, {(i, j): Fraction(1)})
+
+    cofactor, generator = mono(35000, 1) + 1, mono(34999, 0) - mono(0, 69999)
+    product = cofactor * generator
+    assert _certificate(product, [generator], [cofactor]).verify()
+    assert _certificate(product - mono(69999, 1), [generator], [cofactor],
+                        remainder=-mono(69999, 1)).verify()
+    assert not _certificate(product + mono(69999, 1), [generator], [cofactor]).verify()
+    assert not _certificate(product, [generator], [cofactor + mono(0, 70000)]).verify()
+
+
+def test_verify_agrees_with_sympy_on_random_certificates():
+    """verify() against sympy's expansion of sum(K_i * g_i) + R - T, on random
+    certificates over x, y, z and on each after one coefficient is changed."""
+    sympy = pytest.importorskip("sympy")
+    vars = variables("x", "y", "z")
+    symbols = sympy.symbols(vars.names)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+            or {(0, 0, 0): 0}, *symbols, domain="QQ")
+
+    def holds(cert):
+        total = to_sympy(cert.remainder) - to_sympy(cert.target)
+        for k, g in zip(cert.cofactors, cert.generators):
+            total += to_sympy(k) * to_sympy(g)
+        return total.is_zero
+
+    rng = random.Random(20261020)
+    for _ in range(30):
+        count = rng.randint(1, 3)
+        generators = [random_polynomial(rng, vars, rng.randint(1, 2)) for _ in range(count)]
+        cofactors = [random_polynomial(rng, vars, rng.randint(0, 2))
+                     * Fraction(1, rng.randint(1, 6)) for _ in range(count)]
+        remainder = Polynomial.zero(vars)
+        if rng.random() < 0.5:
+            remainder = random_polynomial(rng, vars, 1) * Fraction(1, rng.randint(1, 4))
+        expanded = sum((to_sympy(k) * to_sympy(g) for k, g in zip(cofactors, generators)),
+                       to_sympy(remainder))
+        target = Polynomial(vars, {e: Fraction(int(c.p), int(c.q))
+                                   for e, c in expanded.terms()})
+        cert = _certificate(target, generators, cofactors, remainder)
+        assert holds(cert) and cert.verify()
+        # change one coefficient: no K_i or g_i is zero, so the identity breaks
+        polys = [*cert.cofactors, *cert.generators, cert.remainder, cert.target]
+        i = rng.randrange(len(polys))
+        terms = dict(polys[i].terms) or {(0, 0, 0): Fraction(0)}
+        e = rng.choice(sorted(terms))
+        terms[e] += rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 3))
+        polys[i] = Polynomial(vars, terms)
+        tampered = _certificate(polys[-1], polys[count:2 * count], polys[:count], polys[-2])
+        assert not holds(tampered) and not tampered.verify()

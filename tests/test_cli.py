@@ -685,6 +685,23 @@ def test_a_bad_stored_denominator_is_a_usage_error(tmp_path, certify_artifact, c
         assert f"cannot read a certificate from {path}" in err and "denominator" in err
 
 
+@pytest.mark.parametrize("field, value", [("variables", "ABupt"), ("cofactors", "000000")],
+                         ids=["variables-string", "cofactors-string"])
+def test_a_malformed_stored_certificate_is_a_usage_error(tmp_path, certify_artifact, capsys,
+                                                        field, value):
+    """A string where the document has an array of strings is no certificate
+    document, though read character by character it would name the right
+    variables, or six zero cofactors."""
+    path = _write_tampered(tmp_path, certify_artifact, **{field: value})
+    for argv in (["certify", "--verify-only", str(path)],
+                 ["check-cases", "VII", "--certificate", str(path)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read a certificate from {path}" in err and field in err
+
+
 def test_a_changed_stored_denominator_fails_re_verification(tmp_path, certify_artifact, capsys):
     """k + 1 in place of k scales every cofactor: the document still reads,
     and the identity no longer re-expands."""

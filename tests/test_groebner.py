@@ -27,6 +27,7 @@ from birot4.groebner import (
     basis_to_document,
     buchberger,
     certify_membership,
+    monomial_div,
     reduce,
     s_polynomial,
     staged_buchberger,
@@ -35,7 +36,6 @@ from birot4.poly import (
     GREVLEX,
     LEX,
     Polynomial,
-    monomial_div,
     monomial_mul,
     parse_polynomial,
     primitive_normalize,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from birot4.groebner import monomial_div, monomial_lcm
 from birot4.poly import (
     GREVLEX,
     LEX,
@@ -17,8 +18,6 @@ from birot4.poly import (
     evaluate_rational,
     format_polynomial,
     format_rational,
-    monomial_div,
-    monomial_lcm,
     parse_polynomial,
     parse_rational,
     primitive_normalize,
