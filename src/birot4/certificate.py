@@ -5,7 +5,8 @@ g_i.  ``MembershipCertificate.verify`` re-expands that identity exactly, on
 monomials written as integers by Kronecker substitution, and decides.
 Nothing that found the certificate is trusted, and the search
 (``birot4.groebner``) is not imported: re-checking a stored certificate
-needs this module and ``birot4.poly`` only.
+needs this module and ``birot4.poly`` only.  The @2 document also carries
+the certify worker's certificate to its parent (``groebner._Worker``).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
-from .poly import Polynomial, VariableSet, format_polynomial, parse_polynomial
+from .poly import (Polynomial, VariableSet, format_polynomial, over_one_denominator,
+                   parse_polynomial)
 
 CERTIFICATE_FORMAT = "birot4/membership-certificate@2"
 # @1 wrote each cofactor over its own rational coefficients; still read
@@ -24,24 +25,6 @@ CERTIFICATE_FORMAT_1 = "birot4/membership-certificate@1"
 
 
 # -- the certificate and its exact check ---------------------------------
-
-def _common_denominator(polys) -> int:
-    """The lcm of the denominators of every coefficient of polys; 1 for none."""
-    den = 1
-    for p in polys:
-        for c in p.terms.values():
-            if den % c.denominator:
-                den = lcm(den, c.denominator)
-    return den
-
-
-def _encoded(polys, weights: list[int]) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators over one common denominator, each term keyed by its
-    Kronecker code sum(e_i * weights[i])."""
-    den = _common_denominator(polys)
-    return [{sum(map(mul, e, weights)): c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys], den
-
 
 @dataclass
 class MembershipCertificate:
@@ -82,9 +65,13 @@ class MembershipCertificate:
                for ps in (self.cofactors, self.generators, [self.remainder, self.target])]
         base = 1 + max(top[0] + top[1], top[2])
         weights = [base ** i for i in range(len(vars))]
-        cofactors, k = _encoded(self.cofactors, weights)
-        generators, g = _encoded(self.generators, weights)
-        (remainder, target), t = _encoded([self.remainder, self.target], weights)
+
+        def code(e):
+            return sum(map(mul, e, weights))
+
+        cofactors, k = over_one_denominator(self.cofactors, code)
+        generators, g = over_one_denominator(self.generators, code)
+        (remainder, target), t = over_one_denominator([self.remainder, self.target], code)
         acc: dict[int, int] = {}
         get = acc.get
         for cof, gen in zip(cofactors, generators):
@@ -124,19 +111,16 @@ def certificate_to_document(cert: MembershipCertificate) -> dict:
     cofactor coefficient, written once as "denominator"."""
     _unlock_wide_integers()
     vars = cert.target.vars
-    k = _common_denominator(cert.cofactors)
-    # ints in place of Fractions: format_polynomial reads only the sign,
-    # the magnitude and its numerator and denominator
-    scaled = [Polynomial._clean(vars, {e: c.numerator * (k // c.denominator)
-                                       for e, c in cofactor.terms.items()})
-              for cofactor in cert.cofactors]
+    numerators, k = over_one_denominator(cert.cofactors)
     return {
         "format": CERTIFICATE_FORMAT,
         "variables": list(vars.names),
         "target": format_polynomial(cert.target),
         "generators": [format_polynomial(g) for g in cert.generators],
         "denominator": str(k),
-        "cofactors": [format_polynomial(n) for n in scaled],
+        # ints in place of Fractions: format_polynomial reads only the sign,
+        # the magnitude and its numerator and denominator
+        "cofactors": [format_polynomial(Polynomial._clean(vars, n)) for n in numerators],
         "remainder": format_polynomial(cert.remainder),
         "is_member": cert.remainder.is_zero(),
     }
@@ -167,6 +151,8 @@ def _texts(doc: dict, name: str, kind: type = list):
 
 def certificate_from_document(doc: dict) -> MembershipCertificate:
     """Read an @2 document, or an @1 one as the document with k = 1."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a certificate document is an object, not {type(doc).__name__}")
     _unlock_wide_integers()
     k = _document_denominator(doc)
     vars = VariableSet(tuple(_texts(doc, "variables")))

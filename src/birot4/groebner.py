@@ -25,18 +25,20 @@ drives both the stop and the lift.  Nothing in that search is trusted:
 ``basis_and_certificate`` runs the two searches at once when more than one
 CPU is available: a worker forked with ``os.fork`` (never
 ``multiprocessing``) runs the Macaulay search as if the target were a
-member and sends the cofactors back as polynomial text, while the parent
-computes the basis and the target's normal form.  The parent uses the
+member and sends its certificate back as one certificate document, while
+the parent computes the basis and the target's normal form.  The parent
+keeps its own target, generators and remainder, and uses the document's
 cofactors only when the normal form is zero and the certificate they make
-verifies; otherwise it runs the search itself.  The worker is killed and
-reaped on every way out, and it ends itself when its parent dies.
+verifies; on a document it cannot read, or otherwise, it runs the search
+itself.  The worker is killed and reaped on every way out, and it ends
+itself when its parent dies.
 
 The hot loops (division, S-polynomials, the pair criteria and the Macaulay
 rows) run on a kernel form instead of ``Fraction`` coefficients and
 exponent tuples: monomials packed into one int (``_Packing``) and integer
-numerators over one common denominator.  The division (``_reduce_terms``)
-scales the remainder by lc/gcd(a, lc) where a step needs it and then
-divides out the remainder's content.
+numerators over one common denominator (``poly.over_one_denominator``).
+The division (``_reduce_terms``) scales the remainder by lc/gcd(a, lc)
+where a step needs it and then divides out the remainder's content.
 
 Polynomials are packed on the way in and unpacked on the way out, so every
 public function takes and returns ``Polynomial`` values.
@@ -45,6 +47,7 @@ public function takes and returns ``Polynomial`` values.
 from __future__ import annotations
 
 import heapq
+import json
 import os
 import signal
 import threading
@@ -54,10 +57,12 @@ from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 from operator import lshift
 
-from .certificate import MembershipCertificate, _common_denominator, _unlock_wide_integers
-# Unused here, kept for the benchmark: perfbench/workloads.py calls the certificate
-# codec as groebner.certificate_*_document and perfbench/perftrace.py traces it there.
-from .certificate import certificate_from_document, certificate_to_document  # noqa: F401
+from .certificate import (
+    MembershipCertificate,
+    _unlock_wide_integers,
+    certificate_from_document,
+    certificate_to_document,
+)
 from .poly import (
     GREVLEX,
     Exponents,
@@ -65,6 +70,7 @@ from .poly import (
     Polynomial,
     VariableSet,
     format_polynomial,
+    over_one_denominator,
     parse_polynomial,
     primitive_normalize,
 )
@@ -169,11 +175,10 @@ class _Packing:
         return v + sum(self.exponents(v)) * self.degree_unit
 
 
-def _scaled(pk: _Packing, polys) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators keyed by handle over one common denominator."""
-    den = _common_denominator(polys)
-    return [{pk.handle(pk.pack(e)): c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in polys], den
+def _scaled(pk: _Packing, p: Polynomial) -> tuple[dict[int, int], int]:
+    """p's integer numerators keyed by handle, and their one denominator."""
+    (terms,), den = over_one_denominator([p], lambda e: pk.handle(pk.pack(e)))
+    return terms, den
 
 
 def _with_room(pk: _Packing, attempt):
@@ -207,8 +212,7 @@ class _Reducer:
 
     @classmethod
     def of(cls, pk: _Packing, p: Polynomial) -> "_Reducer":
-        (terms,), den = _scaled(pk, [p])
-        return cls(pk, terms, den)
+        return cls(pk, *_scaled(pk, p))
 
 
 def _reduce_terms(pk: _Packing, work: dict[int, int], den: int, reducers: list[_Reducer],
@@ -333,7 +337,7 @@ def _divide(f: Polynomial, basis: list[Polynomial], order: MonomialOrder,
             raise ValueError("zero divisor polynomial in basis")
 
     def attempt(pk: _Packing):
-        (work,), den = _scaled(pk, [f])
+        work, den = _scaled(pk, f)
         normal, den, quotients = _reduce_terms(pk, work, den, [_Reducer.of(pk, b) for b in basis],
                                                want_quotients)
         return (_unpacked(pk, f.vars, {h: Fraction(a, den) for h, a in normal.items()}),
@@ -614,12 +618,12 @@ def basis_and_certificate(presentation: IdealPresentation, target: Polynomial
 class _Worker:
     """The Macaulay search for target = sum(K_i * g_i) in a forked child process.
 
-    The child writes the cofactors to a pipe, one line of polynomial text
-    each, and leaves by ``os._exit``, so it never returns into the caller's
-    stack.  A daemon thread in the child reads a second pipe, the lifeline,
-    whose write end only the parent holds: its EOF ends the child, so the
-    child dies with the parent even when the parent is killed before
-    ``stop``.
+    The child writes its certificate to a pipe as one JSON certificate
+    document (``certificate_to_document``) and leaves by ``os._exit``, so it
+    never returns into the caller's stack.  A daemon thread in the child
+    reads a second pipe, the lifeline, whose write end only the parent holds:
+    its EOF ends the child, so the child dies with the parent even when the
+    parent is killed before ``stop``.
     """
 
     def __init__(self, target: Polynomial, generators: tuple[Polynomial, ...]):
@@ -633,7 +637,7 @@ class _Worker:
                 os.close(results)
                 os.close(self.lifeline)
                 threading.Thread(target=_exit_at_eof, args=(lifeline_in,), daemon=True).start()
-                _send_cofactors(results_out, target, generators)
+                _send_certificate(results_out, target, generators)
                 status = 0
             finally:
                 os._exit(status)
@@ -642,16 +646,15 @@ class _Worker:
         self.results = os.fdopen(results, "rb")
 
     def certificate(self, remainder: Polynomial) -> MembershipCertificate | None:
-        """The certificate of the child's cofactors, unverified; None without them."""
-        text = self.results.read().decode()
-        if not text:
-            return None
-        _unlock_wide_integers()
+        """The child's cofactors with this side's target, generators and remainder,
+        unverified; None unless it sent a certificate document over the target's ring."""
         try:
-            cofactors = [parse_polynomial(line, self.target.vars) for line in text.split("\n")]
-        except ValueError:
+            sent = certificate_from_document(json.loads(self.results.read()))
+        except ValueError:  # nothing sent, or not a certificate document
             return None
-        return MembershipCertificate(self.target, self.generators, cofactors, remainder)
+        if sent.target.vars != self.target.vars:
+            return None
+        return MembershipCertificate(self.target, self.generators, sent.cofactors, remainder)
 
     def stop(self) -> None:
         """Kill and reap the child and close both pipes."""
@@ -666,11 +669,10 @@ def _exit_at_eof(lifeline: int) -> None:
     os._exit(1)
 
 
-def _send_cofactors(out: int, target: Polynomial, generators: tuple[Polynomial, ...]) -> None:
+def _send_certificate(out: int, target: Polynomial, generators: tuple[Polynomial, ...]) -> None:
     found = _macaulay_certificate(target, generators, Polynomial.zero(target.vars))
-    _unlock_wide_integers()
     with os.fdopen(out, "w") as pipe:
-        pipe.write("\n".join(format_polynomial(k) for k in found.cofactors))
+        pipe.write(json.dumps(certificate_to_document(found)))
 
 
 # -- low-degree certificates from Macaulay rows --------------------------
@@ -892,10 +894,8 @@ def _macaulay_certificate(target: Polynomial, generators: tuple[Polynomial, ...]
     start = difference.total_degree()
 
     def attempt(pk: _Packing) -> MembershipCertificate:
-        (goal,), goal_den = _scaled(pk, [difference])
-        scaled = [_scaled(pk, [g]) for g in generators]  # g_i = gens[i] / dens[i]
-        gens = [terms for (terms,), _ in scaled]
-        dens = [den for _, den in scaled]
+        goal, goal_den = _scaled(pk, difference)
+        gens, dens = zip(*(_scaled(pk, g) for g in generators))  # g_i = gens[i] / dens[i]
         leads = [min(g) for g in gens]
         degrees = [g.total_degree() for g in generators]
         multipliers = {}

@@ -245,8 +245,10 @@ class Polynomial:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = Polynomial.constant(self.vars, 1)
-        for _ in range(exponent):
-            result = result * self
+        for bit in f"{exponent:b}":  # binary powering: a square per bit, a product per 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -324,6 +326,18 @@ class Polynomial:
         return f"<Polynomial {format_polynomial(self)!r} over {self.vars.names}>"
 
 
+def over_one_denominator(polys, key=lambda e: e) -> tuple[list[dict], int]:
+    """([{key(e): c * den for each term c*x^e of p} for p in polys], den), where
+    den is the lcm of the denominators of every coefficient of polys; 1 for none."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+    return [{key(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            for p in polys], den
+
+
 def primitive_normalize(f: Polynomial, order: MonomialOrder = LEX) -> tuple[Polynomial, Fraction]:
     """Scale to coprime integer coefficients with a positive leading one.
 
@@ -334,15 +348,12 @@ def primitive_normalize(f: Polynomial, order: MonomialOrder = LEX) -> tuple[Poly
     """
     if f.is_zero():
         return f, Fraction(1)
-    num_gcd = 0
-    den_lcm = 1
-    for coeff in f.terms.values():
-        num_gcd = gcd(num_gcd, abs(coeff.numerator))
-        den_lcm = lcm(den_lcm, coeff.denominator)
-    scalar = Fraction(den_lcm, num_gcd)
+    (numerators,), den = over_one_denominator([f])
+    content = gcd(*numerators.values())
     if f.leading_coefficient(order) < 0:
-        scalar = -scalar
-    return f * scalar, scalar
+        content = -content
+    return (Polynomial._clean(f.vars, {e: Fraction(n // content) for e, n in numerators.items()}),
+            Fraction(den, content))
 
 
 def eliminate_linear(f: Polynomial, name: str, den: Polynomial, num: Polynomial) -> Polynomial:

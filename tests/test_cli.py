@@ -465,13 +465,28 @@ def test_certify_non_member_gives_the_in_process_payload(tmp_path, monkeypatch):
     assert _load(tmp_path / "forked.json")["payload"] == _load(tmp_path / "here.json")["payload"]
 
 
+def _sending(text: str):
+    """A stand-in for the worker's ``_send_certificate`` that writes text."""
+    def send(out, *args):
+        with os.fdopen(out, "w") as pipe:
+            pipe.write(text)
+    return send
+
+
 @needs_two_cpus
-def test_certify_falls_back_when_the_worker_sends_nothing(monkeypatch, capsys):
+def test_certify_falls_back_when_the_worker_sends_nothing(monkeypatch, capsys, certify_artifact):
+    """Nothing, text that is not JSON, JSON that is not an object, an @2
+    document with a bad field, or the certificate in another variable order:
+    each sends certify to the in-process search, with the same payload."""
+    document = certify_artifact["payload"]["certificate"]
+    sent = ["", "p*t^4", "[]", json.dumps({**document, "denominator": "0"}),
+            json.dumps({**document, "variables": document["variables"][::-1]})]
     forks = _count_forks(monkeypatch)
-    monkeypatch.setattr("birot4.groebner._send_cofactors", lambda *args: None)
-    assert main(["certify"]) == 0
-    assert CERTIFY_PAYLOAD_DIGEST in capsys.readouterr().out
-    assert len(forks) == 1
+    for text in sent:
+        monkeypatch.setattr("birot4.groebner._send_certificate", _sending(text))
+        assert main(["certify"]) == 0, text
+        assert CERTIFY_PAYLOAD_DIGEST in capsys.readouterr().out, text
+    assert len(forks) == len(sent)
     _assert_no_child()
 
 

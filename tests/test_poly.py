@@ -88,11 +88,25 @@ def test_power_matches_repeated_multiplication():
     rng = random.Random(12)
     f = _random_poly(rng, max_terms=4, max_exp=2)
     product = Polynomial.constant(XYZ, 1)
-    for k in range(5):
+    for k in range(9):
         assert f ** k == product
         product = product * f
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    x, _, _ = _symbols()
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    assert x ** 1024 == Polynomial(XYZ, {(1024, 0, 0): 1})
+    assert len(calls) <= 21
 
 
 def test_lex_and_grevlex_disagree_where_expected():
