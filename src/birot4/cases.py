@@ -11,8 +11,8 @@ This module states the deductions and is not itself trusted: each step is
 decided by the trusted core, ``birot4.poly`` and ``birot4.univariate`` for
 identities and root counts, ``birot4.witness`` for sign claims, and
 ``birot4.certificate`` for case VII's membership certificate for p*t^4.
-Case VII imports the search (``birot4.groebner``) only when it is given no
-certificate and has to find one.
+Case VII checks the certificate it is given and never searches for one:
+this module imports nothing from the Groebner search.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .fixtures import (
 )
 from .certificate import MembershipCertificate
 from .poly import (
-    LEX,
     Polynomial,
     RationalFunction,
     evaluate_rational,
@@ -558,21 +557,19 @@ def check_case_VI() -> CaseReport:
     return c.report()
 
 
-def check_case_VII(certificate: MembershipCertificate | None = None,
+def check_case_VII(certificate: MembershipCertificate,
                    system: ConstraintSystem | None = None) -> CaseReport:
-    """Two independent rotation speeds: the full normalized system is infeasible."""
+    """Two independent rotation speeds: the full normalized system is infeasible.
+
+    ``certificate`` states p*t^4 over the extracted E-system (``system``).
+    """
     c = _Checker("VII")
     if system is None:
         system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
     nv = NORMALIZED_VARS
     av, bv, uv, pv, tv = (Polynomial.variable(nv, n) for n in nv.names)
     one = Polynomial.constant(nv, 1)
-    target = parse_polynomial(CERTIFICATE_TARGET_TEXT, nv)
-    generators = tuple(system.polynomials())
-    if certificate is None:  # the one use of the Groebner search
-        from .groebner import IdealPresentation, certify_membership
-        certificate = certify_membership(IdealPresentation(nv, LEX, generators), target)
-    for description, stated, expected in certificate_claim(certificate, generators):
+    for description, stated, expected in certificate_claim(certificate, system.polynomials()):
         c.equal(description, stated, expected)
     c.check("the certificate identity sum(K_i*E_i) + remainder = p*t^4 holds exactly",
             certificate.verify())
@@ -692,8 +689,8 @@ def check_case_VII(certificate: MembershipCertificate | None = None,
     return c.report()
 
 
-def check_all_cases(certificate: MembershipCertificate | None = None) -> list[CaseReport]:
-    """Run the seven branch checks in order."""
+def check_all_cases(certificate: MembershipCertificate) -> list[CaseReport]:
+    """Run the seven branch checks in order; case VII checks ``certificate``."""
     return [
         check_case_I(),
         check_case_II(),

@@ -10,7 +10,10 @@ certify, the search counters.
 The Groebner search, the case checker and the float layer (numpy) are
 imported inside the one subcommand branch that runs each, so the other
 runs start without them; re-checking a stored certificate needs
-``birot4.certificate`` and the extraction, never the search.
+``birot4.certificate`` and the extraction, never the search.  One helper,
+``_search``, runs the search: ``certify`` and a ``check-cases`` of case
+VII without ``--certificate`` call it, and ``birot4.cases`` only checks
+the certificate it is given.
 """
 
 from __future__ import annotations
@@ -235,6 +238,15 @@ def _certify_status(payload: dict) -> int:
     return EXIT_FAIL
 
 
+def _search(system, target: Polynomial):
+    """The reduced lex basis of the extracted E-system and the target's
+    certificate over it, from ``groebner.basis_and_certificate``."""
+    from . import groebner
+
+    presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
+    return groebner.basis_and_certificate(presentation, target)
+
+
 def cmd_certify(args) -> int:
     started = time.perf_counter()
     if args.verify_only:
@@ -271,11 +283,8 @@ def cmd_certify(args) -> int:
         print(f"error: --target is not a polynomial over {','.join(NORMALIZED_VARS.names)}: "
               f"{exc}", file=sys.stderr)
         return EXIT_USAGE
-    from . import groebner
-
     system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
-    presentation = groebner.IdealPresentation(NORMALIZED_VARS, LEX, tuple(system.polynomials()))
-    basis, certificate = groebner.basis_and_certificate(presentation, target)
+    basis, certificate = _search(system, target)
     payload = _certify_payload(target, basis, certificate)
     _emit(args, "certify", payload, started, search=basis.stats)
     print(f"basis elements: {len(basis.elements)}")
@@ -322,6 +331,9 @@ def cmd_check_cases(args) -> int:
         return EXIT_FAIL
 
     certificate = _load_certificate(args.certificate) if args.certificate else None
+    if certificate is None and "VII" in selection:
+        target = parse_polynomial(CERTIFICATE_TARGET_TEXT, NORMALIZED_VARS)
+        _, certificate = _search(system, target)
     # resolved through the module on each call: perfbench's tracer times the
     # cases by rebinding cases.check_case_*
     reports = [cases.check_case_VII(certificate, system) if case == "VII"

@@ -3,13 +3,15 @@
 This module only finds proof objects; ``birot4.certificate`` holds the
 certificate type, its format and the exact check, and does not import this
 module.  ``staged_buchberger`` is the one basis search behind
-``certify_membership`` and ``birot4 certify``.  Under lex it first
+``basis_and_certificate`` and ``birot4 certify``.  Under lex it first
 eliminates a unit pivot ``c*v + d`` (v the top variable): the other
 generators' remainders modulo the pivot are searched (grevlex, then lex),
 and the pivot's normal form against that basis completes the reduced lex
 basis.  The basis ``stats`` are the counters of the search that ran; the
 basis document leaves them out, since they describe the route, not the
-basis.
+basis.  ``certify_membership`` certifies a target against a basis already
+found; ``basis_and_certificate`` searches for both, and ``birot4.cli`` is
+its one caller in the package.
 
 A membership certificate target = sum(K_i * g_i) + remainder takes the
 remainder from the basis (the target's normal form) and the cofactors from
@@ -457,7 +459,7 @@ def _buchberger(presentation: IdealPresentation, pk: _Packing) -> GroebnerBasis:
 
 
 def _reduce_basis(pk: _Packing, reducers: list[_Reducer], vars: VariableSet) -> list[Polynomial]:
-    """Minimalize then interreduce."""
+    """Minimalize, then interreduce in one pass."""
     indices = sorted(range(len(reducers)), key=lambda i: -reducers[i].handle)
     kept: list[int] = []
     for i in indices:
@@ -465,19 +467,14 @@ def _reduce_basis(pk: _Packing, reducers: list[_Reducer], vars: VariableSet) -> 
             continue
         kept.append(i)
     elements = [reducers[i] for i in kept]
-
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(elements)):
-            normal, _, _ = _reduce_terms(pk, dict(elements[pos].terms), 1,
-                                         elements[:pos] + elements[pos + 1:], False)
-            if not normal:
-                raise AssertionError("minimalized basis element reduced to zero")
-            normalized = _primitive(normal)
-            if normalized != elements[pos].terms:
-                changed = True
-                elements[pos] = _Reducer(pk, normalized)
+    # reducing tails keeps every lead, so no term reduced here becomes
+    # reducible again later in the pass: one pass interreduces
+    for pos in range(len(elements)):
+        normal, _, _ = _reduce_terms(pk, dict(elements[pos].terms), 1,
+                                     elements[:pos] + elements[pos + 1:], False)
+        if not normal:
+            raise AssertionError("minimalized basis element reduced to zero")
+        elements[pos] = _Reducer(pk, _primitive(normal))
     ordering = sorted(range(len(elements)), key=lambda i: elements[i].handle)
     return [_unpacked(pk, vars, elements[i].terms) for i in ordering]
 
@@ -546,39 +543,29 @@ def _find_unit_pivot(presentation: IdealPresentation) -> int | None:
     occurring = {name for g in presentation.generators for name in g.occurring_variables()}
     if not occurring:
         return None
-    lead_pos = min(map(presentation.vars.index, occurring))
-    v = presentation.vars.names[lead_pos]
+    v = presentation.vars.names[min(map(presentation.vars.index, occurring))]
     for idx, g in enumerate(presentation.generators):
-        if g.degree_in(v) != 1:
-            continue
-        coeff_terms = {m[:lead_pos] + m[lead_pos + 1:]: c
-                       for m, c in g.terms.items() if m[lead_pos] == 1}
-        if len(coeff_terms) == 1 and not any(next(iter(coeff_terms))):
+        buckets = g.as_univariate_in(v)  # [d, c] for c*v + d
+        if len(buckets) == 2 and buckets[1].total_degree() == 0:
             return idx
     return None
 
 
 def certify_membership(presentation: IdealPresentation, target: Polynomial,
-                       basis: GroebnerBasis | None = None) -> MembershipCertificate:
+                       basis: GroebnerBasis) -> MembershipCertificate:
     """Certificate expressing the target over the presentation's generators.
 
     The identity target = sum(K_i * g_i) + remainder holds exactly, and the
-    remainder, the target's normal form against the reduced basis, vanishes
-    iff the target lies in the ideal.  ``basis`` is a reduced basis of the
-    presentation; without one, ``basis_and_certificate`` computes it.  Then,
-    with more than one CPU, a forked worker searches for the cofactors while
-    the basis search runs; they are used only if the normal form is zero and
-    the certificate they make verifies, and the worker is killed and reaped
-    before this returns (it also dies with this process).
+    remainder, the target's normal form against ``basis``, a reduced basis
+    of the presentation, vanishes iff the target lies in the ideal.  To
+    search for the basis too, call ``basis_and_certificate``.
 
     The cofactors of target - remainder come from Macaulay rows, not from
     the basis search (``_macaulay_certificate``), so their degree is about
     the least any certificate needs.
     """
-    if basis is None:
-        return basis_and_certificate(presentation, target)[1]
     normal_form, _ = _divide(target, basis.elements, basis.order, False)
-    return _macaulay_certificate(target, basis.presentation.generators, normal_form)
+    return _macaulay_certificate(target, presentation.generators, normal_form)
 
 
 def basis_and_certificate(presentation: IdealPresentation, target: Polynomial

@@ -414,7 +414,9 @@ def cylinder_surface() -> SurfaceProfile:
 
 # -- parameter sweep ----------------------------------------------------
 
-SWEEP_FIELDS = ("r0", "r1", "c0", "c1", "alpha", "beta")
+# each field of a sweep point, with the value a point that leaves it out
+# takes; the integration and the table both read it from here
+SWEEP_FIELDS = {"r0": 1.0, "r1": 0.0, "c0": 0.0, "c1": 0.0, "alpha": 0.0, "beta": 0.0}
 
 
 @dataclass(frozen=True)
@@ -432,10 +434,11 @@ class SweepSummary:
     rows: tuple[SweepRow, ...]
 
     def table(self) -> list[str]:
-        header = ",".join(SWEEP_FIELDS + ("status", "violation_tau", "peak_residual"))
+        header = ",".join((*SWEEP_FIELDS, "status", "violation_tau", "peak_residual"))
         lines = [header]
         for row in self.rows:
-            cells = [f"{row.data.get(name, 0.0):.6g}" for name in SWEEP_FIELDS]
+            cells = [f"{row.data.get(name, default):.6g}"
+                     for name, default in SWEEP_FIELDS.items()]
             cells.append(row.status)
             cells.append("" if row.violation_tau is None else f"{row.violation_tau:.6g}")
             cells.append("" if row.peak_residual is None else f"{row.peak_residual:.3e}")
@@ -444,12 +447,8 @@ class SweepSummary:
 
 
 def _enforced_initial_state(data: Mapping[str, float]) -> tuple[ProfileState, IntegrationParams] | str:
-    r0 = float(data.get("r0", 1.0))
-    r1 = float(data.get("r1", 0.0))
-    c0 = float(data.get("c0", 0.0))
-    c1 = float(data.get("c1", 0.0))
-    alpha = float(data.get("alpha", 0.0))
-    beta = float(data.get("beta", 0.0))
+    r0, r1, c0, c1, alpha, beta = (float(data.get(name, default))
+                                   for name, default in SWEEP_FIELDS.items())
     if r0 <= FLOOR_RADIUS:
         return "invalid-radius"
     if beta != 0.0:

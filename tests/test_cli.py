@@ -16,9 +16,11 @@ import pytest
 
 import birot4
 from birot4 import numeric
+from birot4.cases import CASE_IDS
 from birot4.certificate import MembershipCertificate
 from birot4.cli import _certify_payload, build_parser, main
 from birot4.constraints import NORMALIZED_VARS
+from birot4.fixtures import CERTIFICATE_TARGET_TEXT
 from birot4.groebner import (
     IdealPresentation,
     basis_and_certificate,
@@ -26,7 +28,7 @@ from birot4.groebner import (
     certify_membership,
     staged_buchberger,
 )
-from birot4.poly import LEX, Polynomial, variables
+from birot4.poly import LEX, Polynomial, format_polynomial, variables
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -650,8 +652,9 @@ def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
     def no_search(*args, **kwargs):
         raise AssertionError("check-cases searched for a certificate")
 
-    # case VII imports the search from birot4.groebner only when it has no certificate
-    monkeypatch.setattr(birot4.groebner, "certify_membership", no_search)
+    # the command layer runs the search only for a case VII given no certificate
+    for search in ("basis_and_certificate", "certify_membership"):
+        monkeypatch.setattr(birot4.groebner, search, no_search)
     out = tmp_path / "cases.json"
     assert main(["check-cases", "VII", "--certificate", str(certify_artifact_path),
                  "--output", str(out)]) == 0
@@ -758,6 +761,29 @@ def test_check_cases_payload_is_pinned(tmp_path, certify_artifact_path, capsys):
     assert document["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
 
 
+def test_check_cases_without_a_certificate_searches_once(tmp_path, monkeypatch, capsys):
+    """Without --certificate the command layer finds case VII's certificate,
+    by one basis_and_certificate call, and the payload is the one that
+    re-checking the stored certify artifact gives."""
+    import birot4.groebner
+
+    calls = []
+    search = birot4.groebner.basis_and_certificate
+
+    def counting_search(*args):
+        calls.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(birot4.groebner, "basis_and_certificate", counting_search)
+    out = tmp_path / "cases.json"
+    assert main(["check-cases", "--output", str(out)]) == 0
+    assert "7/7 cases verified" in capsys.readouterr().out
+    assert [format_polynomial(target) for target in calls] == [CERTIFICATE_TARGET_TEXT]
+    document = _load(out)
+    _check_manifest(document, "check-cases")
+    assert document["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
+
+
 def test_unreadable_certificate_files_are_usage_errors(tmp_path, certify_artifact, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("certificate")
@@ -794,6 +820,21 @@ def test_readme_usage_parses():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_session_runs(tmp_path, certify_artifact_path, monkeypatch, capsys):
+    """The README's in-process session runs as written, next to the
+    certificate.json that its command block's `birot4 certify` writes."""
+    text = README.read_text()
+    block = text.split("A typical in-process session:", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    (tmp_path / "certificate.json").write_bytes(certify_artifact_path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    labels, *summaries = capsys.readouterr().out.splitlines()
+    assert labels == "('E0', 'E2', 'E3', 'E4', 'E5', 'E6')" and f"# {labels}" in block
+    assert [line.split(" (")[0] for line in summaries] == [
+        f"case {case}: contradiction-verified" for case in CASE_IDS]
 
 
 def _run_cli(tmp_path, name: str, hash_seed: str, *argv: str) -> dict:

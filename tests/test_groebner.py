@@ -23,6 +23,7 @@ from birot4.groebner import (
     _find_unit_pivot,
     _macaulay_certificate,
     _reconstruct,
+    basis_and_certificate,
     basis_from_document,
     basis_to_document,
     buchberger,
@@ -207,7 +208,7 @@ def test_each_basis_element_has_a_membership_certificate():
         for order in (GREVLEX, LEX):
             presentation = IdealPresentation(vars, order, gens)
             for element in staged_buchberger(presentation).elements:
-                cert = certify_membership(presentation, element)
+                cert = basis_and_certificate(presentation, element)[1]
                 assert cert.is_member and cert.verify()
 
 
@@ -253,7 +254,8 @@ def test_staged_buchberger_ignores_track_provenance():
 def test_planted_member_certificates():
     """Targets planted as sum(h_i * g_i) with deg(h_i) <= 1 get certificates
     that verify, with no row above the planted degree; a basis read back
-    from its document, or none at all, gives the same certificate."""
+    from its document, or ``basis_and_certificate``'s own basis search,
+    gives the same certificate."""
     rng = random.Random(606)
     for _ in range(20):
         vars, gens = random_small_ideal(rng)
@@ -271,7 +273,7 @@ def test_planted_member_certificates():
                    for k, g in zip(cert.cofactors, gens) if not k.is_zero()) <= planted
         stored = basis_from_document(basis_to_document(gb))
         assert certify_membership(presentation, target, basis=stored).cofactors == cert.cofactors
-        assert certify_membership(presentation, target).cofactors == cert.cofactors
+        assert basis_and_certificate(presentation, target)[1].cofactors == cert.cofactors
 
 
 def test_non_member_certificate_needs_a_higher_degree():
@@ -522,7 +524,7 @@ def test_pivot_route_members_and_non_members():
     square, outside = _check_pivot_route(single, [x * x, y])
     assert square.is_member and square.cofactors == [x]
     assert not outside.is_member
-    assert certify_membership(single, x * x).cofactors == [x]
+    assert basis_and_certificate(single, x * x)[1].cofactors == [x]
     pair = IdealPresentation(XY, LEX, (x + y, x * y))
     member, unit = _check_pivot_route(pair, [y * y, one])  # x*y - y*(x+y) = -y^2
     assert member.is_member and not unit.is_member
@@ -547,7 +549,7 @@ def test_certify_membership_member_and_non_member():
     gens = (x * x + y * y - 1, x * y - 1)
     presentation = IdealPresentation(XY, LEX, gens)
     member = (x + y) * gens[0] - y * y * gens[1]
-    cert = certify_membership(presentation, member)
+    cert = basis_and_certificate(presentation, member)[1]
     assert cert.is_member
     assert cert.verify()
     acc = Polynomial.zero(XY)
@@ -556,7 +558,7 @@ def test_certify_membership_member_and_non_member():
     assert acc == member
     gb = staged_buchberger(presentation)
     assert certify_membership(presentation, member, basis=gb).verify()
-    outsider = certify_membership(presentation, x)
+    outsider = basis_and_certificate(presentation, x)[1]
     assert not outsider.is_member
     assert outsider.verify()
 
@@ -564,7 +566,7 @@ def test_certify_membership_member_and_non_member():
 def test_certificate_verify_detects_tampering():
     x, y = _xy()
     gens = (x + y, y * y - 2)
-    cert = certify_membership(IdealPresentation(XY, LEX, gens), x * x - 2)
+    cert = basis_and_certificate(IdealPresentation(XY, LEX, gens), x * x - 2)[1]
     assert cert.verify()
     bad = MembershipCertificate(cert.target, cert.generators,
                                [cert.cofactors[0] + 1] + list(cert.cofactors[1:]),
@@ -577,7 +579,7 @@ def test_certificate_verify_detects_tampering():
     remainder = Fraction(4, 11) * y + Fraction(1, 6)
     target = cofactors[0] * gens[0] + cofactors[1] * gens[1] + remainder
     assert MembershipCertificate(target, gens, cofactors, remainder).verify()
-    found = certify_membership(IdealPresentation(XY, LEX, gens), target)
+    found = basis_and_certificate(IdealPresentation(XY, LEX, gens), target)[1]
     assert found.verify() and not found.is_member
     assert any(c.denominator != 1 for k in found.cofactors for c in k.terms.values())
 
@@ -610,7 +612,7 @@ def test_unit_pivot_path_matches_basis_path():
     assert _find_unit_pivot(inner) == 1
     cert, outside = _check_pivot_route(presentation, [target, x * z])
     assert cert.is_member and not outside.is_member
-    assert certify_membership(presentation, target).cofactors == cert.cofactors
+    assert basis_and_certificate(presentation, target)[1].cofactors == cert.cofactors
 
 
 def test_presentation_rejects_bad_generators():
@@ -638,7 +640,7 @@ def test_basis_document_round_trip():
 
 def test_certificate_document_round_trip():
     x, y = _xy()
-    cert = certify_membership(IdealPresentation(XY, LEX, (x + y, y * y - 2)), x * x - 2)
+    cert = basis_and_certificate(IdealPresentation(XY, LEX, (x + y, y * y - 2)), x * x - 2)[1]
     doc = certificate_to_document(cert)
     back = certificate_from_document(doc)
     assert back.target == cert.target

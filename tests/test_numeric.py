@@ -305,6 +305,19 @@ def test_sweep_statuses():
     assert empty.rows == () and len(empty.table()) == 1
 
 
+def test_sweep_table_prints_the_value_a_left_out_field_takes():
+    """A point that leaves a field out is integrated at that field's default,
+    and its table row prints the same default: it reads as the point that
+    names every field, r0 = 1 included."""
+    defaults = {"r0": 1.0, "r1": 0.0, "c0": 0.0, "c1": 0.0, "alpha": 0.0, "beta": 0.0}
+    points = [{"c0": 0.4, "alpha": 0.5}, dict(defaults, c0=0.4, alpha=0.5), {}, defaults]
+    summary = sweep_nonminimal(points, window=0.1, step=0.01)
+    _, partial, named, empty, every = summary.table()
+    assert partial == named and empty == every
+    assert partial.split(",")[0] == empty.split(",")[0] == "1"
+    assert summary.rows[0].peak_residual == summary.rows[1].peak_residual
+
+
 def _stacked(states) -> np.ndarray:
     """Initial states as the (STATE_COLUMNS x P) columns the sweep integrates."""
     return np.array([state.values() for state in states]).T

@@ -107,6 +107,25 @@ def test_sign_witnesses_load_only_the_trusted_core(tmp_path):
     assert loaded == ["birot4", "birot4.poly", "birot4.univariate", "birot4.witness"]
 
 
+def test_the_case_checker_never_imports_the_search():
+    """``birot4.cases`` checks the certificate it is given; only ``birot4.cli``
+    runs the search, so no import statement in ``cases``, at the top or
+    inside a function, reaches ``birot4.groebner``."""
+    path = Path(birot4.__file__).resolve().parent / "cases.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package, birot4
+                module = ".".join(filter(None, ("birot4", module)))
+            imported.update([module] + [f"{module}.{alias.name}" for alias in node.names])
+    reached = sorted(name for name in imported
+                     if name == "birot4.groebner" or name.startswith("birot4.groebner."))
+    assert reached == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Top-level imported names that the module never reads.
 
