@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .constraints import (NORMALIZED_VARS, ConstraintSystem, compatibility_series,
-                          extract_system, linear_split)
+from .constraints import (NORMALIZED_VARS, ConstraintSystem, case_profile,
+                          compatibility_series, extract_system, linear_split)
 from .fixtures import (
     CASE5_FOURTH_DERIVATIVE,
     CASE6_CUBIC_AT_HI,
@@ -52,14 +52,7 @@ from .poly import (
     replace_square,
     variables,
 )
-from .series import (
-    INITIAL_DATA_NAMES,
-    INITIAL_DATA_VARS,
-    ProfileIVP,
-    TruncatedSeries,
-    quadratic_forced_component,
-    solve_profile_ivp,
-)
+from .series import INITIAL_DATA_VARS, ProfileIVP, TruncatedSeries, solve_profile_ivp
 from .univariate import REAL_LINE, count_real_roots, resultant_univariate
 from .witness import (
     PointEvaluation,
@@ -215,22 +208,19 @@ def check_case_I() -> CaseReport:
 def check_case_II() -> CaseReport:
     """A velocity orthogonality forces the rotation speed to vanish."""
     c = _Checker("II")
-    ring = variables("phi", *INITIAL_DATA_NAMES)
-    phi = Polynomial.variable(ring, "phi")
-    x1 = Polynomial.variable(ring, "x1")
-    profile = solve_profile_ivp(ProfileIVP(vars=ring))
-    forced = quadratic_forced_component(profile.r, phi, x1)
-    accel = forced.derivative().derivative()
-    target = phi * (profile.r * profile.r)
+    # the forced component w'' = phi*r^2 is case V's x: phi plays its alpha
+    profile = case_profile("V")
+    accel = profile.x.derivative().derivative()
+    target = Polynomial.variable(INITIAL_DATA_VARS, "alpha") * (profile.r * profile.r)
     order = min(accel.truncation_order, target.truncation_order)
     c.check("second derivative of the forced component equals phi*r^2 at every series order",
             all((accel[n] - target[n]).is_zero() for n in range(order + 1)),
             f"checked through order {order}")
     c.hypothesis("the velocity component along the fixed direction vanishes identically, so "
                  "its derivative does too: phi*r^2 must be the zero series")
-    lead = target[0].substitute({"phi": 1})
+    lead = target[0].substitute({"alpha": 1})
     c.equal("with the speed normalized to 1 the order-0 coefficient is r0^2", lead,
-            Polynomial.variable(ring, "r0") ** 2)
+            Polynomial.variable(INITIAL_DATA_VARS, "r0") ** 2)
     c.sign("r0^2 is strictly positive for a positive initial radius, so it cannot vanish",
            SignFact(lead, Region({"r0": VariableCondition.positive()}), "positive",
                     PositiveCombination.from_polynomial(lead)))
@@ -469,7 +459,7 @@ def check_case_VI() -> CaseReport:
                     PositiveCombination.from_polynomial(r0)))
 
     # branch 2: nonzero constant term; work in the normalized system
-    profile = solve_profile_ivp(ProfileIVP(beta=0, k=kvar))
+    profile = case_profile("VI")
     system = extract_system(profile, "VI")
     nv = NORMALIZED_VARS
     av, uv, tv = (Polynomial.variable(nv, n) for n in ("A", "u", "t"))
@@ -565,7 +555,7 @@ def check_case_VII(certificate: MembershipCertificate,
     """
     c = _Checker("VII")
     if system is None:
-        system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+        system = extract_system(case_profile("VII"), "VII")
     nv = NORMALIZED_VARS
     av, bv, uv, pv, tv = (Polynomial.variable(nv, n) for n in nv.names)
     one = Polynomial.constant(nv, 1)

@@ -13,13 +13,13 @@ runs start without them; re-checking a stored certificate needs
 ``birot4.certificate`` and the extraction, never the search.  One helper,
 ``_search``, runs the search: ``certify`` and a ``check-cases`` of case
 VII without ``--certificate`` call it, and ``birot4.cases`` only checks
-the certificate it is given.
+the certificate it is given.  This module handles arguments and artifacts
+only: each case's profile comes from ``constraints.case_profile``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -30,7 +30,9 @@ from pathlib import Path
 from . import __version__
 from .certificate import certificate_from_document, certificate_to_document
 from .constraints import (
+    CASE_TAGS,
     NORMALIZED_VARS,
+    case_profile,
     compatibility_series,
     extract_system,
     system_to_document,
@@ -44,12 +46,7 @@ from .fixtures import (
     certificate_claim,
 )
 from .poly import LEX, Polynomial, format_polynomial, parse_polynomial
-from .series import (
-    INITIAL_DATA_VARS,
-    ProfileIVP,
-    quadratic_forced_component,
-    solve_profile_ivp,
-)
+from .series import INITIAL_DATA_VARS
 
 MANIFEST_FORMAT = "birot4/run-manifest@1"
 CERTIFY_FORMAT = "birot4/certification@2"
@@ -90,19 +87,6 @@ def _emit(args, subcommand: str, payload: dict, started: float,
 
 
 # -- derive -------------------------------------------------------------
-
-
-def _profile_for_case(case: str, order: int):
-    if case == "VII":
-        return solve_profile_ivp(ProfileIVP(truncation_order=order))
-    kvar = Polynomial.variable(INITIAL_DATA_VARS, "k")
-    base = solve_profile_ivp(ProfileIVP(beta=0, k=kvar, truncation_order=order))
-    if case == "VI":
-        return base
-    forced = quadratic_forced_component(
-        base.r, Polynomial.variable(INITIAL_DATA_VARS, "alpha"),
-        Polynomial.variable(INITIAL_DATA_VARS, "x1"))
-    return dataclasses.replace(base, x=forced)
 
 
 def _diff_entry(check: str, got, want) -> dict:
@@ -163,7 +147,7 @@ def cmd_derive(args) -> int:
     if args.order < 8:
         print("error: --order must be at least 8", file=sys.stderr)
         return EXIT_USAGE
-    profile = _profile_for_case(args.case, args.order)
+    profile = case_profile(args.case, args.order)
     system = extract_system(profile, args.case)
     diffs = _derive_diffs(args.case, profile, system)
     all_match = all(d["match"] for d in diffs)
@@ -255,7 +239,7 @@ def cmd_certify(args) -> int:
                   "drop --target", file=sys.stderr)
             return EXIT_USAGE
         certificate = _load_certificate(args.verify_only)
-        system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+        system = extract_system(case_profile("VII"), "VII")
         failed = [step for step, stated, expected
                   in certificate_claim(certificate, system.polynomials()) if stated != expected]
         payload = {
@@ -283,7 +267,7 @@ def cmd_certify(args) -> int:
         print(f"error: --target is not a polynomial over {','.join(NORMALIZED_VARS.names)}: "
               f"{exc}", file=sys.stderr)
         return EXIT_USAGE
-    system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+    system = extract_system(case_profile("VII"), "VII")
     basis, certificate = _search(system, target)
     payload = _certify_payload(target, basis, certificate)
     _emit(args, "certify", payload, started, search=basis.stats)
@@ -311,7 +295,7 @@ def cmd_check_cases(args) -> int:
     if "all" in selection:
         selection = list(cases.CASE_IDS)
 
-    system = extract_system(solve_profile_ivp(ProfileIVP()), "VII")
+    system = extract_system(case_profile("VII"), "VII")
     mismatches = []
     for label, text in CASE7_SYSTEM_TEXT.items():
         if system.equation(label) != parse_polynomial(text, NORMALIZED_VARS):
@@ -472,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     derive = sub.add_parser("derive", help="solve the series and extract the equations")
-    derive.add_argument("--case", choices=("V", "VI", "VII"), default="VII")
+    derive.add_argument("--case", choices=CASE_TAGS, default="VII")
     derive.add_argument("--order", type=int, default=10,
                         help="series truncation order (minimum 8)")
     derive.add_argument("--output", help="artifact path")

@@ -8,8 +8,8 @@ curve parameter gives one polynomial condition on the initial data per
 power of the parameter.  After eliminating the free first-order
 coefficients x1 and y1 and clearing a uniform power of the initial radius
 r0, every condition lives in five scale-free combinations of the initial
-data.  This module builds the two series, performs those eliminations,
-and emits the resulting labeled polynomial system.
+data.  This module builds each case's profile and its two series, performs
+those eliminations, and emits the resulting labeled polynomial system.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ from .poly import (
 )
 from .series import (
     INITIAL_DATA_VARS,
+    ProfileIVP,
     ProfileSolution,
     TruncatedSeries,
+    quadratic_forced_component,
     shift_by_expansion_variable,
+    solve_profile_ivp,
 )
 
 # Scale-free symbols: A = alpha^2*r0^2, B = beta^2*r0^2, u = c1*r0,
@@ -53,6 +56,26 @@ CASE_HYPOTHESES = {
 
 class ExtractionError(ValueError):
     """A series coefficient lacks the shape the elimination relies on."""
+
+
+def case_profile(case_tag: str, order: int = 10) -> ProfileSolution:
+    """One case's profile series to ``order``, under that case's premises.
+
+    VII: speeds alpha and beta, so x'' = alpha*tau*r^2 and y'' = beta*r^2.
+    VI: beta = 0, so y' is the constant k.  V: VI's data, with x forced by
+    x'' = alpha*r^2 (no factor of tau), x(0) = 0 and x'(0) = x1.  Every
+    other initial coefficient stays symbolic.
+    """
+    if case_tag not in CASE_TAGS:
+        raise ValueError(f"unknown case tag {case_tag!r}")
+    if case_tag == "VII":
+        return solve_profile_ivp(ProfileIVP(truncation_order=order))
+    k = Polynomial.variable(INITIAL_DATA_VARS, "k")
+    planar = solve_profile_ivp(ProfileIVP(beta=0, k=k, truncation_order=order))
+    if case_tag == "VI":
+        return planar
+    alpha, x1 = (Polynomial.variable(INITIAL_DATA_VARS, n) for n in ("alpha", "x1"))
+    return replace(planar, x=quadratic_forced_component(planar.r, alpha, x1))
 
 
 def compatibility_series(profile: ProfileSolution, case_tag: str) -> TruncatedSeries:
@@ -202,15 +225,20 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
     coefficients into E2..E6.  Case VI forces r1 = 0 at order 0, consumes
     x1 at order 1, and emits E2..E6.  Case V consumes x1 at order 0 and
     emits E1..E6.  Every divisor used is checked against the case's
-    nonzero hypotheses.  No equation reads past compatibility order 6, so
-    the component series are cut after order 7, before any product forms.
+    nonzero hypotheses.  The profile must be the case's (``case_profile``):
+    order 2 of x is alpha*r0^2 for V and 0 for VI and VII.  No equation
+    reads past compatibility order 6, so the component series are cut after
+    order 7, before any product forms.
     """
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
     vars = INITIAL_DATA_VARS
+    alpha = Polynomial.variable(vars, "alpha")
+    r0 = Polynomial.variable(vars, "r0")
+    if profile.x[2] != (alpha * r0 * r0 if case_tag == "V" else Polynomial.zero(vars)):
+        raise ExtractionError(f"order 2 of the x component is not case {case_tag}'s")
     mapping = NormalizationMap()
     compat = compatibility_series(_cut(profile, _LAST_ORDER + 1), case_tag)
-    alpha = Polynomial.variable(vars, "alpha")
     eliminated: dict[str, RationalFunction] = {}
     coeffs = compat.coefficients
     if case_tag == "VII":
@@ -294,6 +322,7 @@ __all__ = [
     "NormalizationMap",
     "SYSTEM_FORMAT",
     "arc_defect_series",
+    "case_profile",
     "compatibility_series",
     "extract_system",
     "linear_split",

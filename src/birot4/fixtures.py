@@ -1,8 +1,8 @@
 """Ground-truth data the verification runs compare against.
 
 Everything here is transcription, not computation: the profile-series
-coefficient table, the rotational-surface constraint equations E2..E6 in
-normalized symbols, the handful of exact constants used by the per-case
+coefficient table, the rotational-surface constraint equations E0, E2..E6
+in normalized symbols, the handful of exact constants used by the per-case
 contradiction checks, and the claim a membership certificate must state.
 The engine must regenerate all of it from the differential system; these
 copies are the comparison targets.
@@ -51,6 +51,8 @@ PROFILE_Y_SERIES = {
 # full-rotation constraint system, flat terms; labels skip E1 because the
 # tau^1 coefficient is consumed eliminating the x-velocity
 CASE7_SYSTEM_TEXT = {
+    "E0": "A*B*p^2 - A*B + A*p^2*t^2 + B^3 + 2*B^2*u*p + 2*B^2*t^2 + 2*B^2*t"
+          " + B*u^2*p^2 + 2*B*u*p*t^2 + 2*B*u*p*t + B*t^4 + 2*B*t^3 + B*t^2",
     "E2": "2*B*p + 2*p*t^2 + 2*p*t + 3*t*u + 2*u",
     "E3": "3*A + 2*B*p^2 + 2*B*t + 2*B + 2*p^2*t^2 + 10*p*t*u + 4*p*u"
           " + 2*t^3 + 7*t^2 + 4*t + 3*u^2",

@@ -119,13 +119,13 @@ class ProfileIVP:
     """Initial data for the profile-curve system.
 
     The system solved is x'' = alpha*tau*r^2, y'' = beta*r^2, r'' = r + c*r^2,
-    c'' = c, with symbolic initial coefficients.  alpha and beta may be ring
-    symbols or rational constants; k names the symbol used for the constant
-    first-order y-coefficient when that role is played by a dedicated symbol
-    rather than y1.
+    c'' = c, with symbolic initial coefficients in INITIAL_DATA_VARS.  alpha
+    and beta may be ring symbols or rational constants; k names the symbol
+    used for the constant first-order y-coefficient when that role is played
+    by a dedicated symbol rather than y1.  ``constraints.case_profile``
+    specializes this system to each case's rotation data.
     """
 
-    vars: VariableSet = INITIAL_DATA_VARS
     alpha: object = None
     beta: object = None
     k: object = None
@@ -141,8 +141,8 @@ class ProfileIVP:
 
     def _resolved(self, value, default_name: str) -> Polynomial:
         if value is None:
-            return Polynomial.variable(self.vars, default_name)
-        return _as_coefficient(self.vars, value)
+            return Polynomial.variable(INITIAL_DATA_VARS, default_name)
+        return _as_coefficient(INITIAL_DATA_VARS, value)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def solve_profile_ivp(ivp: ProfileIVP) -> ProfileSolution:
     x[0] and y[0] are zero (only derivatives of x and y matter) and x[1],
     y[1] stay symbolic.
     """
-    vars = ivp.vars
+    vars = INITIAL_DATA_VARS
     n_max = ivp.truncation_order
     zero = Polynomial.zero(vars)
     alpha = ivp._resolved(ivp.alpha, "alpha")

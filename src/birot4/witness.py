@@ -12,9 +12,9 @@ A sign claim carries one of three witnesses:
 - PositiveCombination: an exact rewrite as a sum of products whose signs on
   the region combine decisively.
 
-A claim of zero for the zero polynomial needs no witness.  Every univariate
-sign is decided by one rule, the root-free check of ``_root_free``.  This
-module is part of the trusted core and imports only ``birot4.poly`` and
+Every sign claim names its witness.  Every univariate sign is decided by
+one rule, the root-free check of ``_root_free``.  This module is part of
+the trusted core and imports only ``birot4.poly`` and
 ``birot4.univariate``; what found a witness is not trusted.
 """
 
@@ -352,19 +352,15 @@ class SignFact:
     expression: Polynomial
     region: Region
     claimed_sign: str
-    witness: object = None
+    witness: object
 
     @property
     def method(self) -> str:
-        if self.witness is None:
-            return "exact zero test"
         return self.witness.method
 
     def verify(self) -> bool:
         if self.claimed_sign not in _CLAIM_SETS:
             return False
-        if self.witness is None:
-            return self.claimed_sign == "zero" and self.expression.is_zero()
         return self.witness.verify(self.expression, self.region, self.claimed_sign)
 
     def document(self) -> dict:
@@ -374,8 +370,7 @@ class SignFact:
             "method": self.method,
             "region": {name: cond.document() for name, cond in self.region.conditions.items()},
         }
-        if self.witness is not None:
-            doc.update(self.witness.document())
+        doc.update(self.witness.document())
         return doc
 
 

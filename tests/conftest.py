@@ -90,13 +90,9 @@ def profile_series_table() -> dict[str, dict[int, Polynomial]]:
 
 
 def case7_reference_system() -> dict[str, Polynomial]:
-    """The transcribed system {E0, E2, ..., E6}; E0 is expanded from
-    B*(B + p*u + t + t^2)^2 + A*p^2*(B + t^2) - A*B."""
-    A, B, u, p, t = (Polynomial.variable(NORMALIZED_VARS, n) for n in NORMALIZED_VARS.names)
-    system = {"E0": B * (B + p * u + t + t ** 2) ** 2 + A * p ** 2 * (B + t ** 2) - A * B}
-    for label, text in CASE7_SYSTEM_TEXT.items():
-        system[label] = parse_polynomial(text, NORMALIZED_VARS)
-    return system
+    """The transcribed system {E0, E2, ..., E6}."""
+    return {label: parse_polynomial(text, NORMALIZED_VARS)
+            for label, text in CASE7_SYSTEM_TEXT.items()}
 
 
 # -- randomized small ideals and the brute-force membership oracle ------

@@ -7,6 +7,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from birot4 import cases
 from birot4.cases import CASE_IDS, check_case_VII, report_to_document, summarize_report
 from birot4.constraints import NORMALIZED_VARS, extract_system
@@ -210,11 +212,11 @@ def test_positive_combination_witness():
 
 
 def test_exact_zero_witness():
-    assert SignFact(Polynomial.zero(XY), Region(), "zero").verify()
-    assert not SignFact(ONE, Region(), "zero").verify()
-    assert not SignFact(Polynomial.zero(XY), Region(), "positive").verify()
-    assert not SignFact(ONE, Region(), "huge").verify()
-    assert SignFact(Polynomial.zero(XY), Region(), "zero").method == "exact zero test"
+    """Every sign claim names its witness; an unknown claim fails whatever
+    the witness."""
+    with pytest.raises(TypeError):
+        SignFact(Polynomial.zero(XY), Region(), "zero")
+    assert not SignFact(ONE, Region(), "huge", PositiveCombination.from_polynomial(ONE)).verify()
 
 
 def test_from_polynomial_round_trip():

@@ -160,6 +160,13 @@ def test_the_kronecker_base_covers_the_target_and_remainder():
     assert not _certificate(2 * x * y, [x * y], [one], remainder=x ** 3).verify()
 
 
+def test_verify_refuses_polynomials_over_two_rings():
+    x = Polynomial.variable(XY, "x")
+    other = Polynomial.variable(variables("x"), "x")
+    with pytest.raises(ValueError, match="different variable sets"):
+        _certificate(x, [other], [Polynomial.constant(variables("x"), 1)]).verify()
+
+
 def test_a_product_at_the_top_of_the_base_verifies():
     """(x + 2)*(x^4 - y) reaches x^5, the exponent B - 1 for B = 6."""
     x, y = (Polynomial.variable(XY, n) for n in "xy")

@@ -20,7 +20,7 @@ from birot4.cases import CASE_IDS
 from birot4.certificate import MembershipCertificate
 from birot4.cli import _certify_payload, build_parser, main
 from birot4.constraints import NORMALIZED_VARS
-from birot4.fixtures import CERTIFICATE_TARGET_TEXT
+from birot4.fixtures import CASE7_SYSTEM_TEXT, CERTIFICATE_TARGET_TEXT
 from birot4.groebner import (
     IdealPresentation,
     basis_and_certificate,
@@ -28,7 +28,7 @@ from birot4.groebner import (
     certify_membership,
     staged_buchberger,
 )
-from birot4.poly import LEX, Polynomial, format_polynomial, variables
+from birot4.poly import LEX, Polynomial, format_polynomial, parse_polynomial, variables
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -78,7 +78,7 @@ SIMULATE_PRESET_PAYLOAD_DIGESTS = {
 DERIVE_PAYLOAD_DIGESTS = {
     "V": "sha256:c807560fbb6c70f53f34f1953b2839d00998016f8864c45ce79d8ba04cc29a57",
     "VI": "sha256:16e5798610ce73e3667a453072d741a1ffe1604c95318963eeeb973be8e55cc3",
-    "VII": "sha256:04c0ecb203cfe0af8783a4aa5591743f0af5b7ae6b164baf3cd0a547be2b26e7",
+    "VII": "sha256:20dcd22290697902322cdcf03f429806ad4bf05f0069f09dc8e9546f07a0b6e3",
 }
 
 
@@ -168,20 +168,48 @@ def test_check_cases_subset(tmp_path, capsys):
     assert all(r["verdict"] == "contradiction-verified" for r in payload["reports"])
 
 
-def test_check_cases_detects_perturbation(tmp_path, monkeypatch, capsys):
+def _perturb_case7_text(monkeypatch, label):
     import birot4.cli
 
     perturbed = dict(birot4.cli.CASE7_SYSTEM_TEXT)
-    perturbed["E2"] += " + 1"
+    perturbed[label] += " + 1"
     monkeypatch.setattr(birot4.cli, "CASE7_SYSTEM_TEXT", perturbed)
-    out = tmp_path / "perturbed.json"
-    assert main(["check-cases", "I", "--output", str(out)]) == 1
-    assert "FAILED" in capsys.readouterr().err
+
+
+def test_check_cases_detects_perturbation(tmp_path, monkeypatch, capsys):
+    for label in ("E2", "E0"):
+        with monkeypatch.context() as patch:
+            _perturb_case7_text(patch, label)
+            out = tmp_path / f"perturbed-{label}.json"
+            assert main(["check-cases", "I", "--output", str(out)]) == 1
+        assert "FAILED" in capsys.readouterr().err
+        payload = _load(out)["payload"]
+        assert payload["extraction_match"] is False
+        assert payload["mismatched_equations"] == [label]
+        assert payload["reports"] == []
+        assert payload["all_verified"] is False
+
+
+def test_derive_exits_1_when_it_diverges(tmp_path, monkeypatch, capsys):
+    _perturb_case7_text(monkeypatch, "E3")
+    out = tmp_path / "diverged.json"
+    assert main(["derive", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] equation E3 matches the embedded text" in captured.out
+    assert "derivation diverges from the embedded reference texts" in captured.err
     payload = _load(out)["payload"]
-    assert payload["extraction_match"] is False
-    assert payload["mismatched_equations"] == ["E2"]
-    assert payload["reports"] == []
-    assert payload["all_verified"] is False
+    assert payload["all_match"] is False
+    failed = [d for d in payload["fixture_diff"] if not d["match"]]
+    assert [d["check"] for d in failed] == ["equation E3 matches the embedded text"]
+    extracted = parse_polynomial(CASE7_SYSTEM_TEXT["E3"], NORMALIZED_VARS)
+    assert failed[0]["got"] == str(extracted)
+    assert failed[0]["expected"] == str(extracted + 1)
+
+
+def test_simulate_exits_1_on_a_numeric_error(capsys):
+    assert main(["simulate", "--preset", "catenoid", "--window", "0.005",
+                 "--step", "0.001"]) == 1
+    assert "trajectory too short" in capsys.readouterr().err
 
 
 def test_check_cases_rejects_unknown_ids(capsys):

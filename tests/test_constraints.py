@@ -13,6 +13,7 @@ from birot4.constraints import (
     NORMALIZED_VARS,
     NormalizationMap,
     arc_defect_series,
+    case_profile,
     compatibility_series,
     extract_system,
 )
@@ -47,6 +48,13 @@ def profile_vi():
 def profile_v(profile_vi):
     forced = quadratic_forced_component(profile_vi.r, _sym("alpha"), _sym("x1"))
     return dataclasses.replace(profile_vi, x=forced)
+
+
+def test_transcribed_e0_expands_its_factored_display():
+    """CASE7_SYSTEM_TEXT's E0 is B*(B + p*u + t + t^2)^2 + A*p^2*(B + t^2) - A*B."""
+    A, B, u, p, t = (Polynomial.variable(NORMALIZED_VARS, n) for n in NORMALIZED_VARS.names)
+    display = B * (B + p * u + t + t ** 2) ** 2 + A * p ** 2 * (B + t ** 2) - A * B
+    assert case7_reference_system()["E0"] == display
 
 
 def test_full_case_system_matches_reference(system_vii):
@@ -145,12 +153,25 @@ def test_case_hypotheses_are_recorded(system_vii):
     assert system_vii.hypotheses == CASE_HYPOTHESES["VII"] == ("alpha", "beta")
 
 
-def test_extraction_rejects_mismatched_profiles(profile_vi, profile_vii):
+def test_case_profile_matches_independent_constructions(profile_vii, profile_vi, profile_v):
+    assert case_profile("VII") == profile_vii == solve_profile_ivp(ProfileIVP())
+    assert case_profile("VI") == profile_vi
+    assert case_profile("V") == profile_v
+    assert case_profile("V", order=8).r.truncation_order == 8
+    with pytest.raises(ValueError):
+        case_profile("IV")
+
+
+def test_extraction_rejects_mismatched_profiles(profile_vi, profile_vii, profile_v):
     with pytest.raises(ValueError):
         extract_system(profile_vii, "IV")
     # a beta-free profile lacks the order-0 shape the full case relies on
     with pytest.raises(ExtractionError):
         extract_system(profile_vi, "VII")
+    # order 2 of x tells case V's forced component from VI's and VII's
+    for profile, tag in ((profile_vii, "V"), (profile_vi, "V"), (profile_v, "VI")):
+        with pytest.raises(ExtractionError, match="order 2 of the x component"):
+            extract_system(profile, tag)
     with pytest.raises(ValueError):
         compatibility_series(profile_vii, "II")
     with pytest.raises(ValueError):

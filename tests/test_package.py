@@ -126,6 +126,17 @@ def test_the_case_checker_never_imports_the_search():
     assert reached == []
 
 
+def test_the_command_layer_builds_no_profile():
+    """Each case's profile is built by ``constraints.case_profile``; no call
+    in ``birot4.cli`` solves or forces a profile series itself."""
+    path = Path(birot4.__file__).resolve().parent / "cli.py"
+    builders = {"ProfileIVP", "solve_profile_ivp", "quadratic_forced_component"}
+    called = sorted({getattr(node.func, "id", getattr(node.func, "attr", None))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call)} & builders)
+    assert called == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Top-level imported names that the module never reads.
 

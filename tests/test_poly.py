@@ -59,6 +59,17 @@ def test_monomial_helpers():
     assert monomial_lcm((2, 0, 1), (1, 3, 1)) == (2, 3, 1)
 
 
+def test_malformed_polynomials_are_refused():
+    """An exponent tuple of another width, a negative exponent and a quotient
+    over two rings name no polynomial of the ring, so the constructors refuse them."""
+    with pytest.raises(ValueError, match="does not fit"):
+        Polynomial(XYZ, {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(XYZ, {(0, -1, 0): 1})
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        RationalFunction(Polynomial.variable(XYZ, "x"), Polynomial.constant(variables("x"), 2))
+
+
 def test_zero_coefficients_are_dropped():
     x, y, _ = _symbols()
     f = x * y - x * y

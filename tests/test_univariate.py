@@ -109,6 +109,11 @@ def test_degenerate_inputs():
     constant = Polynomial.constant(TV, 5)
     assert count_real_roots(constant, REAL_LINE) == 0
     assert count_real_roots(T, (Fraction(3), Fraction(2))) == 0  # empty interval
+    # a float endpoint is inexact, so neither end may be one
+    with pytest.raises(ValueError, match="bad lower endpoint"):
+        count_real_roots(T, (0.5, Fraction(2)))
+    with pytest.raises(ValueError, match="bad upper endpoint"):
+        count_real_roots(T, (Fraction(0), 2.5))
 
 
 # -- resultants ---------------------------------------------------------
