@@ -672,8 +672,8 @@ def check_case_VII(certificate: MembershipCertificate,
         "target": CERTIFICATE_TARGET_TEXT,
         "generators": [label for label, _ in system.equations],
         "remainder_zero": certificate.remainder.is_zero(),
-        "cofactor_terms": {label: len(cof.terms) for (label, _), cof
-                           in zip(system.equations, certificate.cofactors)},
+        "cofactor_terms": {label: len(numerator.terms) for (label, _), numerator
+                           in zip(system.equations, certificate.numerators)},
     }
     c.artifacts["quartic"] = QUARTIC_T_TEXT
     return c.report()

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .certificate import MembershipCertificate
 from .constraints import NORMALIZED_VARS
-from .poly import Polynomial, parse_polynomial
+from .poly import Polynomial, parse_polynomial, parse_rational
 
 # profile Taylor coefficients (exponential convention), orders 2..7
 PROFILE_R_SERIES = {
@@ -72,11 +72,11 @@ CUBIC_T_TEXT = "5*t^3 + 18*t^2 + 20*t + 12"
 QUADRATIC_T_TEXT = "2*t^2 + 7*t + 4"
 QUARTIC_T_TEXT = "18*t^4 + 73*t^3 + 140*t^2 + 120*t + 54"
 
-# positivity decomposition of the quartic: 18*(t^2 + (73/36)t + 120/73)^2
-# + (2612159/383688)*t^2 + 2056752/383688
-QUARTIC_SQUARE_SHIFT = (Fraction(73, 36), Fraction(120, 73))
-QUARTIC_DECOMP_T2 = Fraction(2612159, 383688)
-QUARTIC_DECOMP_CONST = Fraction(2056752, 383688)
+# positivity decomposition of the quartic, with its constants as displayed:
+# 18*(t^2 + (73/36)t + 120/73)^2 + (2612159/383688)*t^2 + 2056752/383688
+QUARTIC_SQUARE_SHIFT = (parse_rational("73/36"), parse_rational("120/73"))
+QUARTIC_DECOMP_T2 = parse_rational("2612159/383688")
+QUARTIC_DECOMP_CONST = parse_rational("2056752/383688")
 
 # exact constants appearing in the case analyses
 CASE5_FOURTH_DERIVATIVE = Fraction(56, 9)

@@ -633,15 +633,17 @@ class _Worker:
         self.results = os.fdopen(results, "rb")
 
     def certificate(self, remainder: Polynomial) -> MembershipCertificate | None:
-        """The child's cofactors with this side's target, generators and remainder,
-        unverified; None unless it sent a certificate document over the target's ring."""
+        """The child's cofactors, in their integer form, with this side's target,
+        generators and remainder, unverified; None unless it sent a certificate
+        document over the target's ring."""
         try:
             sent = certificate_from_document(json.loads(self.results.read()))
         except ValueError:  # nothing sent, or not a certificate document
             return None
         if sent.target.vars != self.target.vars:
             return None
-        return MembershipCertificate(self.target, self.generators, sent.cofactors, remainder)
+        return MembershipCertificate.from_numerators(
+            self.target, self.generators, sent.numerators, sent.denominator, remainder)
 
     def stop(self) -> None:
         """Kill and reap the child and close both pipes."""

@@ -521,9 +521,12 @@ def sweep_nonminimal(points: Iterable[Mapping[str, float]],
     return SweepSummary(tuple(rows))
 
 
+_TABLE_ROW = ",".join(["%.12g"] * len(STATE_COLUMNS))  # one format per row
+
+
 def trajectory_table(trajectory: Trajectory) -> list[str]:
     """Delimited text rows for a trajectory: a header, then one row per sample."""
-    return [",".join(STATE_COLUMNS)] + [",".join(f"{v:.12g}" for v in row)
+    return [",".join(STATE_COLUMNS)] + [_TABLE_ROW % tuple(row)
                                         for row in trajectory.samples.T.tolist()]
 
 

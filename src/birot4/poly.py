@@ -9,7 +9,9 @@ graded reverse lex) are supplied as key functions so that ``max(...)`` and
 The text format is a sum of terms like ``2*B*p + 3*t*u - 4/3*u``: rational
 coefficients, ``*`` between factors, ``^`` for powers >= 2.  Printing sorts
 terms descending under a chosen order and parsing is exact, so print/parse
-round-trips are bit-identical.
+round-trips are bit-identical.  ``parse_terms`` is the one term reader: it
+gives each coefficient as an integer pair, which ``parse_polynomial`` makes a
+Fraction and ``parse_numerators`` brings over one denominator.
 
 Substitution has one rule, ``_substitute``, behind ``Polynomial.substitute``,
 ``evaluate_rational`` and ``eliminate_linear``: with images v = num_v/den_v,
@@ -130,7 +132,8 @@ class Polynomial:
         """Wrap terms that are already valid: fitting tuples, nonzero Fractions.
 
         The ring operations build such dicts themselves, so they skip the
-        checks that ``__init__`` does.
+        checks that ``__init__`` does.  The integer numerators of
+        ``parse_numerators`` and of a certificate keep nonzero ints instead.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vars)
@@ -429,27 +432,26 @@ def _normalize_minus(text: str) -> str:
     return cleaned
 
 
+def _rational_pair(text: str) -> tuple[int, int]:
+    """(p, q) of "p/q" or "p" (base-10, optional sign, whitespace around the
+    numbers; q = 1 for "p"), unreduced."""
+    num_text, slash, den_text = text.partition("/")
+    try:
+        num, den = int(num_text), int(den_text) if slash else 1
+    except ValueError as exc:
+        raise ValueError(f"not a rational literal: {text!r}") from exc
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return num, den
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (base-10, optional sign) into a Fraction.
 
     Unicode minus signs are normalized; whitespace around the number and
     the slash is ignored.  Raises ValueError on anything else.
     """
-    cleaned = _normalize_minus(text)
-    if "/" in cleaned:
-        num_text, _, den_text = cleaned.partition("/")
-        try:
-            num = int(num_text.strip())
-            den = int(den_text.strip())
-        except ValueError as exc:
-            raise ValueError(f"not a rational literal: {text!r}") from exc
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(num, den)
-    try:
-        return Fraction(int(cleaned))
-    except ValueError as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    return Fraction(*_rational_pair(_normalize_minus(text)))
 
 
 def format_rational(value: Fraction) -> str:
@@ -497,16 +499,31 @@ def _drop_whitespace(cleaned: str, text: str) -> str:
     return "".join(tokens)
 
 
-def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
-    """Inverse of format_polynomial; accepts any ordering of terms.
+def _variable_factor(factor: str, vars: VariableSet, text: str) -> tuple[int, int]:
+    """(position in vars, power) of a factor "name" or "name^k"."""
+    match = _TERM_FACTOR.fullmatch(factor)
+    if not match:
+        raise ValueError(f"bad factor {factor!r} in {text!r}")
+    name, power = match.groups()
+    try:
+        return vars.index(name), int(power) if power else 1
+    except KeyError:
+        raise ValueError(f"unknown variable {name!r} in {text!r}") from None
 
-    Whitespace may sit next to an operator (+ - * / ^) or at either end of
-    the text; anywhere else, as in "1 2*x" or "x y", it is an error.  With
-    whitespace dropped and every "-" read as "+-", splitting at "+" gives
-    the signed terms.  Only the first piece may be
-    empty (text that starts with a sign); any other empty piece or bare "-"
-    is a dangling sign.  A term's coefficient is its parsed rational with
-    the sign put on it; numeric factors multiply only when there are several.
+
+def parse_terms(text: str, vars: VariableSet) -> list[tuple[Exponents, int, int]]:
+    """The terms of a polynomial text as (exponents, numerator, denominator).
+
+    The one term reader, behind ``parse_polynomial`` and ``parse_numerators``.
+    Terms come in text order, neither merged nor reduced: "2/4*x + x" gives
+    ((1,), 2, 4) and ((1,), 1, 1).  Whitespace may sit next to an operator
+    (+ - * / ^) or at either end of the text; anywhere else, as in "1 2*x"
+    or "x y", it is an error.  With whitespace dropped and every "-" read as
+    "+-", splitting at "+" gives the signed terms, so no factor holds a sign
+    and every denominator is positive.  Only the first piece may be empty
+    (text that starts with a sign); any other empty piece or bare "-" is a
+    dangling sign.  A term's coefficient is the product of its numeric
+    factors, 1 if it has none, with the sign put on the numerator.
 
     Raises ValueError for malformed text and for a variable outside ``vars``.
     """
@@ -516,36 +533,59 @@ def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
     pieces = _drop_whitespace(cleaned, text).replace("-", "+-").split("+")
     if not pieces[0]:
         del pieces[0]
-    terms: dict[Exponents, Fraction] = {}
+    terms = []
+    seen: dict[str, tuple[int, int]] = {}  # variable factors read so far
     width = len(vars)
     for piece in pieces:
         negative = piece[:1] == "-"
         body = piece[1:] if negative else piece
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
-        coeff = None
+        num = den = 1
         exps = [0] * width
         for factor in body.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                value = parse_rational(factor)
-                coeff = value if coeff is None else coeff * value
+                p, q = _rational_pair(factor)
+                num, den = num * p, den * q
                 continue
-            match = _TERM_FACTOR.fullmatch(factor)
-            if not match:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            name, power = match.group(1), match.group(2)
-            try:
-                exps[vars.index(name)] += int(power) if power else 1
-            except KeyError:
-                raise ValueError(f"unknown variable {name!r} in {text!r}") from None
-        if coeff is None:
-            coeff = Fraction(-1 if negative else 1)
-        elif negative:
-            coeff = -coeff
-        _accumulate(terms, ((tuple(exps), coeff),))
+            if factor not in seen:
+                seen[factor] = _variable_factor(factor, vars, text)
+            position, power = seen[factor]
+            exps[position] += power
+        terms.append((tuple(exps), -num if negative else num, den))
+    return terms
+
+
+def parse_polynomial(text: str, vars: VariableSet) -> Polynomial:
+    """Inverse of format_polynomial; accepts any ordering of terms.
+
+    The text is read by ``parse_terms``; terms on one monomial are summed.
+    """
+    terms: dict[Exponents, Fraction] = {}
+    _accumulate(terms, ((e, Fraction(p, q)) for e, p, q in parse_terms(text, vars)))
     return Polynomial._clean(vars, terms)
+
+
+def parse_numerators(texts, vars: VariableSet) -> tuple[list[Polynomial], int]:
+    """([N_i], den) with N_i / den the polynomial of texts[i]: the reading
+    twin of ``over_one_denominator``.  N_i has integer coefficients, and den
+    is the lcm of the denominators as written, so "2/4*x" gives (2*x, 4): no
+    coefficient is reduced.
+    """
+    rows = [parse_terms(text, vars) for text in texts]
+    den = 1
+    for row in rows:
+        for _, _, q in row:
+            if den % q:
+                den = lcm(den, q)
+    numerators = []
+    for row in rows:
+        terms: dict[Exponents, int] = {}
+        _accumulate(terms, ((e, p * (den // q)) for e, p, q in row))
+        numerators.append(Polynomial._clean(vars, terms))
+    return numerators, den
 
 
 # -- rational functions ------------------------------------------------

@@ -182,7 +182,11 @@ def solve_profile_ivp(ivp: ProfileIVP) -> ProfileSolution:
     r = [ivp._resolved(ivp.r0, "r0"), ivp._resolved(ivp.r1, "r1")]
     r2: list[Polynomial] = []
     for n in range(n_max - 1):
-        r2.append(sum((comb(n, j) * (r[j] * r[n - j]) for j in range(n + 1)), zero))
+        # (r^2)[n] = sum C(n, j)*r[j]*r[n-j]: each pair j < n - j once, doubled,
+        # then the middle term j = n/2 once for even n
+        pairs = sum((comb(n, j) * (r[j] * r[n - j]) for j in range((n + 1) // 2)), zero)
+        middle = comb(n, n // 2) * (r[n // 2] * r[n // 2]) if n % 2 == 0 else zero
+        r2.append(2 * pairs + middle)
         cr2_n = sum((comb(n, j) * (c[j] * r2[n - j]) for j in range(n + 1)), zero)
         c.append(c[n])
         r.append(r[n] + cr2_n)

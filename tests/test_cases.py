@@ -341,3 +341,10 @@ def test_elimination_routes_agree_on_exact_resultants():
     assert lin.degree_in("B") == 1
     assert resultant_univariate(eq1, eq2, "B") == 12 * tv * tv * quartic
     assert resultant_univariate(lin, eq1, "B") == 4 * tv * tv * quartic
+
+
+def test_a_zeroth_power_is_positive_whatever_the_base():
+    from birot4.witness import _power_sign
+
+    for signs in ({-1}, {0}, {-1, 0, 1}):
+        assert _power_sign(frozenset(signs), 0) == frozenset({1})

@@ -9,12 +9,15 @@ import gzip
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from conftest import random_polynomial
 
+from birot4.cases import check_case_VII
 from birot4.certificate import (
     MembershipCertificate,
     certificate_from_document,
@@ -22,7 +25,8 @@ from birot4.certificate import (
 )
 from birot4.constraints import NORMALIZED_VARS
 from birot4.fixtures import CERTIFICATE_TARGET_TEXT
-from birot4.poly import Polynomial, parse_polynomial, variables
+from birot4.poly import (Polynomial, format_polynomial, parse_numerators, parse_polynomial,
+                         variables)
 
 FORMAT_1 = "birot4/membership-certificate@1"
 FORMAT_2 = "birot4/membership-certificate@2"
@@ -234,3 +238,128 @@ def test_verify_agrees_with_sympy_on_random_certificates():
         polys[i] = Polynomial(vars, terms)
         tampered = _certificate(polys[-1], polys[count:2 * count], polys[:count], polys[-2])
         assert not holds(tampered) and not tampered.verify()
+
+
+# -- the integer form: what the reader, verify() and the writer work on ----
+
+
+class _NoRationalCofactors(MembershipCertificate):
+    """A certificate whose rational cofactors K_i cannot be read."""
+
+    @property
+    def cofactors(self):
+        raise AssertionError("the rational cofactors were built")
+
+
+def test_the_check_and_the_writer_read_only_the_integer_form(flagship_certificate,
+                                                            certify_artifact):
+    cert = _NoRationalCofactors(flagship_certificate.target, flagship_certificate.generators,
+                                flagship_certificate.cofactors, flagship_certificate.remainder)
+    assert cert.verify()
+    assert check_case_VII(cert).verdict == "contradiction-verified"
+    assert certificate_to_document(cert) == certify_artifact["payload"]["certificate"]
+
+
+def test_the_stored_form_is_canonical():
+    """N_i / k keeps gcd(k, every coefficient of every N_i) = 1, however it is built."""
+    x, y = (Polynomial.variable(XY, n) for n in "xy")
+    zero = Polynomial.zero(XY)
+
+    def over(texts, k):
+        numerators, den = parse_numerators(texts, XY)
+        return MembershipCertificate.from_numerators(x, (x, y), numerators, k * den, zero)
+
+    built = [
+        MembershipCertificate(x, (x, y), [Fraction(1, 6) * x, Fraction(-3, 4) * y + 1], zero),
+        over(["2*x", "-9*y + 12"], 12),
+        over(["10*x", "-45*y + 60"], 60),
+        over(["1/3*x", "-3/2*y + 2"], 2),
+    ]
+    assert all(cert == built[0] for cert in built)
+    assert built[0].numerators == (2 * x, -9 * y + 12) and built[0].denominator == 12
+    assert built[0].cofactors == [Fraction(1, 6) * x, Fraction(-3, 4) * y + 1]
+    assert over(["4*x", "2"], 2).denominator == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        over(["x", "y"], 0)
+
+
+def _reference_cofactors(document: dict) -> list[dict]:
+    """The cofactors of a certificate document read one Fraction per term, as
+    the reader did before it read integer pairs: a coefficient p/q is
+    Fraction(p, q), divided by the @2 document's denominator; terms on one
+    monomial are summed and zero sums dropped."""
+    names = document["variables"]
+    k = int(document.get("denominator", "1"))
+    cofactors = []
+    for text in document["cofactors"]:
+        terms: dict = {}
+        for sign, body in re.findall(r"([+-]?)\s*([^\s+-][^+-]*)", text):
+            coeff, exps = Fraction(-1 if sign == "-" else 1, k), [0] * len(names)
+            for factor in body.strip().split("*"):
+                if factor[0].isdigit():
+                    coeff *= Fraction(factor)
+                else:
+                    name, _, power = factor.partition("^")
+                    exps[names.index(name)] += int(power or 1)
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        cofactors.append({e: c for e, c in terms.items() if c})
+    return cofactors
+
+
+def _random_certificates():
+    """The 30 certificates of test_verify_agrees_with_sympy_on_random_certificates:
+    the same seed and the same draws, its tampering draws included."""
+    vars = variables("x", "y", "z")
+    rng = random.Random(20261020)
+    for _ in range(30):
+        count = rng.randint(1, 3)
+        generators = [random_polynomial(rng, vars, rng.randint(1, 2)) for _ in range(count)]
+        cofactors = [random_polynomial(rng, vars, rng.randint(0, 2))
+                     * Fraction(1, rng.randint(1, 6)) for _ in range(count)]
+        remainder = Polynomial.zero(vars)
+        if rng.random() < 0.5:
+            remainder = random_polynomial(rng, vars, 1) * Fraction(1, rng.randint(1, 4))
+        target = sum((k * g for k, g in zip(cofactors, generators)), remainder)
+        yield _certificate(target, generators, cofactors, remainder)
+        polys = [*cofactors, *generators, remainder, target]
+        terms = polys[rng.randrange(len(polys))].terms or {(0, 0, 0): Fraction(0)}
+        rng.choice(sorted(terms)), rng.choice((-1, 1)), rng.randint(1, 3)
+
+
+def _as_format_1(document: dict, cofactor_texts: list[str]) -> dict:
+    at_1 = {**document, "format": FORMAT_1, "cofactors": cofactor_texts}
+    del at_1["denominator"]
+    return at_1
+
+
+def _reading_inputs():
+    for cert in _random_certificates():
+        document = certificate_to_document(cert)
+        yield document
+        yield _as_format_1(document, [format_polynomial(k) for k in cert.cofactors])
+    two = {**HAND_WRITTEN_1, "format": FORMAT_2, "denominator": "1"}
+    yield {**HAND_WRITTEN_1, "cofactors": ["2/4*x + 6/8", "-3/9*y"]}  # not in lowest terms
+    yield {**HAND_WRITTEN_1, "cofactors": ["x + 2*x - 1/2*x + y*x", "x*y + 1/3 - y*x + 2/6"]}
+    yield {**HAND_WRITTEN_1, "cofactors": ["x - x + 1/3*y - 2/6*y", "0*x + 0"]}  # sums to zero
+    yield {**HAND_WRITTEN_1, "cofactors": ["7/3*2/5*x*3", "-y*1/2*x*4/6"]}  # several numbers
+    yield {**two, "denominator": "24", "cofactors": ["6*x + 12", "-18*y"]}  # gcd 6
+    yield {**two, "denominator": "12", "cofactors": ["12*x", "0"]}  # k is 1
+    yield {**two, "denominator": "3", "cofactors": ["1/2*x", "2*y - 4/8"]}  # p/q under @2
+    yield {**two, "denominator": "5", "cofactors": ["x - x", "10*x - 10*x"]}
+
+
+def test_the_reader_matches_a_per_term_fraction_reading():
+    """certificate_from_document, which reads integer pairs over one
+    denominator, against _reference_cofactors: the same cofactors, and the
+    same re-written document as the certificate built from those Fractions."""
+    for document in _reading_inputs():
+        read = certificate_from_document(document)
+        expected = _reference_cofactors(document)
+        assert [k.terms for k in read.cofactors] == expected, document
+        vars = read.target.vars
+        reference = MembershipCertificate(read.target, read.generators,
+                                          [Polynomial(vars, k) for k in expected], read.remainder)
+        rewritten = certificate_to_document(read)
+        assert rewritten == certificate_to_document(reference), document
+        assert rewritten["denominator"] == str(
+            lcm(1, *(c.denominator for k in expected for c in k.values())))

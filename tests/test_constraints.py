@@ -16,6 +16,7 @@ from birot4.constraints import (
     case_profile,
     compatibility_series,
     extract_system,
+    linear_split,
 )
 from birot4.poly import (
     Polynomial,
@@ -218,3 +219,26 @@ def test_flat_profile_is_exactly_unit_speed():
     for tag in ("V", "VI", "VII"):
         compat = compatibility_series(profile, tag)
         assert compat.is_zero(), tag
+
+
+def test_extraction_refuses_what_its_premises_exclude(profile_vii, monkeypatch):
+    """Each refusal of the extraction, raised by the input it guards against."""
+    zero_radius_vi = solve_profile_ivp(ProfileIVP(beta=0, k=_sym("k"), r0=0))
+    with pytest.raises(ExtractionError, match="coefficient for E2 vanished identically"):
+        extract_system(zero_radius_vi, "VI")
+    # VI solves its order-0 equation c0*r1 = 0 for r1; with c0 = 0 there is none
+    with pytest.raises(ExtractionError, match="order-0 compatibility coefficient"):
+        extract_system(solve_profile_ivp(ProfileIVP(beta=0, k=_sym("k"), c0=0)), "VI")
+    # x1 is solved over alpha; a profile with speed 2*alpha is not monic there
+    for ivp, tag in ((ProfileIVP(alpha=2 * _sym("alpha")), "VII"),
+                     (ProfileIVP(alpha=2 * _sym("alpha"), beta=0, k=_sym("k")), "VI")):
+        with pytest.raises(ExtractionError, match="not monic in x1 over alpha"):
+            extract_system(solve_profile_ivp(ivp), tag)
+    with pytest.raises(ExtractionError, match="not linear in x1"):
+        linear_split(_sym("x1") ** 2 + _sym("alpha") * _sym("x1"), "x1")
+    with pytest.raises(ExtractionError, match="not linear in x1"):
+        linear_split(_sym("alpha"), "x1")
+    # a divisor outside the case's nonzero hypotheses
+    monkeypatch.setitem(CASE_HYPOTHESES, "VII", ("alpha",))
+    with pytest.raises(ExtractionError, match="would divide by beta"):
+        extract_system(profile_vii, "VII")

@@ -463,3 +463,31 @@ def test_substitution_matches_sympy():
         want_num, want_den = quotient(to_sympy(den) ** d * to_sympy(f).subs(
             symbols["v"], -to_sympy(num) / to_sympy(den)))
         assert expanded(eliminate_linear(f, "v", den, num)) * want_den == want_num
+
+
+def test_the_core_values_are_immutable_and_compare_by_value():
+    """What no computation in the package exercises: the immutability
+    refusals, NotImplemented against a foreign operand, a scalar on the left
+    of a difference, comparison with a scalar, and the hash rules."""
+    x, y, _ = _symbols()
+    f = x + 1
+    q = RationalFunction(x, y)
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        f.terms = {}
+    with pytest.raises(AttributeError, match="RationalFunction is immutable"):
+        q.num = y
+    for foreign in (lambda: f + "x", lambda: f - "x", lambda: "x" - f):
+        with pytest.raises(TypeError):
+            foreign()
+    assert (q == "x") is False and q != "x"  # NotImplemented on both sides
+    assert 1 - f == -x
+    assert Polynomial.constant(XYZ, 3) == 3 and f != 3
+    assert Polynomial.constant(XYZ, Fraction(1, 2)) == Fraction(1, 2) and f != Fraction(1, 2)
+    assert hash(parse_polynomial("1 + x", XYZ)) == hash(f)
+    assert len({f, parse_polynomial("1 + x", XYZ), x}) == 2
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(q)
+    assert repr(q) == "<RationalFunction (x) / (y)>"
+    assert repr(LEX) == "MonomialOrder('lex')"
+    assert hash(MonomialOrder("grevlex")) == hash(GREVLEX)
+    assert len({LEX, GREVLEX, MonomialOrder("lex")}) == 2

@@ -270,3 +270,12 @@ def test_resultant_of_a_zero_input_is_zero():
     for g in (t * t - a, a, Polynomial.constant(ST, 3)):
         assert resultant_univariate(zero, g, "t").is_zero()
         assert resultant_univariate(g, zero, "t").is_zero()
+
+
+def test_the_sign_of_an_empty_coefficient_list_is_zero():
+    """A Sturm chain entry that vanished identically has sign 0 at every point,
+    the infinite ends included."""
+    from birot4.univariate import _sign_at
+
+    assert [_sign_at([], point) for point in (NEG_INFINITY, 0, Fraction(1, 2), POS_INFINITY)] \
+        == [0, 0, 0, 0]
