@@ -211,7 +211,7 @@ def check_case_II() -> CaseReport:
     # the forced component w'' = phi*r^2 is case V's x: phi plays its alpha
     profile = case_profile("V")
     accel = profile.x.derivative().derivative()
-    target = Polynomial.variable(INITIAL_DATA_VARS, "alpha") * (profile.r * profile.r)
+    target = Polynomial.variable(INITIAL_DATA_VARS, "alpha") * profile.r_squared
     order = min(accel.truncation_order, target.truncation_order)
     c.check("second derivative of the forced component equals phi*r^2 at every series order",
             all((accel[n] - target[n]).is_zero() for n in range(order + 1)),

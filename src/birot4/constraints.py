@@ -32,7 +32,7 @@ from .series import (
     ProfileIVP,
     ProfileSolution,
     TruncatedSeries,
-    quadratic_forced_component,
+    forced_by_square,
     shift_by_expansion_variable,
     solve_profile_ivp,
 )
@@ -75,7 +75,8 @@ def case_profile(case_tag: str, order: int = 10) -> ProfileSolution:
     if case_tag == "VI":
         return planar
     alpha, x1 = (Polynomial.variable(INITIAL_DATA_VARS, n) for n in ("alpha", "x1"))
-    return replace(planar, x=quadratic_forced_component(planar.r, alpha, x1))
+    return replace(planar, x=forced_by_square(INITIAL_DATA_VARS, planar.r_squared.coefficients,
+                                              alpha, x1))
 
 
 def compatibility_series(profile: ProfileSolution, case_tag: str) -> TruncatedSeries:

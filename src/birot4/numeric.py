@@ -7,15 +7,19 @@ conditions.  Everything runs in the polynomial parametrization where the
 right-hand sides are x'' = alpha*tau*r^2, y'' = beta*r^2, r'' = r + c*r^2,
 with the curvature law c'' = c optionally frozen to a constant.
 
-One loop, ``_integrate``, serves both callers.  A single trajectory (the
-catenoid and cylinder presets) steps a stacked state of shape (8,); the
-data sweep steps all of its points together as one of shape (8, P).  Every
-operation of the RK4 rule is elementwise, in the same order, so each point
-gets the float operations it would get alone.  One stop rule then runs on
-the finished samples: a point ends at its first sample that is not finite
-or whose radius is at or below FLOOR_RADIUS.  The loop's sample array is
-the trajectory: the residuals and the trajectory table read that one array,
-and no per-sample record is built on the way to the payload.
+One loop, ``_integrate``, serves both callers.  Only the coupled core
+(r, r', c, c') feeds back into the right-hand side, so only the core is
+stepped: a single trajectory (the catenoid and cylinder presets) as four
+Python floats, the data sweep as one (4, P) array holding all its points.
+x' and y' are driven by r^2 alone, so after each chunk of steps tau, x',
+x, y' and y are filled in from the recorded stage values of r^2 by
+cumulative sums.  Each sample gets the float operations of the RK4 rule on
+the whole state, in the same order, so a point's samples are the same alone
+or in the sweep.  One stop rule then runs on the finished samples: a point
+ends at its first sample that is not finite or whose radius is at or below
+FLOOR_RADIUS.  The loop's sample array is the trajectory: the residuals and
+the trajectory table read that one array, and no per-sample record is built
+on the way to the payload.
 """
 
 from __future__ import annotations
@@ -115,38 +119,112 @@ class ResidualReport:
     biharmonic: float
 
 
-def _derivative_field(params: IntegrationParams):
-    """The right-hand side on a stacked state u = (x, x', y, y', r, r', c, c').
+def _rk4_step(r: float, r_dot: float, c: float, c_dot: float, h: float,
+              frozen: bool) -> tuple[float, ...]:
+    """One RK4 step of the core (r, r', c, c') on Python floats.
 
-    u has shape (8,) for one trajectory or (8, P) for P points at once, with
-    params.alpha and params.beta floats or arrays of length P.
+    r'' = r + c*r^2 and c'' = c (c' = c'' = 0 when frozen).  Stage j
+    evaluates the slope at (rj, rdj, cj, cdj), stage 1 at the start: s_j is
+    r^2 there, a_j is r'', and e_j and f_j are c' and c''.  Returns the
+    stepped core and s1..s4, which x'' and y'' read.
     """
-    alpha = params.alpha
-    beta = params.beta
-    frozen = params.freeze_curvature
+    half = h / 2
+    s1 = r * r
+    a1 = r + c * s1
+    e1 = 0.0 if frozen else c_dot
+    f1 = 0.0 if frozen else c
+    r2, rd2, c2, cd2 = r + half * r_dot, r_dot + half * a1, c + half * e1, c_dot + half * f1
+    s2 = r2 * r2
+    a2 = r2 + c2 * s2
+    e2 = 0.0 if frozen else cd2
+    f2 = 0.0 if frozen else c2
+    r3, rd3, c3, cd3 = r + half * rd2, r_dot + half * a2, c + half * e2, c_dot + half * f2
+    s3 = r3 * r3
+    a3 = r3 + c3 * s3
+    e3 = 0.0 if frozen else cd3
+    f3 = 0.0 if frozen else c3
+    r4, rd4, c4, cd4 = r + h * rd3, r_dot + h * a3, c + h * e3, c_dot + h * f3
+    s4 = r4 * r4
+    a4 = r4 + c4 * s4
+    e4 = 0.0 if frozen else cd4
+    f4 = 0.0 if frozen else c4
+    sixth = h / 6
+    return (r + sixth * (r_dot + 2 * rd2 + 2 * rd3 + rd4),
+            r_dot + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+            c + sixth * (e1 + 2 * e2 + 2 * e3 + e4),
+            c_dot + sixth * (f1 + 2 * f2 + 2 * f3 + f4),
+            s1, s2, s3, s4)
 
-    def field_at(tau, u: np.ndarray) -> np.ndarray:
-        du = np.empty_like(u)
-        r, c = u[4], u[6]
-        r2 = r * r
-        du[0::2] = u[1::2]  # x', y', r' and c' are stored
-        du[1] = alpha * tau * r2
-        du[3] = beta * r2
-        du[5] = r + c * r2
-        du[7] = c
-        if frozen:
-            du[6:] = 0.0
-        return du
 
-    return field_at
+_SLOPE_ROWS = np.array([1, 0, 3, 2])  # u.take gives (r', r, c', c); row 1 then gets r''
 
 
-def _rk4_step(field_at, tau, u: np.ndarray, h: float) -> np.ndarray:
-    k1 = field_at(tau, u)
-    k2 = field_at(tau + h / 2, u + h / 2 * k1)
-    k3 = field_at(tau + h / 2, u + h / 2 * k2)
-    k4 = field_at(tau + h, u + h * k3)
+def _core_slope(u: np.ndarray, frozen: bool, square: np.ndarray) -> np.ndarray:
+    """The core's right-hand side on (4, P) columns; writes r^2 into square."""
+    r, c = u[0], u[2]
+    np.multiply(r, r, out=square)
+    du = u.take(_SLOPE_ROWS, axis=0)
+    du[1] = r + c * square
+    if frozen:
+        du[2:] = 0.0
+    return du
+
+
+def _rk4_step_columns(u: np.ndarray, h: float, frozen: bool,
+                      squares: np.ndarray) -> np.ndarray:
+    """_rk4_step on a (4, P) core, one column per point; squares (4, P)
+    receives the stage values of r^2."""
+    k1 = _core_slope(u, frozen, squares[0])
+    k2 = _core_slope(u + h / 2 * k1, frozen, squares[1])
+    k3 = _core_slope(u + h / 2 * k2, frozen, squares[2])
+    k4 = _core_slope(u + h * k3, frozen, squares[3])
     return u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _step_core(core, count: int, h: float, frozen: bool):
+    """count RK4 steps of the core: a tuple of four floats for one trajectory,
+    a (4, P) array for P points.  Returns the last core, the core after each
+    step and the stage values of r^2 of each step, both (count, 4[, P])."""
+    if isinstance(core, tuple):
+        steps = []
+        for _ in range(count):
+            core = _rk4_step(*core[:4], h, frozen)
+            steps.append(core)
+        block = np.array(steps)
+        return core, block[:, :4], block[:, 4:]
+    values = np.empty((count,) + core.shape)
+    squares = np.empty_like(values)
+    for i in range(count):
+        core = values[i] = _rk4_step_columns(core, h, frozen, squares[i])
+    return core, values, squares
+
+
+def _fill_free_rows(samples: np.ndarray, lo: int, squares: np.ndarray,
+                    params: IntegrationParams, h: float) -> None:
+    """Write tau, x, x', y and y' of the samples after steps lo, lo + 1, ...
+
+    squares holds each step's four stage values of r^2.  x'' = alpha*tau*r^2
+    and y'' = beta*r^2 feed nothing back, so the RK4 rule on x', x, y' and y
+    adds one increment per step, and the increments need only r^2 and the
+    velocities at each step's start.  np.add.accumulate folds from the left,
+    so each sample gets the float operations of stepping these rows one step
+    at a time, in the same order.
+    """
+    hi = lo + len(squares)
+    samples[0, lo + 1:hi + 1] = np.add.outer(np.arange(lo + 1, hi + 1) * h, samples[0, 0])
+    tau = samples[0, lo:hi]  # each step's start
+    mid = tau + h / 2
+    stage_tau = np.stack((tau, mid, mid, tau + h), axis=1)
+    # the slopes of x' and y' at the four stages, (2, steps, 4[, P])
+    slopes = np.stack((params.alpha * stage_tau * squares, params.beta * squares))
+    k1, k2, k3, k4 = (slopes[:, :, j] for j in range(4))
+    # rows (x, y) and (x', y') from this chunk's start on
+    position, velocity = samples[1:5:2, lo:hi + 1], samples[2:5:2, lo:hi + 1]
+    velocity[:, 1:] = h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    np.add.accumulate(velocity, axis=1, out=velocity)
+    v = velocity[:, :-1]
+    position[:, 1:] = h / 6 * (v + 2 * (v + h / 2 * k1) + 2 * (v + h / 2 * k2) + (v + h * k3))
+    np.add.accumulate(position, axis=1, out=position)
 
 
 def _check_start(initial: ProfileState) -> None:
@@ -171,29 +249,34 @@ def _integrate(initial: np.ndarray, params: IntegrationParams, t_end: float,
     """Fixed-step RK4 from initial, a (9,) state or P states as (9, P) columns.
 
     Returns the samples as a (STATE_COLUMNS x steps + 1 [x P]) array and, per
-    point, the number of samples kept and a status.  The stop rule runs once,
-    on the finished samples: a point stops at its first sample after the
-    start that is not finite ("non-finite") or has r <= FLOOR_RADIUS
-    ("radius-floor"), and keeps the samples before it; a point that never
-    stops is "ok".  inf and NaN stay non-finite under RK4, so the loop ends
-    early once every point is non-finite; the rows it never reaches stay NaN.
-    The float overflow on the way there raises no warning.  The caller has
-    checked the grid (``_check_grid``).
+    point, the number of samples kept and a status.  The loop steps the core
+    (r, r', c, c') _EXIT_CHECK_STEPS steps at a time, on floats for one state
+    (``_rk4_step``) and on a (4, P) array for P states; after each chunk it
+    writes the chunk's core samples and fills in tau, x, x', y and y' from the
+    chunk's stage values of r^2 (``_fill_free_rows``).  Beside the samples it
+    keeps nothing longer than one chunk.  The stop rule runs once, on the
+    finished samples: a point stops at its first sample after the start that
+    is not finite ("non-finite") or has r <= FLOOR_RADIUS ("radius-floor"),
+    and keeps the samples before it; a point that never stops is "ok".  inf
+    and NaN stay non-finite under RK4, so the loop ends after the first chunk
+    in which every point turns non-finite; the rows it never reaches stay
+    NaN.  The float overflow on the way there raises no warning.  The caller
+    has checked the grid (``_check_grid``).
     """
     count = int(round(abs(t_end) / step))
     h = step if t_end > 0 else -step
-    field_at = _derivative_field(params)
     samples = np.full((len(STATE_COLUMNS), count + 1) + initial.shape[1:], np.nan)
     samples[:, 0] = initial
-    tau0 = tau = initial[0]
-    u = initial[1:]
+    core = initial[5:]  # rows 5-8 of STATE_COLUMNS are r, r', c, c'
+    if core.ndim == 1:
+        core = tuple(core.tolist())
     with np.errstate(all="ignore"):
-        for i in range(count):
-            u = _rk4_step(field_at, tau, u, h)
-            tau = tau0 + (i + 1) * h
-            samples[0, i + 1] = tau
-            samples[1:, i + 1] = u
-            if (i + 1) % _EXIT_CHECK_STEPS == 0 and not np.isfinite(u).all(axis=0).any():
+        for lo in range(0, count, _EXIT_CHECK_STEPS):
+            n = min(_EXIT_CHECK_STEPS, count - lo)
+            core, values, squares = _step_core(core, n, h, params.freeze_curvature)
+            samples[5:, lo + 1:lo + n + 1] = values.swapaxes(0, 1)
+            _fill_free_rows(samples, lo, squares, params, h)
+            if not np.isfinite(samples[1:, lo + n]).all(axis=0).any():
                 break
         columns = samples.reshape(len(STATE_COLUMNS), count + 1, -1)
         finite = np.isfinite(columns).all(axis=0)

@@ -68,9 +68,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, tuple(
             self.coefficients[i] - other.coefficients[i] for i in range(n + 1)))
 
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.vars, tuple(-c for c in self.coefficients))
-
     def __mul__(self, other) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return series_mul(self, other)
@@ -147,12 +144,16 @@ class ProfileIVP:
 
 @dataclass(frozen=True)
 class ProfileSolution:
-    """Solved component series of one profile initial-value problem."""
+    """Solved component series of one profile initial-value problem.
+
+    r_squared is r^2 through order two below r's: all that x'' and y'' read.
+    """
 
     x: TruncatedSeries
     y: TruncatedSeries
     r: TruncatedSeries
     c: TruncatedSeries
+    r_squared: TruncatedSeries
     ivp: "ProfileIVP" = None
 
     def resolved_alpha(self) -> Polynomial:
@@ -160,6 +161,17 @@ class ProfileSolution:
 
     def resolved_beta(self) -> Polynomial:
         return self.ivp._resolved(self.ivp.beta, "beta")
+
+
+def forced_by_square(vars: VariableSet, square, factor, initial_slope) -> TruncatedSeries:
+    """Solve w'' = factor * s with w(0) = 0 and w'(0) = initial_slope.
+
+    square holds the coefficients s[0], s[1], ... of s, and w has two more.
+    factor and initial_slope may be symbols (by Polynomial) or rationals.
+    """
+    factor = _as_coefficient(vars, factor)
+    slope = _as_coefficient(vars, initial_slope)
+    return TruncatedSeries(vars, (Polynomial.zero(vars), slope, *(factor * s for s in square)))
 
 
 def solve_profile_ivp(ivp: ProfileIVP) -> ProfileSolution:
@@ -192,16 +204,15 @@ def solve_profile_ivp(ivp: ProfileIVP) -> ProfileSolution:
         r.append(r[n] + cr2_n)
 
     x = [zero, x1]
-    y = [zero, y1]
     for n in range(n_max - 1):
         x.append(alpha * (n * r2[n - 1]) if n >= 1 else zero)
-        y.append(beta * r2[n])
 
     return ProfileSolution(
         x=TruncatedSeries(vars, tuple(x)),
-        y=TruncatedSeries(vars, tuple(y)),
+        y=forced_by_square(vars, r2, beta, y1),
         r=TruncatedSeries(vars, tuple(r)),
         c=TruncatedSeries(vars, tuple(c)),
+        r_squared=TruncatedSeries(vars, tuple(r2)),
         ivp=ivp,
     )
 
@@ -210,18 +221,11 @@ def quadratic_forced_component(r: TruncatedSeries, factor, initial_slope) -> Tru
     """Solve w'' = factor * r^2 with w(0) = 0 and w'(0) = initial_slope.
 
     Covers component equations whose forcing is the squared radius without
-    the extra expansion-variable factor.  factor and initial_slope may be
-    symbols (by Polynomial) or rationals.
+    the extra expansion-variable factor; w has r's order.  A solved profile
+    carries its r^2 (``ProfileSolution.r_squared``) for ``forced_by_square``.
     """
-    vars = r.vars
-    zero = Polynomial.zero(vars)
-    factor = _as_coefficient(vars, factor)
-    slope = _as_coefficient(vars, initial_slope)
-    r2 = r * r
-    w = [zero, slope]
-    for n in range(r.truncation_order - 1):
-        w.append(factor * r2[n])
-    return TruncatedSeries(vars, tuple(w))
+    square = (r * r).coefficients[:r.truncation_order - 1]
+    return forced_by_square(r.vars, square, factor, initial_slope)
 
 
 __all__ = [
@@ -230,6 +234,7 @@ __all__ = [
     "ProfileIVP",
     "ProfileSolution",
     "TruncatedSeries",
+    "forced_by_square",
     "quadratic_forced_component",
     "series_derivative",
     "series_mul",

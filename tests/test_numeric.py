@@ -123,6 +123,14 @@ def test_zero_window_returns_the_initial_state():
     assert len(trajectory) == 1
     assert trajectory.states[0] == state
     assert not trajectory.truncated
+    # a batch keeps only its initial column too
+    batch = _stacked([state, cylinder_state()[0]])
+    samples, kept, status = _integrate(batch, IntegrationParams(alpha=np.zeros(2),
+                                                                beta=np.zeros(2)),
+                                       0.0, DEFAULT_STEP)
+    assert samples.shape == (len(STATE_COLUMNS), 1, 2)
+    assert samples[:, 0].tobytes() == batch.tobytes()
+    assert kept == [1, 1] and status == ["ok", "ok"]
 
 
 def test_radius_floor_truncates_with_a_flag():
@@ -280,6 +288,7 @@ SWEEP_EDGE_POINTS = [
     {"r0": 1.0, "r1": 0.0, "c0": -40.0, "c1": -40.0, "beta": 0.1},
     {"r0": 1.0, "r1": 0.2, "c0": 0.3, "c1": 0.05, "alpha": 0.4, "beta": 0.5},
     {"r0": 1.0, "c0": -1e5, "c1": -1e5, "beta": 0.1},
+    {"r0": 1.0, "c1": math.inf},
 ]
 
 
@@ -288,16 +297,18 @@ def test_sweep_statuses():
     statuses = [row.status for row in summary.rows]
     assert statuses == ["ok", "ok", "invalid-radius", "unsolvable-compatibility",
                         "unsolvable-arc-length", "non-finite", "radius-floor", "ok",
-                        "too-short"]
+                        "too-short", "non-finite"]
     clean, violated = summary.rows[0], summary.rows[1]
     assert clean.violation_tau is None
     assert clean.peak_residual < 1e-6
     assert violated.violation_tau is not None and violated.violation_tau < 0.2
     assert violated.peak_residual > 1e-2
-    floored, short = summary.rows[6], summary.rows[8]
+    floored, short, infinite = summary.rows[6], summary.rows[8], summary.rows[9]
     assert floored.violation_tau == pytest.approx(0.042)
     assert floored.peak_residual > 1.0
     assert short.violation_tau is None and short.peak_residual is None
+    # non-finite data is refused before the integration, as integrate_profile refuses it
+    assert infinite.violation_tau is None and infinite.peak_residual is None
     table = summary.table()
     assert len(table) == len(SWEEP_EDGE_POINTS) + 1
     assert table[0].startswith(",".join(SWEEP_FIELDS))
@@ -465,6 +476,28 @@ def test_a_blow_up_ends_the_loop_early(monkeypatch):
     with pytest.raises(NumericError):
         integrate_profile(state, params, 1000.0)
     assert first_non_finite <= calls <= first_non_finite + 64
+
+
+@pytest.mark.parametrize("t_end", [5.0, -5.0])
+def test_a_batch_blow_up_ends_the_loop_early(t_end):
+    """When every point of a batch has turned non-finite, the loop stops at
+    its next exit check; the steps it never takes leave their samples NaN."""
+    starts = [_frozen_start(c) for c in (1000.0, 100.0, 40.0)]
+    oracles = [_oracle_samples(state, params, t_end) for state, params in starts]
+    last_non_finite = max(len(expected) for expected, _ in oracles)
+    samples, kept, status = _integrate(
+        _stacked(state for state, _ in starts),
+        IntegrationParams(alpha=np.zeros(3), beta=np.zeros(3), freeze_curvature=True),
+        t_end, DEFAULT_STEP)
+    assert status == ["non-finite"] * 3
+    assert kept == [len(expected) for expected, _ in oracles]
+    for p, (expected, _) in enumerate(oracles):
+        assert samples[:, :kept[p], p].T.tobytes() == expected.tobytes()
+    # tau is finite on every step the loop takes
+    steps_taken = int(np.isfinite(samples[0, :, 0]).sum()) - 1
+    assert last_non_finite <= steps_taken <= last_non_finite + 64
+    assert samples.shape[1] - 1 == 5000 > steps_taken
+    assert np.isnan(samples[:, steps_taken + 1:]).all()
 
 
 @pytest.mark.parametrize("window", [1.0, -1.0])

@@ -45,6 +45,14 @@ def test_binomial_convolution_small_case():
     assert product[2] == Polynomial.constant(V, 1 * 6 + 2 * (2 * 5) + 3 * 4)
 
 
+def test_a_coefficient_over_another_ring_is_refused():
+    other = Polynomial.variable(variables("z"), "z")
+    with pytest.raises(ValueError, match="variable set"):
+        TruncatedSeries.constant(V, other, 3)
+    with pytest.raises(ValueError, match="variable set"):
+        _const_series([1, 2, 3]) * other
+
+
 def test_shift_by_expansion_variable():
     f = _const_series([7, 1, 2, 5])
     shifted = shift_by_expansion_variable(f)
