@@ -1,32 +1,43 @@
 """Membership certificates: the trusted check and the document format.
 
 A certificate states target = sum(K_i * g_i) + remainder over generators
-g_i.  It is kept in the @2 document's form: each cofactor as an integer
-numerator polynomial N_i over one denominator k, K_i = N_i / k, with
-gcd(k, every coefficient of every N_i) = 1.  The reader, the exact check
-and the writer work on those ints, and build no ``Fraction`` per cofactor
-term.  ``MembershipCertificate.verify`` re-expands the identity exactly, on
+g_i.  It is kept as integers: each cofactor as an integer numerator
+polynomial N_i over one denominator k, K_i = N_i / k, with gcd(k, every
+coefficient of every N_i) = 1.  The reader, the exact check and the writer
+work on those ints, and build no ``Fraction`` per cofactor term.
+``MembershipCertificate.verify`` re-expands the identity exactly, on
 monomials written as integers by Kronecker substitution, and decides.
 Nothing that found the certificate is trusted, and the search
 (``birot4.groebner``) is not imported: re-checking a stored certificate
-needs this module and ``birot4.poly`` only.  The @2 document also carries
-the certify worker's certificate to its parent (``groebner._Worker``).
+needs this module and ``birot4.poly`` only.
+
+The @3 document writes each N_i as two strings: its monomials as polynomial
+text with every coefficient 1, and its coefficients as base64 numerals in
+the same order.  Base64 goes to and from bytes in linear time, where an int's
+decimal text takes time quadratic in its digits.  The target, the
+generators and the remainder stay decimal text: they are the claim a
+referee compares with the extracted system.  @1 and @2 documents stay
+readable.  The @3 document also carries the certify worker's certificate to
+its parent (``groebner._Worker``).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from .poly import (Polynomial, VariableSet, format_polynomial, over_one_denominator,
-                   parse_numerators, parse_polynomial)
+                   parse_numerators, parse_polynomial, parse_terms)
 
-CERTIFICATE_FORMAT = "birot4/membership-certificate@2"
-# @1 wrote each cofactor over its own rational coefficients; still read
+CERTIFICATE_FORMAT = "birot4/membership-certificate@3"
+# Still read: @2 wrote each N_i as decimal polynomial text and k as a decimal
+# "denominator"; @1 wrote each K_i over its own rational coefficients.
+CERTIFICATE_FORMAT_2 = "birot4/membership-certificate@2"
 CERTIFICATE_FORMAT_1 = "birot4/membership-certificate@1"
 
 
@@ -156,34 +167,105 @@ def _unlock_wide_integers() -> None:
         setter(_WIDE_DIGITS)
 
 
+def numeral(value: int) -> str:
+    """A nonzero int as an @3 numeral: an optional "-", then the standard
+    base64 of the magnitude's minimal big-endian bytes (5 is "BQ==", -256 is
+    "-AQA=").  ``int.from_bytes(binascii.a2b_base64(text), "big")`` reads a
+    magnitude back."""
+    magnitude = abs(value)
+    text = b2a_base64(magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big"),
+                      newline=False).decode("ascii")
+    return text if value > 0 else f"-{text}"
+
+
+def _numerals(text: str, field: str) -> list[int]:
+    """The ints of a space-separated list of numerals; "" is the empty list.
+
+    A numeral is refused unless ``numeral`` writes its value as the same
+    text: the strict decoder alone still takes non-zero pad bits ("AQJ=" for
+    "AQI=") and leading zero bytes ("AAE=" for "AQ=="), and zero is never
+    written.
+    """
+    values = []
+    for text_i in text.split(" ") if text else ():
+        negative = text_i[:1] == "-"
+        try:
+            value = int.from_bytes(a2b_base64(text_i[negative:], strict_mode=True), "big")
+        except ValueError:
+            value = 0
+        if negative:
+            value = -value
+        if not value or numeral(value) != text_i:
+            raise ValueError(f"{field}: {text_i!r} is not a canonical nonzero numeral")
+        values.append(value)
+    return values
+
+
+def _cofactor_fields(numerator: Polynomial) -> dict:
+    """The @3 fields of N_i: its monomials in LEX order, each with
+    coefficient 1, and its coefficients as numerals in that order.  A zero
+    N_i is two empty strings."""
+    terms = numerator.sorted_terms()
+    if not terms:
+        return {"monomials": "", "numerators": ""}
+    ones = Polynomial._clean(numerator.vars, {e: 1 for e, _ in terms})
+    return {"monomials": format_polynomial(ones),
+            "numerators": " ".join([numeral(c) for _, c in terms])}
+
+
 def certificate_to_document(cert: MembershipCertificate) -> dict:
-    """The @2 document: the certificate's own form, each numerator N_i and
-    the denominator k, written once as "denominator"."""
+    """The @3 document: each N_i as its monomials and its numerals, and the
+    denominator k once, as a numeral."""
     _unlock_wide_integers()
     return {
         "format": CERTIFICATE_FORMAT,
         "variables": list(cert.target.vars.names),
         "target": format_polynomial(cert.target),
         "generators": [format_polynomial(g) for g in cert.generators],
-        "denominator": str(cert.denominator),
-        # format_polynomial reads only a coefficient's sign, magnitude,
-        # numerator and denominator, which an int has too
-        "cofactors": [format_polynomial(n) for n in cert.numerators],
+        "denominator": numeral(cert.denominator),
+        "cofactors": [_cofactor_fields(n) for n in cert.numerators],
         "remainder": format_polynomial(cert.remainder),
         "is_member": cert.remainder.is_zero(),
     }
 
 
+def _read_cofactor(cofactor, field: str, vars: VariableSet) -> Polynomial:
+    """N_i of an @3 cofactor object, refused unless every monomial is written
+    with no coefficient or sign, once, beside one numeral."""
+    if not (isinstance(cofactor, dict) and cofactor.keys() == {"monomials", "numerators"}
+            and all(isinstance(text, str) for text in cofactor.values())):
+        raise ValueError(f"{field} is not an object of two strings, monomials and numerators")
+    text = cofactor["monomials"]
+    monomials = []
+    for exps, num, den in parse_terms(text, vars) if text else ():
+        if num != 1 or den != 1:
+            raise ValueError(f"{field}.monomials: a monomial has a coefficient or a sign")
+        monomials.append(exps)
+    values = _numerals(cofactor["numerators"], f"{field}.numerators")
+    if len(values) != len(monomials):
+        raise ValueError(f"{field}.numerators: {len(values)} numerals "
+                         f"for {len(monomials)} monomials")
+    terms = dict(zip(monomials, values))
+    if len(terms) != len(monomials):
+        raise ValueError(f"{field}.monomials: a monomial is written twice")
+    return Polynomial._clean(vars, terms)
+
+
 def _document_denominator(doc: dict) -> int:
-    """k of a certificate document: its "denominator" under @2, 1 under @1."""
-    fmt = doc.get("format")
+    """k as the document writes it: one numeral under @3, decimal text under
+    @2, none under @1 (k = 1).  The certificate refuses an @3 k below 1."""
+    fmt, text = doc.get("format"), doc.get("denominator")
+    if fmt == CERTIFICATE_FORMAT:
+        values = _numerals(text, "denominator") if isinstance(text, str) else []
+        if len(values) != 1:
+            raise ValueError(f"denominator is not one numeral: {text!r}")
+        return values[0]
     if fmt == CERTIFICATE_FORMAT_1:
         if "denominator" in doc:
             raise ValueError(f"a {fmt} document has no denominator")
         return 1
-    if fmt != CERTIFICATE_FORMAT:
+    if fmt != CERTIFICATE_FORMAT_2:
         raise ValueError(f"unsupported document format: {fmt!r}")
-    text = doc.get("denominator")
     if not (isinstance(text, str) and re.fullmatch("[0-9]+", text) and int(text)):
         raise ValueError(f"denominator is not a positive base-10 integer: {text!r}")
     return int(text)
@@ -198,22 +280,32 @@ def _texts(doc: dict, name: str, kind: type = list):
 
 
 def certificate_from_document(doc: dict) -> MembershipCertificate:
-    """Read an @2 document, or an @1 one as the document with k = 1.
+    """Read an @3 document, or an older one.
 
-    The cofactors are read as integers over the lcm L of the denominators
-    they write (``parse_numerators``; L = 1 for @2), so they stand over
-    L * k, which the certificate brings to its canonical form.
+    Under @3 each N_i is read from its monomials and its numerals, and k from
+    its numeral.  Under @2 and @1 the cofactor texts are read as integers over
+    the lcm L of the denominators they write (``parse_numerators``; L = 1 for
+    @2), over the @2 "denominator" k (k = 1 for @1), so they stand over L * k.
+    Either way the certificate brings N_i / k to its canonical form.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a certificate document is an object, not {type(doc).__name__}")
     _unlock_wide_integers()
     k = _document_denominator(doc)
     vars = VariableSet(tuple(_texts(doc, "variables")))
-    numerators, den = parse_numerators(_texts(doc, "cofactors"), vars)
+    if doc["format"] == CERTIFICATE_FORMAT:
+        cofactors = doc.get("cofactors")
+        if not isinstance(cofactors, list):
+            raise ValueError("cofactors is not an array of objects")
+        numerators = [_read_cofactor(c, f"cofactors[{i}]", vars)
+                      for i, c in enumerate(cofactors)]
+    else:
+        numerators, den = parse_numerators(_texts(doc, "cofactors"), vars)
+        k *= den
     return MembershipCertificate.from_numerators(
         target=parse_polynomial(_texts(doc, "target", str), vars),
         generators=tuple(parse_polynomial(t, vars) for t in _texts(doc, "generators")),
         numerators=numerators,
-        denominator=den * k,
+        denominator=k,
         remainder=parse_polynomial(_texts(doc, "remainder", str), vars),
     )

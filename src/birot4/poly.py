@@ -109,7 +109,11 @@ GREVLEX = MonomialOrder("grevlex")
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q with a fixed VariableSet."""
+    """Immutable sparse polynomial over Q with a fixed VariableSet.
+
+    A coefficient is exact, an int or a Fraction: any other number raises
+    TypeError, since Fraction(0.1) would keep the binary fraction of a float.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -121,6 +125,8 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} does not fit {vars.names}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
             value = Fraction(coeff)
             if value:
                 clean[exps] = value
@@ -151,7 +157,7 @@ class Polynomial:
 
     @staticmethod
     def constant(vars: VariableSet, value: Coefficient) -> "Polynomial":
-        return Polynomial(vars, {(0,) * len(vars): Fraction(value)})
+        return Polynomial(vars, {(0,) * len(vars): value})
 
     @staticmethod
     def variable(vars: VariableSet, name: str) -> "Polynomial":

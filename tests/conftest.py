@@ -8,6 +8,7 @@ command-line entry point; everything downstream re-reads it from disk.
 from __future__ import annotations
 
 import json
+from binascii import a2b_base64
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from birot4.cases import check_all_cases
 from birot4.cli import main
 from birot4.constraints import NORMALIZED_VARS, extract_system
-from birot4.certificate import certificate_from_document
+from birot4.certificate import certificate_from_document, certificate_to_document
 from birot4.fixtures import CASE7_SYSTEM_TEXT, PROFILE_R_SERIES, PROFILE_X_SERIES, PROFILE_Y_SERIES
 from birot4.groebner import basis_from_document
 from birot4.poly import Polynomial, VariableSet, format_polynomial, parse_polynomial, variables
@@ -38,6 +39,37 @@ def certify_artifact(certify_artifact_path):
 @pytest.fixture(scope="session")
 def flagship_certificate(certify_artifact):
     return certificate_from_document(certify_artifact["payload"]["certificate"])
+
+
+def decoded_numeral(text: str) -> int:
+    """An @3 numeral, read as the README reads one: an optional "-", then the
+    base64 of the magnitude's big-endian bytes."""
+    magnitude = int.from_bytes(a2b_base64(text.lstrip("-")), "big")
+    return -magnitude if text.startswith("-") else magnitude
+
+
+def format_2_document(cert) -> dict:
+    """The certificate in the @2 document format: each numerator N_i and the
+    denominator k as decimal text."""
+    document = certificate_to_document(cert)
+    document.update(format="birot4/membership-certificate@2", denominator=str(cert.denominator),
+                    cofactors=[format_polynomial(n) for n in cert.numerators])
+    return document
+
+
+@pytest.fixture(scope="session")
+def certify_artifact_v2(certify_artifact, flagship_certificate):
+    """The certify artifact with its certificate in the @2 document format."""
+    artifact = json.loads(json.dumps(certify_artifact))
+    artifact["payload"]["certificate"] = format_2_document(flagship_certificate)
+    return artifact
+
+
+@pytest.fixture(scope="session")
+def certify_artifact_v2_path(certify_artifact_v2, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifacts") / "certify-v2.json"
+    path.write_text(json.dumps(certify_artifact_v2))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -348,3 +348,37 @@ def test_a_zeroth_power_is_positive_whatever_the_base():
 
     for signs in ({-1}, {0}, {-1, 0, 1}):
         assert _power_sign(frozenset(signs), 0) == frozenset({1})
+
+
+# -- the step details of the checker ----------------------------------------
+
+
+def test_a_failed_step_prints_both_sides():
+    """A failed equality of two rational functions prints each as (num) / (den),
+    and a failed proportionality prints the polynomial and the one it should
+    be a multiple of."""
+    checker = cases._Checker("T")
+    assert not checker.equal("quotients agree", RationalFunction(X, Y), RationalFunction(Y, X))
+    assert not checker.proportional("a multiple", X + Y, X - Y)
+    assert not checker.proportional("a nonzero multiple", Polynomial.zero(XY), Polynomial.zero(XY))
+    assert [(step.status, step.detail) for step in checker.steps] == [
+        ("fail", "got (x) / (y), expected (y) / (x)"),
+        ("fail", "got x + y, expected a multiple of x - y"),
+        ("fail", "got 0, expected a multiple of 0"),
+    ]
+    assert checker.report().verdict == "failed"
+
+
+@pytest.mark.parametrize("got, want, factor", [
+    (2 * X + 2 * Y, X + Y, "2"),
+    (-X, 3 * X, "-1/3"),
+    (Fraction(1, 3) * X * Y - Fraction(2, 3), Fraction(-1, 2) * X * Y + 1, "-2/3"),
+], ids=["integer", "negative", "rational"])
+def test_a_passing_proportionality_reports_its_exact_scale_factor(got, want, factor):
+    """got = factor * want, with the factor printed as a rational, never a float."""
+    checker = cases._Checker("T")
+    assert checker.proportional("a multiple", got, want)
+    (step,) = checker.steps
+    assert (step.status, step.detail) == ("pass", f"scale factor {factor}")
+    assert got == Fraction(factor) * want
+

@@ -1,10 +1,12 @@
-"""The certificate document format: @2 writes integer cofactors over one
-denominator, @1 documents stay readable, and the flagship certificate is the
-same certificate in either format.  The exact check, ``verify``, is held at
-the edge of its Kronecker base and against sympy's expansion."""
+"""The certificate document format: @3 writes integer cofactors over one
+denominator as monomial texts and base64 numerals, @2 and @1 documents stay
+readable, and the flagship certificate is the same certificate in each format.
+The exact check, ``verify``, is held at the edge of its Kronecker base and
+against sympy's expansion."""
 
 from __future__ import annotations
 
+import binascii
 import gzip
 import hashlib
 import json
@@ -15,13 +17,14 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from conftest import random_polynomial
+from conftest import decoded_numeral, format_2_document, random_polynomial
 
 from birot4.cases import check_case_VII
 from birot4.certificate import (
     MembershipCertificate,
     certificate_from_document,
     certificate_to_document,
+    numeral,
 )
 from birot4.constraints import NORMALIZED_VARS
 from birot4.fixtures import CERTIFICATE_TARGET_TEXT
@@ -30,11 +33,18 @@ from birot4.poly import (Polynomial, format_polynomial, parse_numerators, parse_
 
 FORMAT_1 = "birot4/membership-certificate@1"
 FORMAT_2 = "birot4/membership-certificate@2"
-# CERTIFICATE_DIGEST of tests/test_cli.py while certify wrote @1 documents.
-# Rendered as @1, the flagship certificate must still hash to it: the move to
-# @2 changed how the certificate is written, not the certificate.
+FORMAT_3 = "birot4/membership-certificate@3"
+# CERTIFICATE_DIGEST of tests/test_cli.py while certify wrote @1 and then @2
+# documents.  Rendered as @1 and as @2, the flagship certificate must still hash
+# to them: the moves to @2 and @3 changed how the certificate is written, not
+# the certificate.
 FLAGSHIP_FORMAT_1_DIGEST = (
     "sha256:da8a26002ffa3e60d4cb56791e1204b88d5672d1f384a9445ccc620759a1ebdd")
+FLAGSHIP_FORMAT_2_DIGEST = (
+    "sha256:03f6313e53924c5a39017702d31ea9014057ea14eaefe63faa8b53b03934d2df")
+# len(json.dumps(...)) of the stored benchmark certificate re-written as @3: the
+# document that the benchmark's recheck pass writes (2,805,165 bytes as @2)
+STORED_FORMAT_3_BYTES = 1_587_621
 STORED_ARTIFACT = (Path(__file__).resolve().parent.parent
                    / "perfbench" / "data" / "flagship_certify.json.gz")
 
@@ -50,6 +60,14 @@ HAND_WRITTEN_1 = {
     "remainder": "1/2*x^2 - 1/2*x*y - 1/3*x + 3/4*y^3 - 11/6*y - 2",
     "is_member": False,
 }
+# the same certificate as @3: 12 is "DA==", 6 "Bg==", 4 "BA==" and -9 "-CQ=="
+HAND_WRITTEN_3 = {
+    **HAND_WRITTEN_1,
+    "format": FORMAT_3,
+    "denominator": "DA==",
+    "cofactors": [{"monomials": "x + 1", "numerators": "Bg== BA=="},
+                  {"monomials": "y", "numerators": "-CQ=="}],
+}
 
 
 def _digest(document: dict) -> str:
@@ -58,12 +76,15 @@ def _digest(document: dict) -> str:
 
 
 def test_hand_written_format_1_document_decodes_as_its_format_2_re_encoding():
+    """... and as the @3 document that the writer gives for it."""
     cert = certificate_from_document(HAND_WRITTEN_1)
     assert cert.verify()
-    document = certificate_to_document(cert)
-    assert document == {**HAND_WRITTEN_1, "format": FORMAT_2, "denominator": "12",
-                        "cofactors": ["6*x + 4", "-9*y"]}
-    assert certificate_from_document(document) == cert
+    format_2 = {**HAND_WRITTEN_1, "format": FORMAT_2, "denominator": "12",
+                "cofactors": ["6*x + 4", "-9*y"]}
+    assert format_2_document(cert) == format_2
+    assert certificate_from_document(format_2) == cert
+    assert certificate_to_document(cert) == HAND_WRITTEN_3
+    assert certificate_from_document(HAND_WRITTEN_3) == cert
 
 
 @pytest.mark.parametrize("cofactors", [["2*x", "0"], ["0", "0"], []],
@@ -75,7 +96,7 @@ def test_denominator_is_one_without_fractional_cofactor_coefficients(cofactors):
         cofactors=[parse_polynomial(k, XY) for k in cofactors],
         remainder=parse_polynomial("x", XY) if not cofactors else Polynomial.zero(XY))
     document = certificate_to_document(cert)
-    assert document["denominator"] == "1"
+    assert document["denominator"] == "AQ=="
     assert certificate_from_document(document) == cert
 
 
@@ -112,16 +133,116 @@ def test_a_bad_denominator_field_is_refused(change):
         certificate_from_document({**HAND_WRITTEN_1, **change})
 
 
+# -- the @3 fields -----------------------------------------------------------
+
+
+def _cofactor(monomials: str, numerators: str) -> dict:
+    return {"monomials": monomials, "numerators": numerators}
+
+
+@pytest.mark.parametrize("value, text", [
+    (1, "AQ=="), (-1, "-AQ=="), (12, "DA=="), (255, "/w=="), (256, "AQA="), (-65536, "-AQAA"),
+    (2 ** 64 + 1, "AQAAAAAAAAAB"),
+])
+def test_a_numeral_is_the_base64_of_the_minimal_big_endian_bytes(value, text):
+    assert numeral(value) == text
+    assert decoded_numeral(text) == value
+
+
+def test_the_readme_decodes_a_numeral_in_one_line():
+    """The README's one line of Python, run as written, reads back what numeral writes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (line,) = re.findall(r"`([^`\n]*a2b_base64[^`\n]*)`", readme)
+    for value in (1, -1, 12, -9, 256, 3 ** 500, -(7 ** 300)):
+        assert eval(line, {"binascii": binascii, "s": numeral(value)}) == value
+
+
+def test_a_zero_cofactor_is_two_empty_strings():
+    cert = certificate_from_document({**HAND_WRITTEN_3, "cofactors": [
+        _cofactor("", ""), _cofactor("x*y + 1", "-AQ== Aw==")]})
+    assert cert.numerators == (Polynomial.zero(XY), parse_polynomial("-x*y + 3", XY))
+    assert certificate_to_document(cert)["cofactors"][0] == _cofactor("", "")
+
+
+@pytest.mark.parametrize("change, field", [
+    # a numeral is the one text numeral() writes for a nonzero value
+    ({"denominator": "DB=="}, "denominator"),  # non-zero pad bits
+    ({"denominator": "AAw="}, "denominator"),  # a leading zero byte
+    ({"denominator": "DA"}, "denominator"),  # no padding
+    ({"denominator": "+DA=="}, "denominator"),
+    ({"denominator": " DA=="}, "denominator"),
+    ({"denominator": "12"}, "denominator"),  # decimal
+    ({"denominator": "AA=="}, "denominator"),  # zero
+    ({"denominator": "-DA=="}, "denominator"),  # below 1
+    ({"denominator": "DA== AQ=="}, "denominator"),  # two numerals
+    ({"denominator": ""}, "denominator"),
+    ({"denominator": 12}, "denominator"),
+    ({"denominator": None}, "denominator"),
+    ({"cofactors": [_cofactor("x + 1", "Bg== BB=="), HAND_WRITTEN_3["cofactors"][1]]},
+     "cofactors[0].numerators"),
+    ({"cofactors": [_cofactor("x + 1", "Bg== AA=="), HAND_WRITTEN_3["cofactors"][1]]},
+     "cofactors[0].numerators"),  # zero
+    ({"cofactors": [_cofactor("x + 1", "Bg== -AA=="), HAND_WRITTEN_3["cofactors"][1]]},
+     "cofactors[0].numerators"),  # minus zero
+    ({"cofactors": [_cofactor("x + 1", "Bg==  BA=="), HAND_WRITTEN_3["cofactors"][1]]},
+     "cofactors[0].numerators"),  # an empty numeral
+    ({"cofactors": [HAND_WRITTEN_3["cofactors"][0], _cofactor("y", "--CQ==")]},
+     "cofactors[1].numerators"),
+    # one numeral per monomial
+    ({"cofactors": [_cofactor("x + 1", "Bg=="), HAND_WRITTEN_3["cofactors"][1]]},
+     "cofactors[0].numerators"),
+    ({"cofactors": [HAND_WRITTEN_3["cofactors"][0], _cofactor("y", "-CQ== AQ==")]},
+     "cofactors[1].numerators"),
+    ({"cofactors": [HAND_WRITTEN_3["cofactors"][0], _cofactor("", "-CQ==")]},
+     "cofactors[1].numerators"),
+    # each monomial once, with no coefficient and no sign
+    ({"cofactors": [_cofactor("x + x", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x*y + y*x", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("2*x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("-x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x - 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("1/2*x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x + 0", "Bg== BA==")]}, "cofactors[0].monomials"),
+    # the shape of the field
+    ({"cofactors": ["6*x + 4", "-9*y"]}, "cofactors[0]"),  # @2 texts under @3
+    ({"cofactors": [{**HAND_WRITTEN_3["cofactors"][0], "denominator": "AQ=="}]}, "cofactors[0]"),
+    ({"cofactors": [{"monomials": "x + 1"}]}, "cofactors[0]"),
+    ({"cofactors": [_cofactor("x + 1", ["Bg==", "BA=="])]}, "cofactors[0]"),
+    ({"cofactors": {"0": HAND_WRITTEN_3["cofactors"][0]}}, "cofactors"),
+    ({"cofactors": None}, "cofactors"),
+])
+def test_a_bad_format_3_field_is_refused_by_name(change, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        certificate_from_document({**HAND_WRITTEN_3, **change})
+
+
+def test_one_changed_numeral_fails_verify(flagship_certificate):
+    """Each cofactor's last numeral, one larger: the document still reads, and
+    the identity no longer re-expands."""
+    assert certificate_from_document(HAND_WRITTEN_3).verify()
+    for document in (HAND_WRITTEN_3, certificate_to_document(flagship_certificate)):
+        for i, cofactor in enumerate(document["cofactors"]):
+            *kept, last = cofactor["numerators"].split(" ")
+            bumped = numeral(decoded_numeral(last) + 1)
+            cofactors = list(document["cofactors"])
+            cofactors[i] = {**cofactor, "numerators": " ".join([*kept, bumped])}
+            assert not certificate_from_document({**document, "cofactors": cofactors}).verify()
+
+
 def test_flagship_certificate_did_not_move(certify_artifact, certify_artifact_v1,
-                                           flagship_certificate):
-    """The flagship's @2 document, decoded and rendered as @1, is the @1
-    document certify wrote before, byte for byte."""
-    document_1 = certify_artifact_v1["payload"]["certificate"]
-    assert _digest(document_1) == FLAGSHIP_FORMAT_1_DIGEST
-    assert certificate_from_document(document_1) == flagship_certificate
-    document_2 = certify_artifact["payload"]["certificate"]
-    assert certificate_to_document(flagship_certificate) == document_2
-    assert all("/" not in text for text in document_2["cofactors"])
+                                           certify_artifact_v2, flagship_certificate):
+    """The flagship's @3 document, decoded and rendered as @1 and as @2, is
+    the @1 and the @2 document that certify wrote before, byte for byte."""
+    document_3 = certify_artifact["payload"]["certificate"]
+    assert document_3["format"] == FORMAT_3
+    assert certificate_to_document(flagship_certificate) == document_3
+    for document, digest in ((certify_artifact_v1, FLAGSHIP_FORMAT_1_DIGEST),
+                             (certify_artifact_v2, FLAGSHIP_FORMAT_2_DIGEST)):
+        assert _digest(document["payload"]["certificate"]) == digest
+        assert certificate_from_document(document["payload"]["certificate"]) \
+            == flagship_certificate
+    assert len(json.dumps(document_3)) < len(json.dumps(certify_artifact_v2["payload"]
+                                                        ["certificate"]))
 
 
 def test_committed_benchmark_artifact_re_verifies():
@@ -132,6 +253,10 @@ def test_committed_benchmark_artifact_re_verifies():
     cert = certificate_from_document(document)
     assert cert.target == parse_polynomial(CERTIFICATE_TARGET_TEXT, NORMALIZED_VARS)
     assert cert.is_member and cert.verify()
+    # the recheck pass writes it as @3: 4057 numerators of up to 671 digits
+    text = json.dumps(certificate_to_document(cert))
+    assert len(text) == STORED_FORMAT_3_BYTES
+    assert certificate_from_document(json.loads(text)) == cert
 
 
 # -- the Kronecker base of verify ------------------------------------------
@@ -287,14 +412,24 @@ def _reference_cofactors(document: dict) -> list[dict]:
     """The cofactors of a certificate document read one Fraction per term, as
     the reader did before it read integer pairs: a coefficient p/q is
     Fraction(p, q), divided by the @2 document's denominator; terms on one
-    monomial are summed and zero sums dropped."""
+    monomial are summed and zero sums dropped.  An @3 cofactor is read as the
+    text of its monomials, each term's coefficient its numeral over the
+    document's numeral k."""
     names = document["variables"]
-    k = int(document.get("denominator", "1"))
+    if document["format"] == FORMAT_3:
+        k = decoded_numeral(document["denominator"])
+        rows = [(c["monomials"], [decoded_numeral(t) for t in c["numerators"].split()])
+                for c in document["cofactors"]]
+    else:
+        k = int(document.get("denominator", "1"))
+        rows = [(text, None) for text in document["cofactors"]]
     cofactors = []
-    for text in document["cofactors"]:
+    for text, numerals in rows:
         terms: dict = {}
-        for sign, body in re.findall(r"([+-]?)\s*([^\s+-][^+-]*)", text):
+        for i, (sign, body) in enumerate(re.findall(r"([+-]?)\s*([^\s+-][^+-]*)", text)):
             coeff, exps = Fraction(-1 if sign == "-" else 1, k), [0] * len(names)
+            if numerals is not None:
+                coeff *= numerals[i]
             for factor in body.strip().split("*"):
                 if factor[0].isdigit():
                     coeff *= Fraction(factor)
@@ -334,9 +469,15 @@ def _as_format_1(document: dict, cofactor_texts: list[str]) -> dict:
 
 def _reading_inputs():
     for cert in _random_certificates():
-        document = certificate_to_document(cert)
+        yield certificate_to_document(cert)
+        document = format_2_document(cert)
         yield document
         yield _as_format_1(document, [format_polynomial(k) for k in cert.cofactors])
+    three = HAND_WRITTEN_3
+    yield {**three, "denominator": numeral(24), "cofactors": [  # gcd 6, terms out of order
+        _cofactor("1 + x", f"{numeral(12)} {numeral(6)}"), _cofactor("y", numeral(-18))]}
+    yield {**three, "cofactors": [_cofactor("y*x + y + x^2", f"{numeral(-5)} {numeral(7)} AQ=="),
+                                  _cofactor("", "")]}
     two = {**HAND_WRITTEN_1, "format": FORMAT_2, "denominator": "1"}
     yield {**HAND_WRITTEN_1, "cofactors": ["2/4*x + 6/8", "-3/9*y"]}  # not in lowest terms
     yield {**HAND_WRITTEN_1, "cofactors": ["x + 2*x - 1/2*x + y*x", "x*y + 1/3 - y*x + 2/6"]}
@@ -361,5 +502,5 @@ def test_the_reader_matches_a_per_term_fraction_reading():
                                           [Polynomial(vars, k) for k in expected], read.remainder)
         rewritten = certificate_to_document(read)
         assert rewritten == certificate_to_document(reference), document
-        assert rewritten["denominator"] == str(
-            lcm(1, *(c.denominator for k in expected for c in k.values())))
+        assert decoded_numeral(rewritten["denominator"]) == \
+            lcm(1, *(c.denominator for k in expected for c in k.values()))

@@ -13,11 +13,12 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import decoded_numeral
 
 import birot4
 from birot4 import numeric
 from birot4.cases import CASE_IDS
-from birot4.certificate import MembershipCertificate
+from birot4.certificate import MembershipCertificate, numeral
 from birot4.cli import _certify_payload, build_parser, main
 from birot4.constraints import NORMALIZED_VARS
 from birot4.fixtures import CASE7_SYSTEM_TEXT, CERTIFICATE_TARGET_TEXT
@@ -38,10 +39,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # alone must not move this pin.  A change of the certificate or of the payload
 # format must update it and say so in CHANGES.md.
 CERTIFY_PAYLOAD_DIGEST = (
-    "sha256:9a9b44bfd78724a03f4e4029a875371a61506f6d06dedcea75f853b9035aa53f")
+    "sha256:544c87a468563b56c80e28b2ec15dc376046a83bfeae400558bb2f247511e83b")
 # The reduced lex basis is fixed by the ideal and the order, so no route change
 # may move BASIS_DIGEST.  The certificate document is fixed by the certificate
-# finder and the document format (@2: integer cofactors over one denominator).
+# finder and the document format (@3: integer cofactors over one denominator,
+# as monomial texts and base64 numerals).
 # The finder gives the low-degree Macaulay certificate (rows mu*E_i up to
 # degree 10, eliminated modulo the first prime of a fixed list, lifted by
 # Dixon iteration).  A change of that finder's row order, primes or solution
@@ -49,7 +51,7 @@ CERTIFY_PAYLOAD_DIGEST = (
 # CHANGES.md; a change of the basis search alone must not.  The certificate
 # itself is pinned apart from its format in tests/test_certificate.py.
 CERTIFICATE_DIGEST = (
-    "sha256:03f6313e53924c5a39017702d31ea9014057ea14eaefe63faa8b53b03934d2df")
+    "sha256:d46688a69e343663ba3d5a1af2c709f94fee68f7bbd765043fd48f37f1942600")
 BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench gates it
 # Payload digest of `birot4 check-cases` over all seven cases.  The reports are
 # the proof's text: a refactor of the checking core must leave this pin alone,
@@ -373,7 +375,7 @@ def test_certify_artifact(certify_artifact, certify_artifact_path, system_vii, c
     assert (search["stage2"]["pairs_considered"], search["stage2"]["pairs_reduced"]) == (528, 17)
     presentation = IdealPresentation(NORMALIZED_VARS, LEX, tuple(system_vii.polynomials()))
     assert search == staged_buchberger(presentation).stats
-    assert payload["certificate"]["format"] == "birot4/membership-certificate@2"
+    assert payload["certificate"]["format"] == "birot4/membership-certificate@3"
     assert payload["certificate"]["is_member"] is True
     assert certify_artifact["manifest"]["payload_digest"] == CERTIFY_PAYLOAD_DIGEST
     certificate = hashlib.sha256(_canonical(payload["certificate"]).encode()).hexdigest()
@@ -505,7 +507,7 @@ def _sending(text: str):
 
 @needs_two_cpus
 def test_certify_falls_back_when_the_worker_sends_nothing(monkeypatch, capsys, certify_artifact):
-    """Nothing, text that is not JSON, JSON that is not an object, an @2
+    """Nothing, text that is not JSON, JSON that is not an object, an @3
     document with a bad field, or the certificate in another variable order:
     each sends certify to the in-process search, with the same payload."""
     document = certify_artifact["payload"]["certificate"]
@@ -624,9 +626,11 @@ def test_verify_only_manifest_records_only_what_it_read(tmp_path, certify_artifa
 
 
 @pytest.mark.parametrize("forgery, step", [
-    ({"generators": ["p*t^4"], "cofactors": ["1"], "denominator": "1"},
+    ({"generators": ["p*t^4"], "cofactors": [{"monomials": "1", "numerators": "AQ=="}],
+      "denominator": "AQ=="},
      "the certificate is stated over this extraction's generators"),
-    ({"target": "0", "cofactors": ["0"] * 6}, "the certificate's target is p*t^4"),
+    ({"target": "0", "cofactors": [{"monomials": "", "numerators": ""}] * 6},
+     "the certificate's target is p*t^4"),
 ], ids=["other-generators", "zero-target"])
 def test_verify_only_rejects_a_certificate_of_another_claim(tmp_path, certify_artifact, capsys,
                                                             forgery, step):
@@ -651,7 +655,7 @@ def test_verify_only_rejects_a_certificate_of_another_claim(tmp_path, certify_ar
 
 def test_certify_verify_only_catches_tampering(tmp_path, certify_artifact, capsys):
     tampered = json.loads(json.dumps(certify_artifact))
-    tampered["payload"]["certificate"]["cofactors"][0] = "0"
+    tampered["payload"]["certificate"]["cofactors"][0] = {"monomials": "", "numerators": ""}
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(tampered))
     assert main(["certify", "--verify-only", str(path)]) == 1
@@ -662,7 +666,8 @@ def test_stored_certificate_with_an_extra_cofactor_fails(tmp_path, certify_artif
     """One cofactor more than generators is no certificate, even though the
     extra term pairs with no generator in the re-expansion."""
     tampered = json.loads(json.dumps(certify_artifact))
-    tampered["payload"]["certificate"]["cofactors"].append("A^7 + 3*t")
+    tampered["payload"]["certificate"]["cofactors"].append(  # A^7 + 3*t
+        {"monomials": "A^7 + t", "numerators": f"{numeral(1)} {numeral(3)}"})
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(tampered))
     assert main(["certify", "--verify-only", str(path)]) == 1
@@ -690,8 +695,9 @@ def test_check_cases_reads_a_stored_certificate(tmp_path, certify_artifact,
     assert _load(out)["payload"]["all_verified"] is True
 
     tampered = json.loads(json.dumps(certify_artifact))
-    cofactors = tampered["payload"]["certificate"]["cofactors"]
-    cofactors[0] = cofactors[0] + " + t"
+    cofactor = tampered["payload"]["certificate"]["cofactors"][0]
+    first, rest = cofactor["numerators"].split(" ", 1)
+    cofactor["numerators"] = f"{numeral(decoded_numeral(first) + 1)} {rest}"
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(tampered))
     assert main(["check-cases", "VII", "--certificate", str(path), "--output", str(out)]) == 1
@@ -719,7 +725,7 @@ def _write_tampered(tmp_path, certify_artifact, **certificate) -> Path:
                          ids=["missing", "zero", "negative", "decimal-point"])
 def test_a_bad_stored_denominator_is_a_usage_error(tmp_path, certify_artifact, capsys,
                                                    denominator):
-    """An @2 certificate without a positive base-10 denominator is no
+    """An @3 certificate without a denominator numeral of at least 1 is no
     certificate document: both commands that re-check one exit with status 2."""
     path = _write_tampered(tmp_path, certify_artifact, denominator=denominator)
     for argv in (["certify", "--verify-only", str(path)],
@@ -751,8 +757,8 @@ def test_a_malformed_stored_certificate_is_a_usage_error(tmp_path, certify_artif
 def test_a_changed_stored_denominator_fails_re_verification(tmp_path, certify_artifact, capsys):
     """k + 1 in place of k scales every cofactor: the document still reads,
     and the identity no longer re-expands."""
-    k = int(certify_artifact["payload"]["certificate"]["denominator"])
-    path = _write_tampered(tmp_path, certify_artifact, denominator=str(k + 1))
+    k = decoded_numeral(certify_artifact["payload"]["certificate"]["denominator"])
+    path = _write_tampered(tmp_path, certify_artifact, denominator=numeral(k + 1))
     assert main(["certify", "--verify-only", str(path)]) == 1
     assert "first failing step: certificate re-verification FAILED" in capsys.readouterr().err
     assert main(["check-cases", "VII", "--certificate", str(path)]) == 1
@@ -787,6 +793,19 @@ def test_check_cases_payload_is_pinned(tmp_path, certify_artifact_path, capsys):
     document = _load(out)
     _check_manifest(document, "check-cases")
     assert document["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
+
+
+def test_every_certificate_format_re_checks_to_one_payload(tmp_path, certify_artifact_path,
+                                                           certify_artifact_v2_path,
+                                                           certify_artifact_v1_path, capsys):
+    """The flagship certificate as @3, @2 and @1: --verify-only re-verifies
+    each, and check-cases gives the pinned payload for each."""
+    for path in (certify_artifact_path, certify_artifact_v2_path, certify_artifact_v1_path):
+        assert main(["certify", "--verify-only", str(path)]) == 0
+        assert "re-verified" in capsys.readouterr().out
+        out = tmp_path / f"cases-{path.stem}.json"
+        assert main(["check-cases", "--certificate", str(path), "--output", str(out)]) == 0
+        assert _load(out)["manifest"]["payload_digest"] == CHECK_CASES_PAYLOAD_DIGEST
 
 
 def test_check_cases_without_a_certificate_searches_once(tmp_path, monkeypatch, capsys):

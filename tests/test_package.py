@@ -55,10 +55,11 @@ def test_every_exported_name_resolves(tmp_path):
 
 
 def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_path,
+                                                   certify_artifact_v2_path,
                                                    certify_artifact_v1_path):
     """Only ``certify`` without --verify-only loads the Groebner search; a stored
-    certificate, in the @2 or the older @1 document format, is re-checked with
-    ``birot4.certificate``, which needs only ``poly``.
+    certificate, in the @3 or the older @2 and @1 document formats, is
+    re-checked with ``birot4.certificate``, which needs only ``poly``.
     The search's worker is forked by ``birot4.groebner`` alone: no run loads
     ``multiprocessing``, and only that search loads ``signal``."""
     loaded = _fresh_interpreter(tmp_path, f"""
@@ -66,6 +67,7 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
         WATCHED = ("numpy", "birot4.numeric", "birot4.cases", "birot4.groebner",
                    "multiprocessing", "signal")
         STORED = {str(certify_artifact_path)!r}
+        STORED_2 = {str(certify_artifact_v2_path)!r}
         STORED_1 = {str(certify_artifact_v1_path)!r}
 
         def snapshot():
@@ -80,9 +82,11 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
             for label, argv in (
                     ("derive", ["derive", "--case", "V"]),
                     ("verify-only", ["certify", "--verify-only", STORED]),
+                    ("verify-only @2", ["certify", "--verify-only", STORED_2]),
                     ("verify-only @1", ["certify", "--verify-only", STORED_1]),
                     ("check-cases", ["check-cases", "I"]),
                     ("check-cases VII", ["check-cases", "VII", "--certificate", STORED]),
+                    ("check-cases VII @2", ["check-cases", "VII", "--certificate", STORED_2]),
                     ("check-cases VII @1", ["check-cases", "VII", "--certificate", STORED_1]),
                     ("certify", ["certify"])):
                 seen[label] = (birot4.cli.main(argv), snapshot())
@@ -91,10 +95,41 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["trusted"] == ["birot4", "birot4.certificate", "birot4.poly"]
     assert loaded["import"] == []
     assert loaded["derive"] == [0, []]
-    assert loaded["verify-only"] == loaded["verify-only @1"] == [0, []]
+    assert loaded["verify-only"] == loaded["verify-only @2"] == loaded["verify-only @1"] \
+        == [0, []]
     assert loaded["check-cases"] == [0, ["birot4.cases"]]
-    assert loaded["check-cases VII"] == loaded["check-cases VII @1"] == [0, ["birot4.cases"]]
+    assert loaded["check-cases VII"] == loaded["check-cases VII @2"] \
+        == loaded["check-cases VII @1"] == [0, ["birot4.cases"]]
     assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner", "signal"]]
+
+
+# Every module that `certify --verify-only` or `check-cases --certificate` loaded
+# beyond the interpreter's start-up set, run in a fresh interpreter on a stored
+# @2 certificate, before the @3 format.  Reading @3 numerals may add binascii
+# (which this interpreter's start-up already loads) and nothing else.
+RE_CHECK_MODULES = frozenset({
+    "__future__", "_ast", "_blake2", "_decimal", "_hashlib", "_locale", "_opcode",
+    "argparse", "ast", "copy", "dataclasses", "decimal", "dis", "fractions", "gettext",
+    "hashlib", "importlib.machinery", "inspect", "linecache", "locale", "numbers", "opcode",
+    "token", "tokenize",
+    "birot4", "birot4.cases", "birot4.certificate", "birot4.cli", "birot4.constraints",
+    "birot4.fixtures", "birot4.poly", "birot4.series", "birot4.univariate", "birot4.witness",
+})
+
+
+def test_re_checking_a_stored_certificate_loads_no_new_module(tmp_path, certify_artifact_path):
+    for argv in (["certify", "--verify-only", str(certify_artifact_path)],
+                 ["check-cases", "--certificate", str(certify_artifact_path)]):
+        code, loaded = _fresh_interpreter(tmp_path, f"""
+            import contextlib, io, json, sys
+            before = set(sys.modules)
+            import birot4.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = birot4.cli.main({argv!r})
+            print(json.dumps([code, sorted(set(sys.modules) - before)]))
+        """)
+        assert code == 0, argv
+        assert sorted(set(loaded) - RE_CHECK_MODULES - {"binascii"}) == [], argv
 
 
 def test_sign_witnesses_load_only_the_trusted_core(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,21 @@ def test_malformed_polynomials_are_refused():
         Polynomial(XYZ, {(0, -1, 0): 1})
     with pytest.raises(ValueError, match="variable-set mismatch"):
         RationalFunction(Polynomial.variable(XYZ, "x"), Polynomial.constant(variables("x"), 2))
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal("0.1"), complex(1), "1/3"],
+                         ids=["float", "integral-float", "decimal", "complex", "string"])
+def test_an_inexact_coefficient_is_refused(value):
+    """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a
+    coefficient that is not an int or a Fraction is refused, not converted."""
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Polynomial(XYZ, {(1, 0, 0): value})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Polynomial.constant(XYZ, value)
+    with pytest.raises(TypeError):
+        Polynomial.variable(XYZ, "x") + value
+    assert Polynomial.constant(XYZ, 3).terms == {(0, 0, 0): Fraction(3)}
+    assert Polynomial(XYZ, {(1, 0, 0): Fraction(1, 10)}).terms[(1, 0, 0)] == Fraction(1, 10)
 
 
 def test_zero_coefficients_are_dropped():
