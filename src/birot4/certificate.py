@@ -17,8 +17,9 @@ the same order.  Base64 goes to and from bytes in linear time, where an int's
 decimal text takes time quadratic in its digits.  The target, the
 generators and the remainder stay decimal text: they are the claim a
 referee compares with the extracted system.  @1 and @2 documents stay
-readable.  The @3 document also carries the certify worker's certificate to
-its parent (``groebner._Worker``).
+readable.  The reader takes only the cofactor texts that the writer gives,
+so each N_i and k have one @3 spelling.  The @3 document also carries the
+certify worker's certificate to its parent (``groebner._Worker``).
 """
 
 from __future__ import annotations
@@ -182,16 +183,17 @@ def _numerals(text: str, field: str) -> list[int]:
     """The ints of a space-separated list of numerals; "" is the empty list.
 
     A numeral is refused unless ``numeral`` writes its value as the same
-    text: the strict decoder alone still takes non-zero pad bits ("AQJ=" for
-    "AQI=") and leading zero bytes ("AAE=" for "AQ=="), and zero is never
-    written.
+    text.  That one comparison refuses what the decoder lets through: it
+    skips characters outside the alphabet, and takes non-zero pad bits
+    ("AQJ=" for "AQI=") and leading zero bytes ("AAE=" for "AQ=="); zero
+    is never written.  (The decoder's ``strict_mode`` needs Python 3.11.)
     """
     values = []
     for text_i in text.split(" ") if text else ():
         negative = text_i[:1] == "-"
         try:
-            value = int.from_bytes(a2b_base64(text_i[negative:], strict_mode=True), "big")
-        except ValueError:
+            value = int.from_bytes(a2b_base64(text_i[negative:]), "big")
+        except ValueError:  # binascii.Error, or a character outside ASCII
             value = 0
         if negative:
             value = -value
@@ -201,6 +203,12 @@ def _numerals(text: str, field: str) -> list[int]:
     return values
 
 
+def _monomials_text(vars: VariableSet, monomials) -> str:
+    """The one @3 text of a nonempty set of monomials: the polynomial with
+    each of them at coefficient 1, as ``format_polynomial`` writes it."""
+    return format_polynomial(Polynomial._clean(vars, dict.fromkeys(monomials, 1)))
+
+
 def _cofactor_fields(numerator: Polynomial) -> dict:
     """The @3 fields of N_i: its monomials in LEX order, each with
     coefficient 1, and its coefficients as numerals in that order.  A zero
@@ -208,8 +216,7 @@ def _cofactor_fields(numerator: Polynomial) -> dict:
     terms = numerator.sorted_terms()
     if not terms:
         return {"monomials": "", "numerators": ""}
-    ones = Polynomial._clean(numerator.vars, {e: 1 for e, _ in terms})
-    return {"monomials": format_polynomial(ones),
+    return {"monomials": _monomials_text(numerator.vars, numerator.terms),
             "numerators": " ".join([numeral(c) for _, c in terms])}
 
 
@@ -230,25 +237,26 @@ def certificate_to_document(cert: MembershipCertificate) -> dict:
 
 
 def _read_cofactor(cofactor, field: str, vars: VariableSet) -> Polynomial:
-    """N_i of an @3 cofactor object, refused unless every monomial is written
-    with no coefficient or sign, once, beside one numeral."""
+    """N_i of an @3 cofactor object, refused unless its monomials are the
+    text that the writer gives them, each beside one numeral.
+
+    Comparing the text with ``_monomials_text`` of the monomials read
+    refuses a coefficient, a sign, a repeated monomial, LEX order broken,
+    and any other spelling of a monomial ("1*x", "x^1", "y*x").
+    """
     if not (isinstance(cofactor, dict) and cofactor.keys() == {"monomials", "numerators"}
             and all(isinstance(text, str) for text in cofactor.values())):
         raise ValueError(f"{field} is not an object of two strings, monomials and numerators")
     text = cofactor["monomials"]
-    monomials = []
-    for exps, num, den in parse_terms(text, vars) if text else ():
-        if num != 1 or den != 1:
-            raise ValueError(f"{field}.monomials: a monomial has a coefficient or a sign")
-        monomials.append(exps)
+    monomials = [exps for exps, _, _ in parse_terms(text, vars)] if text else []
+    if monomials and _monomials_text(vars, monomials) != text:
+        raise ValueError(f"{field}.monomials: not each monomial once, with no coefficient "
+                         "or sign, in LEX order, as format_polynomial writes it")
     values = _numerals(cofactor["numerators"], f"{field}.numerators")
     if len(values) != len(monomials):
         raise ValueError(f"{field}.numerators: {len(values)} numerals "
                          f"for {len(monomials)} monomials")
-    terms = dict(zip(monomials, values))
-    if len(terms) != len(monomials):
-        raise ValueError(f"{field}.monomials: a monomial is written twice")
-    return Polynomial._clean(vars, terms)
+    return Polynomial._clean(vars, dict(zip(monomials, values)))
 
 
 def _document_denominator(doc: dict) -> int:

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from conftest import decoded_numeral, format_2_document, random_polynomial
 
+import birot4.certificate as certificate_module
 from birot4.cases import check_case_VII
 from birot4.certificate import (
     MembershipCertificate,
@@ -195,9 +196,19 @@ def test_a_zero_cofactor_is_two_empty_strings():
      "cofactors[1].numerators"),
     ({"cofactors": [HAND_WRITTEN_3["cofactors"][0], _cofactor("", "-CQ==")]},
      "cofactors[1].numerators"),
-    # each monomial once, with no coefficient and no sign
+    # each monomial once, with no coefficient and no sign, as the writer writes it
     ({"cofactors": [_cofactor("x + x", "Bg== BA==")]}, "cofactors[0].monomials"),
     ({"cofactors": [_cofactor("x*y + y*x", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("1 + x", "BA== Bg==")]}, "cofactors[0].monomials"),  # order
+    ({"cofactors": [_cofactor("x^2 + y + x", "Bg== BA== AQ==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("y*x", "Bg==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x^1 + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x^0*y", "Bg==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("1*x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x +  1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor(" x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("x+1", "Bg== BA==")]}, "cofactors[0].monomials"),
+    ({"cofactors": [_cofactor("0", "Bg==")]}, "cofactors[0].monomials"),
     ({"cofactors": [_cofactor("2*x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
     ({"cofactors": [_cofactor("-x + 1", "Bg== BA==")]}, "cofactors[0].monomials"),
     ({"cofactors": [_cofactor("x - 1", "Bg== BA==")]}, "cofactors[0].monomials"),
@@ -214,6 +225,25 @@ def test_a_zero_cofactor_is_two_empty_strings():
 def test_a_bad_format_3_field_is_refused_by_name(change, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         certificate_from_document({**HAND_WRITTEN_3, **change})
+
+
+def test_numerals_are_read_by_the_decoder_of_python_3_10(monkeypatch, flagship_certificate):
+    """Python 3.10's ``binascii.a2b_base64`` takes no ``strict_mode``, and
+    refuses less than the strict decoder does: it skips characters outside
+    the alphabet and text after the padding.  The reader, given that
+    decoder, still reads every certificate and refuses every other text."""
+    def a2b_base64_3_10(data, /):
+        return binascii.a2b_base64(data)
+
+    monkeypatch.setattr(certificate_module, "a2b_base64", a2b_base64_3_10)
+    document = certificate_to_document(flagship_certificate)
+    assert certificate_from_document(document) == flagship_certificate
+    assert certificate_from_document(HAND_WRITTEN_3) == \
+        certificate_from_document(HAND_WRITTEN_1)
+    for text in ("DB==", "AAw=", "DA", "D=A==", "D!A==", "DA==DA==", "DA==\n", "DA==\u00e9",
+                 "-DA==", "AA==", "", "DA== AQ=="):
+        with pytest.raises(ValueError, match="denominator"):
+            certificate_from_document({**HAND_WRITTEN_3, "denominator": text})
 
 
 def test_one_changed_numeral_fails_verify(flagship_certificate):
@@ -474,9 +504,9 @@ def _reading_inputs():
         yield document
         yield _as_format_1(document, [format_polynomial(k) for k in cert.cofactors])
     three = HAND_WRITTEN_3
-    yield {**three, "denominator": numeral(24), "cofactors": [  # gcd 6, terms out of order
-        _cofactor("1 + x", f"{numeral(12)} {numeral(6)}"), _cofactor("y", numeral(-18))]}
-    yield {**three, "cofactors": [_cofactor("y*x + y + x^2", f"{numeral(-5)} {numeral(7)} AQ=="),
+    yield {**three, "denominator": numeral(24), "cofactors": [  # gcd 6
+        _cofactor("x + 1", f"{numeral(6)} {numeral(12)}"), _cofactor("y", numeral(-18))]}
+    yield {**three, "cofactors": [_cofactor("x^2 + x*y + y", f"AQ== {numeral(-5)} {numeral(7)}"),
                                   _cofactor("", "")]}
     two = {**HAND_WRITTEN_1, "format": FORMAT_2, "denominator": "1"}
     yield {**HAND_WRITTEN_1, "cofactors": ["2/4*x + 6/8", "-3/9*y"]}  # not in lowest terms

@@ -103,23 +103,28 @@ def test_cli_subcommands_import_only_what_they_run(tmp_path, certify_artifact_pa
     assert loaded["certify"] == [0, ["birot4.cases", "birot4.groebner", "signal"]]
 
 
-# Every module that `certify --verify-only` or `check-cases --certificate` loaded
-# beyond the interpreter's start-up set, run in a fresh interpreter on a stored
-# @2 certificate, before the @3 format.  Reading @3 numerals may add binascii
-# (which this interpreter's start-up already loads) and nothing else.
-RE_CHECK_MODULES = frozenset({
-    "__future__", "_ast", "_blake2", "_decimal", "_hashlib", "_locale", "_opcode",
-    "argparse", "ast", "copy", "dataclasses", "decimal", "dis", "fractions", "gettext",
-    "hashlib", "importlib.machinery", "inspect", "linecache", "locale", "numbers", "opcode",
-    "token", "tokenize",
+# The birot4 modules that `certify --verify-only` and `check-cases --certificate`
+# loaded on a stored certificate before the @3 format, and modules that reading
+# base64 numerals must not bring in.  Which standard modules a run loads beyond
+# these depends on the interpreter, so those are compared between two runs of one
+# interpreter instead.
+RE_CHECK_BIROT4_MODULES = frozenset({
     "birot4", "birot4.cases", "birot4.certificate", "birot4.cli", "birot4.constraints",
     "birot4.fixtures", "birot4.poly", "birot4.series", "birot4.univariate", "birot4.witness",
 })
+RE_CHECK_UNWANTED_MODULES = frozenset({
+    "base64", "struct", "_struct", "encodings.base64_codec", "zlib", "numpy",
+    "multiprocessing", "signal", "birot4.groebner", "birot4.numeric",
+})
 
 
-def test_re_checking_a_stored_certificate_loads_no_new_module(tmp_path, certify_artifact_path):
-    for argv in (["certify", "--verify-only", str(certify_artifact_path)],
-                 ["check-cases", "--certificate", str(certify_artifact_path)]):
+def test_re_checking_a_stored_certificate_loads_no_new_module(
+        tmp_path, certify_artifact_path, certify_artifact_v2_path):
+    """Each re-check, run in a fresh interpreter on the @3 artifact, loads no
+    birot4 module beyond those it loaded before @3, none of the unwanted
+    modules, and no module that the same run on the @2 artifact leaves
+    unloaded, except binascii."""
+    def loaded_by(argv):
         code, loaded = _fresh_interpreter(tmp_path, f"""
             import contextlib, io, json, sys
             before = set(sys.modules)
@@ -129,7 +134,15 @@ def test_re_checking_a_stored_certificate_loads_no_new_module(tmp_path, certify_
             print(json.dumps([code, sorted(set(sys.modules) - before)]))
         """)
         assert code == 0, argv
-        assert sorted(set(loaded) - RE_CHECK_MODULES - {"binascii"}) == [], argv
+        return set(loaded)
+
+    for command in (["certify", "--verify-only"], ["check-cases", "--certificate"]):
+        loaded = loaded_by([*command, str(certify_artifact_path)])
+        birot4_loaded = {name for name in loaded if name.split(".")[0] == "birot4"}
+        assert sorted(birot4_loaded - RE_CHECK_BIROT4_MODULES) == [], command
+        assert sorted(loaded & RE_CHECK_UNWANTED_MODULES) == [], command
+        loaded_2 = loaded_by([*command, str(certify_artifact_v2_path)])
+        assert sorted(loaded - loaded_2 - {"binascii"}) == [], command
 
 
 def test_sign_witnesses_load_only_the_trusted_core(tmp_path):
