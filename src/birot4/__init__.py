@@ -53,10 +53,7 @@ _EXPORTS = {
         "ProfileSolution", "TruncatedSeries", "solve_profile_ivp",
     ),
     "univariate": ("count_real_roots", "resultant_univariate"),
-    "witness": (
-        "PointEvaluation", "PositiveCombination", "Region", "SignFact",
-        "SturmWindow", "VariableCondition",
-    ),
+    "witness": ("PositiveCombination", "Region", "SignFact", "VariableCondition"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "fixtures"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

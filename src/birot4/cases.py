@@ -55,12 +55,10 @@ from .poly import (
 from .series import INITIAL_DATA_VARS, ProfileIVP, TruncatedSeries, solve_profile_ivp
 from .univariate import REAL_LINE, count_real_roots, resultant_univariate
 from .witness import (
-    PointEvaluation,
     PositiveCombination,
     ProductTerm,
     Region,
     SignFact,
-    SturmWindow,
     VariableCondition,
 )
 
@@ -490,20 +488,21 @@ def check_case_VI() -> CaseReport:
             count_real_roots(cubic, (lo, hi)), 1)
     c.sign("subbranch u = 0: the cubic is negative at -12/5",
            SignFact(cubic, Region({"t": VariableCondition.point(lo)}), "negative",
-                    PointEvaluation({"t": lo})))
+                    PositiveCombination((ProductTerm(Fraction(1), ((cubic, 1),)),))))
     c.equal("subbranch u = 0: its value there is -36/25",
             cubic.evaluate({"t": lo}),
             CASE6_CUBIC_AT_LO)
     c.sign("subbranch u = 0: the cubic is positive at -9/4",
            SignFact(cubic, Region({"t": VariableCondition.point(hi)}), "positive",
-                    PointEvaluation({"t": hi})))
+                    PositiveCombination((ProductTerm(Fraction(1), ((cubic, 1),)),))))
     c.equal("subbranch u = 0: its value there is 75/64",
             cubic.evaluate({"t": hi}),
             CASE6_CUBIC_AT_HI)
     quad = parse_polynomial(QUADRATIC_T_TEXT, nv)
     window = Region({"t": VariableCondition.window(lo, hi, strict=False)})
     c.sign(f"subbranch u = 0: {QUADRATIC_T_TEXT} is negative on the whole window",
-           SignFact(quad, window, "negative", SturmWindow("t", (lo, hi))))
+           SignFact(quad, window, "negative",
+                    PositiveCombination((ProductTerm(Fraction(1), ((quad, 1),)),))))
     c.equal("subbranch u = 0: the order-3 equation rewrites as 3*A + t*(2*t^2 + 7*t + 4)",
             e3, 3 * av + tv * quad)
     c.sign("subbranch u = 0: -t*(2*t^2 + 7*t + 4) is negative on the window",

@@ -267,10 +267,7 @@ def extract_system(profile: ProfileSolution, case_tag: str) -> ConstraintSystem:
 
     raw = {n: coeffs[n] for n in range(x1_order + 1, _LAST_ORDER + 1)}
     if case_tag == "VII":
-        # order 0 of arc_defect_series: x'^2 + y'^2 + r'^2 - r^2 at tau = 0
-        x, y, r = profile.x, profile.y, profile.r
-        arc0 = eliminate_linear(x[1] * x[1] + y[1] * y[1] + r[1] * r[1] - r[0] * r[0],
-                                "y1", beta, c0r1)
+        arc0 = eliminate_linear(arc_defect_series(_cut(profile, 1))[0], "y1", beta, c0r1)
         raw = {0: eliminate_linear(arc0, "x1", alpha, x1_rest), **raw}
     normalized = [_normalize_coefficient(f, n, mapping) for n, f in raw.items()]
     return ConstraintSystem(

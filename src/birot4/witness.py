@@ -3,19 +3,13 @@
 A SignFact claims that a polynomial is positive, negative or zero on a
 Region, and carries a witness that decides the claim exactly.  One bound
 type, VariableCondition, states what a Region knows about each variable.
-A sign claim carries one of three witnesses:
+The one witness is a PositiveCombination: an exact rewrite as a sum of
+products whose signs on the region combine decisively.
 
-- PointEvaluation: the region pins every variable of the expression to one
-  point, so exact evaluation there fixes the sign;
-- SturmWindow: a univariate expression has no root on the window (Sturm
-  count, endpoints checked) and takes the claimed sign at its samples;
-- PositiveCombination: an exact rewrite as a sum of products whose signs on
-  the region combine decisively.
-
-Every sign claim names its witness.  Every univariate sign is decided by
-one rule, the root-free check of ``_root_free``.  This module is part of
-the trusted core and imports only ``birot4.poly`` and
-``birot4.univariate``; what found a witness is not trusted.
+Every univariate sign, a sign at a point included, is decided by one rule,
+the root-free check of ``_root_free``.  This module is part of the trusted
+core and imports only ``birot4.poly`` and ``birot4.univariate``; what found
+a witness is not trusted.
 """
 
 from __future__ import annotations
@@ -218,66 +212,9 @@ def polynomial_sign_set(f: Polynomial, region: Region) -> frozenset:
     return frozenset({_sign_of(f.evaluate({names[0]: point}))})
 
 
-# -- sign-fact witnesses -----------------------------------------------
+# -- the sign-fact witness ---------------------------------------------
 
 _CLAIM_SETS = {"positive": _POS, "negative": _NEG, "zero": _ZERO}
-
-
-@dataclass(frozen=True)
-class PointEvaluation:
-    """Witness: the region pins the expression to one point; check its sign.
-
-    Sound because every variable of the expression has closed bounds
-    lower == upper == its value in the point, so the expression takes that
-    one value on the whole region.
-    """
-
-    point: Mapping[str, Fraction]
-    method = "exact evaluation"
-
-    def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        for name in expression.occurring_variables():
-            cond = region.condition(name)
-            if (name not in self.point or cond.lower_strict or cond.upper_strict
-                    or not cond.lower == cond.upper == Fraction(self.point[name])):
-                return False
-        value = expression.evaluate(self.point)
-        return frozenset({_sign_of(value)}) == _CLAIM_SETS[claimed]
-
-    def document(self) -> dict:
-        return {"point": {name: str(value) for name, value in self.point.items()}}
-
-
-@dataclass(frozen=True)
-class SturmWindow:
-    """Witness: no roots on the window plus sample signs fix the sign.
-
-    The expression must be univariate; the window is the region's bound on
-    that variable (the whole line when unbounded).  Soundness: a continuous
-    function with no zero on a connected set has one sign there.
-    """
-
-    variable: str
-    samples: tuple[Fraction, ...]
-    method = "Sturm count"
-
-    def verify(self, expression: Polynomial, region: Region, claimed: str) -> bool:
-        if expression.occurring_variables() != (self.variable,):
-            return False
-        cond = region.condition(self.variable)
-        if not _root_free(expression, cond) or not self.samples:
-            return False
-        want = _CLAIM_SETS[claimed]
-        for sample in self.samples:
-            sample = Fraction(sample)
-            if not cond.admits(sample):
-                return False
-            if frozenset({_sign_of(expression.evaluate({self.variable: sample}))}) != want:
-                return False
-        return True
-
-    def document(self) -> dict:
-        return {"variable": self.variable, "samples": [str(s) for s in self.samples]}
 
 
 @dataclass(frozen=True)
@@ -311,7 +248,6 @@ class PositiveCombination:
     """
 
     terms: tuple[ProductTerm, ...]
-    method = "positive-combination rewrite"
 
     @staticmethod
     def from_polynomial(f: Polynomial) -> "PositiveCombination":
@@ -352,11 +288,7 @@ class SignFact:
     expression: Polynomial
     region: Region
     claimed_sign: str
-    witness: object
-
-    @property
-    def method(self) -> str:
-        return self.witness.method
+    witness: PositiveCombination
 
     def verify(self) -> bool:
         if self.claimed_sign not in _CLAIM_SETS:
@@ -367,7 +299,6 @@ class SignFact:
         doc = {
             "expression": format_polynomial(self.expression),
             "claimed_sign": self.claimed_sign,
-            "method": self.method,
             "region": {name: cond.document() for name, cond in self.region.conditions.items()},
         }
         doc.update(self.witness.document())
@@ -375,12 +306,10 @@ class SignFact:
 
 
 __all__ = [
-    "PointEvaluation",
     "PositiveCombination",
     "ProductTerm",
     "Region",
     "SignFact",
-    "SturmWindow",
     "VariableCondition",
     "polynomial_sign_set",
 ]

@@ -12,18 +12,16 @@ import pytest
 from birot4 import cases
 from birot4.cases import CASE_IDS, check_case_VII, report_to_document, summarize_report
 from birot4.constraints import NORMALIZED_VARS, extract_system
-from birot4.fixtures import CUBIC_T_TEXT, QUARTIC_T_TEXT
+from birot4.fixtures import CUBIC_T_TEXT, QUADRATIC_T_TEXT, QUARTIC_T_TEXT
 from birot4.certificate import MembershipCertificate
 from birot4.poly import Polynomial, RationalFunction, parse_polynomial, variables
 from birot4.series import INITIAL_DATA_VARS, ProfileIVP, solve_profile_ivp
 from birot4.univariate import resultant_univariate
 from birot4.witness import (
-    PointEvaluation,
     PositiveCombination,
     ProductTerm,
     Region,
     SignFact,
-    SturmWindow,
     VariableCondition,
     polynomial_sign_set,
 )
@@ -111,7 +109,7 @@ def test_reports_serialize_to_plain_documents(case_reports):
             if step.sign_fact is not None:
                 fact = entry["sign_fact"]
                 assert fact["claimed_sign"] == step.sign_fact.claimed_sign
-                assert fact["method"] == step.sign_fact.method
+                assert len(fact["terms"]) == len(step.sign_fact.witness.terms)
 
 
 def test_summary_lines(case_reports):
@@ -142,56 +140,72 @@ def test_tampered_certificate_is_caught(flagship_certificate):
 # -- witness machinery, negative controls ------------------------------
 
 
-def test_point_evaluation_witness():
+def _one_factor(f: Polynomial) -> PositiveCombination:
+    """The one-term rewrite 1 * f, so f's sign comes from polynomial_sign_set."""
+    return PositiveCombination((ProductTerm(Fraction(1), ((f, 1),)),))
+
+
+def test_one_factor_sign_at_a_point():
+    """A point region decides a univariate factor by its exact value there."""
     region = Region({"x": VariableCondition.point(Fraction(2))})
-    fact = SignFact(X * X - ONE, region, "positive", PointEvaluation({"x": Fraction(2)}))
-    assert fact.verify()
+    f = X * X - ONE
+    assert SignFact(f, region, "positive", _one_factor(f)).verify()
     # wrong claimed sign
-    assert not SignFact(X * X - ONE, region, "negative",
-                        PointEvaluation({"x": Fraction(2)})).verify()
-    # the point lies outside the region
-    outside = PointEvaluation({"x": Fraction(3)})
-    assert not SignFact(X, region, "positive", outside).verify()
-    # a variable of the expression is not pinned by the point
-    assert not SignFact(X + Y, region, "positive", PointEvaluation({"x": Fraction(2)})).verify()
-    # one evaluation says nothing about a window or a free variable, even where
-    # the point lies in the region and its value has the claimed sign
-    t = Polynomial.variable(variables("t"), "t")
-    assert not SignFact(t - 2, Region({"t": VariableCondition.window(0, 10)}), "negative",
-                        PointEvaluation({"t": 1})).verify()
-    assert not SignFact(t, Region(), "positive", PointEvaluation({"t": 1})).verify()
-    # an open bound at the point's value does not pin it
+    assert not SignFact(f, region, "negative", _one_factor(f)).verify()
+    # zero claims work too, at a root
+    one = Region({"x": VariableCondition.point(1)})
+    assert SignFact(f, one, "zero", _one_factor(f)).verify()
+    assert not SignFact(f, one, "positive", _one_factor(f)).verify()
+    # a half-open bound at one value admits no point and decides nothing
     half_open = VariableCondition(lower=Fraction(2), lower_strict=False,
                                   upper=Fraction(2), upper_strict=True)
-    assert not SignFact(X, Region({"x": half_open}), "positive",
-                        PointEvaluation({"x": Fraction(2)})).verify()
-    # zero claims work too
-    origin = Region({"x": VariableCondition.point(0)})
-    assert SignFact(X, origin, "zero", PointEvaluation({"x": Fraction(0)})).verify()
+    for claim in ("positive", "negative", "zero"):
+        assert not SignFact(f, Region({"x": half_open}), claim, _one_factor(f)).verify()
+    # a second variable left free is not pinned by the first one's point
+    assert not SignFact(X - Y, region, "positive", _one_factor(X - Y)).verify()
 
 
-def test_sturm_window_witness():
+def test_one_factor_sign_on_a_window():
+    """A univariate factor with no root on its window takes one sign there."""
     window = Region({"x": VariableCondition.window(-1, 1, strict=False)})
-    everywhere = Region()
-    assert SignFact(X * X + ONE, everywhere, "positive",
-                    SturmWindow("x", (Fraction(0),))).verify()
-    assert not SignFact(X * X + ONE, everywhere, "negative",
-                        SturmWindow("x", (Fraction(0),))).verify()
-    # a root inside the window defeats the witness
-    assert not SignFact(X, window, "positive", SturmWindow("x", (Fraction(1, 2),))).verify()
-    # a root at a window endpoint defeats it as well
-    assert not SignFact(X * X - X, window, "negative",
-                        SturmWindow("x", (Fraction(0),))).verify()
+    f = X * X + ONE
+    assert SignFact(f, Region(), "positive", _one_factor(f)).verify()
+    # wrong claimed sign
+    assert not SignFact(f, Region(), "negative", _one_factor(f)).verify()
+    # a root inside the window defeats the rule
+    g = X * X * X - X + Fraction(1, 10) * ONE
+    assert not SignFact(g, window, "positive", _one_factor(g)).verify()
+    assert not SignFact(g, window, "negative", _one_factor(g)).verify()
+    # a root at a closed end defeats it as well
+    assert not SignFact(X * X - X, window, "negative", _one_factor(X * X - X)).verify()
     # ... also when it is the only root, and without raising
-    assert not SignFact(X - ONE, window, "negative",
-                        SturmWindow("x", (Fraction(0),))).verify()
-    # sample outside the window
-    assert not SignFact(X * X + ONE, window, "positive",
-                        SturmWindow("x", (Fraction(5),))).verify()
-    # no samples, nothing to anchor the sign
-    assert not SignFact(X * X + ONE, window, "positive", SturmWindow("x", ())).verify()
-    # two-variable expressions are out of scope
-    assert not SignFact(X + Y, window, "positive", SturmWindow("x", (Fraction(0),))).verify()
+    assert not SignFact(X - ONE, window, "negative", _one_factor(X - ONE)).verify()
+    # a two-variable factor that the per-monomial rule cannot decide
+    assert not SignFact(X + Y, window, "positive", _one_factor(X + Y)).verify()
+
+
+def test_case_vi_one_term_steps_fail_on_windows_that_hold_a_root():
+    """Case VI's one-term sign steps, on wider windows than its own.  The
+    cubic's root lies in (-12/5, -2), so the cubic has no sign there.  The
+    quadratic's roots, (-7 -+ sqrt(17))/4, lie outside (-12/5, -2), so it stays
+    negative there; (-3, -9/4) holds its lower root, and there both the
+    quadratic step and the step on -t times the quadratic fail."""
+    nv = NORMALIZED_VARS
+    t = Polynomial.variable(nv, "t")
+    cubic = parse_polynomial(CUBIC_T_TEXT, nv)
+    quad = parse_polynomial(QUADRATIC_T_TEXT, nv)
+    own = Region({"t": VariableCondition.window(Fraction(-12, 5), Fraction(-9, 4),
+                                                 strict=False)})
+    cubic_root = Region({"t": VariableCondition.window(Fraction(-12, 5), -2, strict=False)})
+    quad_root = Region({"t": VariableCondition.window(-3, Fraction(-9, 4), strict=False)})
+    product = PositiveCombination((ProductTerm(Fraction(-1), ((t, 1), (quad, 1))),))
+    assert SignFact(quad, own, "negative", _one_factor(quad)).verify()
+    assert SignFact(-(t * quad), own, "negative", product).verify()
+    for claim in ("positive", "negative"):
+        assert not SignFact(cubic, cubic_root, claim, _one_factor(cubic)).verify()
+    assert SignFact(quad, cubic_root, "negative", _one_factor(quad)).verify()
+    assert not SignFact(quad, quad_root, "negative", _one_factor(quad)).verify()
+    assert not SignFact(-(t * quad), quad_root, "negative", product).verify()
 
 
 def test_positive_combination_witness():
@@ -341,6 +355,71 @@ def test_elimination_routes_agree_on_exact_resultants():
     assert lin.degree_in("B") == 1
     assert resultant_univariate(eq1, eq2, "B") == 12 * tv * tv * quartic
     assert resultant_univariate(lin, eq1, "B") == 4 * tv * tv * quartic
+
+
+def test_root_counts_and_resultants_agree_with_sympy(monkeypatch, flagship_certificate):
+    """Every count_real_roots and resultant_univariate call that
+    check_all_cases makes, re-decided by sympy: the distinct roots of
+    Poly.real_roots inside the open window, an endpoint that raised
+    EndpointRootError as a root, and sympy.resultant.  Each module that binds
+    either name is patched, so no call goes unrecorded."""
+    sympy = pytest.importorskip("sympy")
+    from birot4 import univariate, witness
+
+    counts, resultants = [], []
+
+    def recording(module, original, calls):
+        def recorded(*args):
+            try:
+                value = original(*args)
+            except univariate.EndpointRootError as error:
+                value = error
+                raise
+            finally:
+                calls.append((module.__name__, args, value))
+            return value
+        return recorded
+
+    bound = []
+    originals = {"count_real_roots": (univariate.count_real_roots, counts),
+                 "resultant_univariate": (univariate.resultant_univariate, resultants)}
+    for module in (univariate, witness, cases):
+        for name, (original, calls) in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording(module, original, calls))
+                bound.append((module.__name__, name))
+    assert sorted(bound) == [
+        ("birot4.cases", "count_real_roots"), ("birot4.cases", "resultant_univariate"),
+        ("birot4.univariate", "count_real_roots"), ("birot4.univariate", "resultant_univariate"),
+        ("birot4.witness", "count_real_roots"),
+    ]
+    reports = cases.check_all_cases(flagship_certificate)
+    assert all(r.verdict == "contradiction-verified" for r in reports)
+    assert {source for source, _, _ in counts} == {"birot4.cases", "birot4.witness"}
+    assert resultants
+
+    def to_sympy(f):
+        symbols = sympy.symbols(f.vars.names)
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[s ** e for s, e in zip(symbols, exps)])
+                           for exps, c in f.terms.items()])
+
+    def bound_to_sympy(end):
+        return sympy.oo * (1 if end > 0 else -1) if end in (float("inf"), float("-inf")) \
+            else sympy.Rational(end.numerator, end.denominator)
+
+    for _, (f, window), got in counts:
+        (name,) = f.occurring_variables()
+        poly = sympy.Poly(to_sympy(f), sympy.Symbol(name))
+        lo, hi = (bound_to_sympy(end) for end in window)
+        if isinstance(got, univariate.EndpointRootError):
+            assert any(end.is_finite and poly.eval(end) == 0 for end in (lo, hi)), str(f)
+            continue
+        inside = {root for root in poly.real_roots() if lo < root < hi}
+        assert got == len(inside), (str(f), window)
+    for _, (f, g, name), got in resultants:
+        want = sympy.resultant(to_sympy(f), to_sympy(g), sympy.Symbol(name))
+        assert sympy.expand(to_sympy(got) - want) == 0, name
 
 
 def test_a_zeroth_power_is_positive_whatever_the_base():

@@ -59,7 +59,7 @@ BASIS_DIGEST = "390b07d859747985"  # sha256("\n".join(basis))[:16], as perfbench
 # in CHANGES.md.  Re-checking the stored certify artifact gives the same payload
 # as computing the certificate afresh.
 CHECK_CASES_PAYLOAD_DIGEST = (
-    "sha256:b542b29e932a1fa2e341dfe3f50845a87ee58fedc8389f7eda0e0107064af697")
+    "sha256:a4c5936907cce438181d51c9fafe941bcffd362c0744316e6189b6d430f5037a")
 # Payload digest of `birot4 simulate --sweep` on its default grid.  The sweep
 # table prints every float of every row, so a change of the integrator's
 # arithmetic or of a point's stopping rule moves this pin; such a change must
